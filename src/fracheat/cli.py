@@ -251,9 +251,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _thread_count() -> int:
+    """The FRACHEAT_THREADS setting (default 1); a non-integer is a ConfigError."""
+    raw = os.environ.get("FRACHEAT_THREADS", "1") or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"FRACHEAT_THREADS must be an integer, got {raw!r}") from None
+
+
 def _pmap(fn, items):
     """Order-preserving map, parallel when FRACHEAT_THREADS > 1."""
-    threads = int(os.environ.get("FRACHEAT_THREADS", "1") or "1")
+    threads = _thread_count()
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -527,10 +536,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         config=cfg.resolved(),
         records=records,
         wall_time_s=wall,
-        artifacts=artifacts,
+        artifacts=artifacts + ["report.json"],
     )
     (outdir / "report.json").write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    report.artifacts = artifacts + ["report.json"]
     return report
 
 
@@ -570,6 +578,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = parse_config(args.config, overrides)
+        _thread_count()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ class AdmissibilityError(FracHeatError, ValueError):
 
 
 class ToleranceError(FracHeatError, RuntimeError):
-    """The error estimate still exceeds the target after one refinement pass."""
+    """The result is not finite, or its error estimate exceeds the target after refinement."""
 
 
 class AlignmentError(FracHeatError, ValueError):

@@ -38,6 +38,17 @@ def _as_points(x, n: int) -> np.ndarray:
     return pts
 
 
+def _eval_with_exterior(fld, pts: np.ndarray, *args: np.ndarray) -> np.ndarray:
+    """``fld.func(pts, *args)``, exactly zero outside the ball of a zero-ball field."""
+    if fld.exterior != ZERO_BALL:
+        return np.asarray(fld.func(pts, *args), dtype=float)
+    inside = np.einsum("ij,ij->i", pts, pts) < fld.ball_radius**2
+    out = np.zeros(pts.shape[0])
+    if np.any(inside):
+        out[inside] = fld.func(pts[inside], *(a[inside] for a in args))
+    return out
+
+
 @dataclass(frozen=True)
 class SpaceTimeField:
     """A bounded function u(x, t) with declared exterior behaviour.
@@ -97,13 +108,7 @@ class SpaceTimeField:
     def eval(self, x, t) -> np.ndarray:
         pts = _as_points(x, self.n)
         ts = np.broadcast_to(np.asarray(t, dtype=float), (pts.shape[0],))
-        if self.exterior == ZERO_BALL:
-            inside = np.einsum("ij,ij->i", pts, pts) < self.ball_radius**2
-            out = np.zeros(pts.shape[0])
-            if np.any(inside):
-                out[inside] = self.func(pts[inside], ts[inside])
-            return out
-        return np.asarray(self.func(pts, ts), dtype=float)
+        return _eval_with_exterior(self, pts, ts)
 
     def at(self, x, t: float) -> float:
         return float(self.eval(np.asarray(x, dtype=float).reshape(1, -1), np.array([t]))[0])
@@ -127,27 +132,16 @@ class SpaceField:
     space_support: Optional[tuple] = None
 
     def eval(self, x) -> np.ndarray:
-        pts = _as_points(x, self.n)
-        if self.exterior == ZERO_BALL:
-            inside = np.einsum("ij,ij->i", pts, pts) < self.ball_radius**2
-            out = np.zeros(pts.shape[0])
-            if np.any(inside):
-                out[inside] = self.func(pts[inside])
-            return out
-        return np.asarray(self.func(pts), dtype=float)
+        return _eval_with_exterior(self, _as_points(x, self.n))
 
     def as_spacetime(self) -> SpaceTimeField:
-        support = self.space_support
-        if support is None and self.exterior == ZERO_BALL:
-            r = self.ball_radius
-            support = (np.full(self.n, -r), np.full(self.n, r))
         return SpaceTimeField(
             func=lambda X, t: self.func(X),
             n=self.n,
             exterior=self.exterior,
             sup_bound=self.sup_bound,
             ball_radius=self.ball_radius,
-            space_support=support,
+            space_support=self.space_support,
             space_scale=self.space_scale,
             time_independent=True,
         )
@@ -306,9 +300,7 @@ def torsion_profile(n: int, s: float, shift: Optional[Sequence[float]] = None) -
         sq = np.sum(d * d, axis=-1)
         return np.where(sq < 1.0, np.power(np.maximum(1.0 - sq, 0.0), s), 0.0)
 
-    if shift is None or not np.any(off):
-        return SpaceField(g, n=n, exterior=ZERO_BALL, sup_bound=1.0, ball_radius=1.0, space_scale=0.5)
-    # shifted profile: clip against the ORIGINAL unit ball, like grid data would be
+    # a shifted profile is clipped against the ORIGINAL unit ball, like grid data would be
     return SpaceField(g, n=n, exterior=ZERO_BALL, sup_bound=1.0, ball_radius=1.0, space_scale=0.5)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 from .core import FracParams, SpaceTimePoint, gamma_abs_neg, normalization_constant
 from .errors import (
@@ -30,6 +31,9 @@ from .fields import SpaceField, SpaceTimeField, TimeField, mollifier, plateau_bu
 from .quadrature import (
     QuadratureScheme,
     _capped_edges,
+    _fd_heat,
+    _refine_toward,
+    _tensor_rule,
     marchaud_left,
     master_operator_pointwise,
 )
@@ -82,10 +86,6 @@ class ReflectionData:
     h: float
 
 
-def _axis_values(problem: BallProblem) -> np.ndarray:
-    return problem.axis
-
-
 def w_lambda_field(problem: BallProblem, full_values: np.ndarray,
                    cfg: PlaneConfig) -> ReflectionData:
     """Comparison field on Sigma_lambda; exact antisymmetry by construction.
@@ -109,7 +109,7 @@ def w_lambda_field(problem: BallProblem, full_values: np.ndarray,
     in_sigma = proj < cfg.lam - 1e-12
     sel = np.flatnonzero(in_sigma)
     refl = reflect(nodes[sel], cfg)
-    ax = _axis_values(problem)
+    ax = problem.axis
     idx = np.rint((refl - ax[0]) / h).astype(int)
     if np.max(np.abs(refl - (ax[0] + idx * h))) > 1e-9:
         raise AlignmentError("reflected nodes do not land on the grid")
@@ -271,17 +271,9 @@ def _fold_panel_edges(lo: float, hi: float, centers: Sequence[float], sigma: flo
     kernel peak so both the Gaussian (width sigma) and the field stay
     resolved at every lag.
     """
-    edges = set([lo, hi])
     count = int(math.ceil((hi - lo) / feature))
-    for v in np.linspace(lo, hi, min(count, 160) + 1):
-        edges.add(float(v))
-    for c in centers:
-        for k in range(9):
-            for sgn in (-1.0, 1.0):
-                v = c + sgn * sigma * k
-                if lo < v < hi:
-                    edges.add(v)
-    return np.array(sorted(edges))
+    edges = np.linspace(lo, hi, min(count, 160) + 1)
+    return _refine_toward(edges, lo, hi, centers, sigma * np.arange(1, 9))
 
 
 def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
@@ -316,8 +308,6 @@ def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTim
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
 
-    from numpy.polynomial.hermite import hermgauss
-
     zn, wn = hermgauss(sch.hermite_order)
     gl_x, gl_w = _GL8
 
@@ -335,21 +325,19 @@ def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTim
         y1 = (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()
         wy = (y_half[:, None] * gl_w[None, :]).ravel()
 
-        if w.n == 1:
-            pts = (sign * y1).reshape(-1, 1)
-            wts = wy
-            y_par = y1
-        else:
+        axes_nodes, axes_weights = [y1], [wy]
+        if w.n == 2:
             # the free axis carries a plain Gaussian factor: Hermite nodes
             # y2 = x2 + sigma * z with weight sigma * wn absorb it exactly
-            other = 1 - axis_idx
-            y2 = x[other] + sigma * zn
-            P1, P2 = np.meshgrid(y1, y2, indexing="ij")
-            pts = np.empty((P1.size, 2))
-            pts[:, axis_idx] = sign * P1.ravel()
-            pts[:, other] = P2.ravel()
-            wts = np.outer(wy, wn * sigma).ravel()
-            y_par = P1.ravel()
+            axes_nodes.append(x[1 - axis_idx] + sigma * zn)
+            axes_weights.append(wn * sigma)
+        rule, wts = _tensor_rule(axes_nodes, axes_weights)
+        y_par = rule[:, 0]
+        # rule columns are (normal, free); place them on the coordinate axes
+        pts = np.empty_like(rule)
+        pts[:, axis_idx] = sign * y_par
+        if w.n == 2:
+            pts[:, 1 - axis_idx] = rule[:, 1]
 
         vals = w.eval(pts, np.full(pts.shape[0], t - r))
         k_dir = np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
@@ -359,8 +347,6 @@ def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTim
 
     folded = c_ns * total
     # inner lag piece and exact tail, shared with the whole-space form
-    from .quadrature import _fd_heat
-
     heat = _fd_heat(w, x, t)
     folded += heat * sch.r_min ** (1.0 - s) / ((1.0 - s) * gam)
     folded += w_q * r_cut ** (-s) / (s * gam)
@@ -445,7 +431,7 @@ def verify_lemma_scaling(kind: str, r_list: Sequence[float], s: float, p: FracPa
     (fixed in scaled coordinates), so the scaling is exact up to quadrature.
     """
     rs = sorted(float(r) for r in r_list)
-    if len(rs) < 4 or len(set(rs)) < 4:
+    if len(rs) < 4 or len(np.unique(rs)) < 4:
         raise DomainValidationError("need at least four distinct radii")
     # one decade nominally; 8x admits the canonical 0.5-1-2-4 doubling list
     if rs[-1] / rs[0] < 8.0 - 1e-9:

@@ -109,6 +109,30 @@ def truncation_tail_bound(sup_bound: float, r_max: float, s: float) -> float:
     return 2.0 * sup_bound * r_max ** (-s) / (s * gamma_abs_neg(s))
 
 
+def _two_pass(single_pass, sch: QuadratureScheme, sup_bound: float, s: float) -> OperatorValue:
+    """Coarse and refined sweeps, Richardson value, error estimate and gate.
+
+    ``single_pass(scheme)`` returns ``(value, inner_remainder, discard_bound)``.
+    The estimate adds the pass difference, the lag-truncation bound and the
+    refined pass's remainders; a non-finite value or estimate, or an
+    estimate above ``sch.target_tol``, raises ToleranceError.
+    """
+    coarse = single_pass(sch)[0]
+    fine, inner_rem, discard = single_pass(sch.refine())
+    tail = truncation_tail_bound(sup_bound, sch.r_max, s)
+    est = abs(fine - coarse) + tail + inner_rem + discard
+    # midpoint sums are second order in the cell width, so the two passes
+    # extrapolate; the pass difference stays in the error estimate
+    value = (4.0 * fine - coarse) / 3.0
+    if not (math.isfinite(value) and math.isfinite(est)):
+        raise ToleranceError(f"non-finite result: value {value!r}, est_error {est!r}")
+    if est > sch.target_tol:
+        raise ToleranceError(
+            f"est_error {est:.3e} exceeds target_tol {sch.target_tol:.3e} after refinement"
+        )
+    return OperatorValue(value, est)
+
+
 def _capped_edges(lo: float, hi: float, npd: int,
                   breakpoints: Optional[Sequence[float]] = None,
                   cap_width: bool = True) -> np.ndarray:
@@ -136,36 +160,50 @@ def _capped_edges(lo: float, hi: float, npd: int,
         edges.extend(np.linspace(e, hi, count + 1)[1:])
     edges = np.asarray(edges)
     if breakpoints is not None:
-        extra = []
-        for b in breakpoints:
-            if not lo < b < hi:
-                continue
-            extra.append(b)
-            for k in range(1, 9):
-                step = cap / 2.0**k
-                if b - step > lo:
-                    extra.append(b - step)
-                if b + step < hi:
-                    extra.append(b + step)
-        if extra:
-            edges = np.unique(np.concatenate([edges, extra]))
+        inside = [b for b in breakpoints if lo < b < hi]
+        edges = _refine_toward(edges, lo, hi, inside, cap / 2.0 ** np.arange(1, 9))
     return edges
 
 
-def _fd_heat(u: SpaceTimeField, x: np.ndarray, t: float, delta: float = 1e-3) -> float:
-    """Finite-difference (d_t - Laplacian) u at (x, t), central stencils."""
-    n = u.n
+def _refine_toward(edges: np.ndarray, lo: float, hi: float, centres: Sequence[float],
+                   steps: np.ndarray) -> np.ndarray:
+    """Sorted union of the edges with every centre and centre +- step inside (lo, hi)."""
+    c = np.asarray(centres, dtype=float).reshape(-1, 1)
+    extra = np.concatenate([c.ravel(), (c - steps).ravel(), (c + steps).ravel()])
+    extra = extra[(extra > lo) & (extra < hi)]
+    if extra.size == 0:
+        return edges
+    return np.unique(np.concatenate([edges, extra]))
+
+
+def _tensor_rule(axes_nodes: Sequence[np.ndarray], axes_weights: Sequence[np.ndarray]):
+    """Tensor product of 1-D rules: points of shape (m, d) and their weights."""
+    grids = np.meshgrid(*axes_nodes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    w = axes_weights[0]
+    for aw in axes_weights[1:]:
+        w = np.outer(w, aw).ravel()
+    return pts, w
+
+
+def _fd_laplacian(evaluate, x: np.ndarray, delta: float) -> float:
+    """Central second-difference Laplacian at x of ``evaluate(points)``."""
+    n = len(x)
     pts = [x]
     for i in range(n):
         e = np.zeros(n)
         e[i] = delta
-        pts.append(x + e)
-        pts.append(x - e)
-    pts = np.asarray(pts)
-    vals = u.eval(pts, np.full(len(pts), t))
+        pts.extend([x + e, x - e])
+    vals = evaluate(np.asarray(pts))
     lap = 0.0
     for i in range(n):
         lap += (vals[1 + 2 * i] + vals[2 + 2 * i] - 2.0 * vals[0]) / delta**2
+    return float(lap)
+
+
+def _fd_heat(u: SpaceTimeField, x: np.ndarray, t: float, delta: float = 1e-3) -> float:
+    """Finite-difference (d_t - Laplacian) u at (x, t), central stencils."""
+    lap = _fd_laplacian(lambda pts: u.eval(pts, np.full(len(pts), t)), x, delta)
     tvals = u.eval(np.asarray([x, x]), np.array([t + delta, t - delta]))
     dudt = (tvals[0] - tvals[1]) / (2.0 * delta)
     return float(dudt - lap)
@@ -186,32 +224,15 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray, scale: float, order: int = 8,
         count = max(1, int(math.ceil(span / max(scale, 1e-12))))
         edges = np.linspace(a, b, count + 1)
         if breakpoints is not None:
-            width = span / count
-            extra = []
-            for c in breakpoints:
-                if not a < c < b:
-                    continue
-                extra.append(c)
-                for k in range(1, 6):
-                    step = width / 2.0**k
-                    if c - step > a:
-                        extra.append(c - step)
-                    if c + step < b:
-                        extra.append(c + step)
-            if extra:
-                edges = np.unique(np.concatenate([edges, extra]))
+            inside = [c for c in breakpoints if a < c < b]
+            edges = _refine_toward(edges, a, b, inside, span / count / 2.0 ** np.arange(1, 6))
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
         nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
         weights = (half[:, None] * gl_w[None, :]).ravel()
         axes_nodes.append(nodes)
         axes_weights.append(weights)
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = axes_weights[0]
-    for aw in axes_weights[1:]:
-        w = np.outer(w, aw).ravel()
-    return pts, w
+    return _tensor_rule(axes_nodes, axes_weights)
 
 
 def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float,
@@ -265,15 +286,7 @@ def _gh_average(u: SpaceTimeField, x: np.ndarray, t: float,
                 r_mid: np.ndarray, sch: QuadratureScheme) -> np.ndarray:
     n = u.n
     zn, wn = hermgauss(sch.hermite_order)
-    if n == 1:
-        z_pts = zn.reshape(-1, 1)
-        z_w = wn
-    else:
-        grids = np.meshgrid(*([zn] * n), indexing="ij")
-        z_pts = np.stack([g.ravel() for g in grids], axis=-1)
-        z_w = wn
-        for _ in range(n - 1):
-            z_w = np.outer(z_w, wn).ravel()
+    z_pts, z_w = _tensor_rule([zn] * n, [wn] * n)
     z_w = z_w / math.pi ** (n / 2.0)
     nz = len(z_w)
     out = np.empty_like(r_mid)
@@ -372,26 +385,15 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
     """Evaluate (d_t - Laplacian)^s u at q by the semigroup quadrature.
 
     Raises AdmissibilityError when the field carries no finite sup bound,
-    and ToleranceError when, after the built-in refinement pass, the error
-    estimate still exceeds ``sch.target_tol``.
+    and ToleranceError when the value or the error estimate is not finite
+    or, after the built-in refinement pass, the estimate still exceeds
+    ``sch.target_tol``.
     """
     q.validate(p)
     if q.x.shape != (u.n,):
         raise DomainValidationError("point dimension does not match the field")
     sup = u.require_bound()
-
-    coarse, _, _ = _master_single_pass(u, q, p, sch)
-    fine, inner_rem, discard = _master_single_pass(u, q, p, sch.refine())
-
-    tail = truncation_tail_bound(sup, sch.r_max, p.s)
-    est = abs(fine - coarse) + tail + inner_rem + discard
-    if est > sch.target_tol:
-        raise ToleranceError(
-            f"est_error {est:.3e} exceeds target_tol {sch.target_tol:.3e} after refinement"
-        )
-    # midpoint sums are second order in the cell width, so the two passes
-    # extrapolate; the pass difference stays in the error estimate
-    return OperatorValue((4.0 * fine - coarse) / 3.0, est)
+    return _two_pass(lambda sc: _master_single_pass(u, q, p, sc), sch, sup, p.s)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,7 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
 def _laplacian_single_pass(g: SpaceField, x: np.ndarray, p: FracParams,
                            sch: QuadratureScheme,
                            breakpoints: Optional[Sequence[float]],
-                           curvature: Optional[float]) -> tuple[float, float]:
+                           curvature: Optional[float]) -> tuple[float, float, float]:
     n, s = p.n, p.s
     a_ns = integrated_kernel_constant(p)
     g_x = float(g.eval(x.reshape(1, -1))[0])
@@ -449,7 +451,7 @@ def _laplacian_single_pass(g: SpaceField, x: np.ndarray, p: FracParams,
 
     # inner Taylor piece over |z| < z_min (paired, so odd parts vanish)
     if curvature is None:
-        lap = _fd_lap(g, x, delta=max(1e-4, 0.5 * z_min))
+        lap = _fd_laplacian(g.eval, x, max(1e-4, 0.5 * z_min))
     else:
         lap = float(curvature)
     omega_half = math.pi ** (n / 2.0) / math.gamma(n / 2.0)  # |S^{n-1}| / 2
@@ -462,21 +464,7 @@ def _laplacian_single_pass(g: SpaceField, x: np.ndarray, p: FracParams,
         discard = 0.0
     else:
         discard = 2.0 * g.sup_bound * a_ns * omega_half * z_star ** (-2.0 * s) / (2.0 * s)
-    return val, discard
-
-
-def _fd_lap(g: SpaceField, x: np.ndarray, delta: float) -> float:
-    n = g.n
-    pts = [x]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = delta
-        pts.extend([x + e, x - e])
-    vals = g.eval(np.asarray(pts))
-    lap = 0.0
-    for i in range(n):
-        lap += (vals[1 + 2 * i] + vals[2 + 2 * i] - 2.0 * vals[0]) / delta**2
-    return float(lap)
+    return val, 0.0, discard
 
 
 def fractional_laplacian_pointwise(g: SpaceField, x, p: FracParams, sch: QuadratureScheme,
@@ -495,16 +483,8 @@ def fractional_laplacian_pointwise(g: SpaceField, x, p: FracParams, sch: Quadrat
         raise DomainValidationError(f"evaluation point must have shape ({p.n},)")
     if not math.isfinite(g.sup_bound):
         raise AdmissibilityError("field has no finite sup_bound; tail cannot be bounded")
-
-    coarse, _ = _laplacian_single_pass(g, x, p, sch, breakpoints, curvature)
-    fine, discard = _laplacian_single_pass(g, x, p, sch.refine(), breakpoints, curvature)
-    tail = truncation_tail_bound(g.sup_bound, sch.r_max, p.s)
-    est = abs(fine - coarse) + tail + discard
-    if est > sch.target_tol:
-        raise ToleranceError(
-            f"est_error {est:.3e} exceeds target_tol {sch.target_tol:.3e} after refinement"
-        )
-    return OperatorValue((4.0 * fine - coarse) / 3.0, est)
+    return _two_pass(lambda sc: _laplacian_single_pass(g, x, p, sc, breakpoints, curvature),
+                     sch, g.sup_bound, p.s)
 
 
 def _marchaud(h: TimeField, t: float, s: float, sch: QuadratureScheme, side: int) -> OperatorValue:
@@ -512,15 +492,7 @@ def _marchaud(h: TimeField, t: float, s: float, sch: QuadratureScheme, side: int
         raise DomainValidationError(f"order s must lie in (0, 1), got {s}")
     if not math.isfinite(h.sup_bound):
         raise AdmissibilityError("time field has no finite sup_bound")
-    coarse, _, _ = _marchaud_single_pass(h, t, s, sch, side)
-    fine, inner_rem, _ = _marchaud_single_pass(h, t, s, sch.refine(), side)
-    tail = truncation_tail_bound(h.sup_bound, sch.r_max, s)
-    est = abs(fine - coarse) + tail + inner_rem
-    if est > sch.target_tol:
-        raise ToleranceError(
-            f"est_error {est:.3e} exceeds target_tol {sch.target_tol:.3e} after refinement"
-        )
-    return OperatorValue((4.0 * fine - coarse) / 3.0, est)
+    return _two_pass(lambda sc: _marchaud_single_pass(h, t, s, sc, side), sch, h.sup_bound, s)
 
 
 def _marchaud_single_pass(h: TimeField, t: float, s: float, sch: QuadratureScheme,
@@ -530,12 +502,10 @@ def _marchaud_single_pass(h: TimeField, t: float, s: float, sch: QuadratureSchem
     h_t = float(h.eval(np.array([t]))[0])
 
     r_cut = sch.r_max
-    exact_tail = False
     if h.support is not None:
         horizon = (t - h.support[0]) if side > 0 else (h.support[1] - t)
         if horizon < sch.r_max:
             r_cut = max(horizon, 2.0 * sch.r_min)
-            exact_tail = True
 
     edges = _capped_edges(sch.r_min, r_cut, sch.nodes_per_decade)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -550,8 +520,7 @@ def _marchaud_single_pass(h: TimeField, t: float, s: float, sch: QuadratureSchem
 
     if float(np.max(np.abs(diff))) > 1e-14 * max(1.0, abs(h_t)):
         val += h_t * r_cut ** (-s) / (s * gam)
-    discard = 0.0 if exact_tail else h.sup_bound * r_cut ** (-s) / (s * gam)
-    return val, inner_rem, discard
+    return val, inner_rem, 0.0
 
 
 def marchaud_left(h: TimeField, t: float, s: float, sch: QuadratureScheme) -> OperatorValue:
@@ -589,6 +558,7 @@ def slowly_increasing_membership(u: SpaceTimeField, t: float, p: FracParams,
         raise DomainValidationError("truncation_ladder must be >= 2 increasing positive radii")
 
     zn, wn = hermgauss(48)
+    z_pts, w = _tensor_rule([zn] * p.n, [wn] * p.n)
     estimates = []
     with np.errstate(over="ignore", invalid="ignore"):
         for R in ladder:
@@ -598,15 +568,7 @@ def slowly_increasing_membership(u: SpaceTimeField, t: float, p: FracParams,
             total = 0.0
             for gmid, gw in zip(mid, width):
                 scal = 2.0 * math.sqrt(gmid)
-                if p.n == 1:
-                    pts = (scal * zn).reshape(-1, 1)
-                    w = wn.copy()
-                else:
-                    grids = np.meshgrid(*([zn] * p.n), indexing="ij")
-                    pts = scal * np.stack([g.ravel() for g in grids], axis=-1)
-                    w = wn
-                    for _ in range(p.n - 1):
-                        w = np.outer(w, wn).ravel()
+                pts = scal * z_pts
                 keep = np.sum(pts * pts, axis=-1) <= R * R
                 if not np.any(keep):
                     continue
@@ -652,8 +614,7 @@ def parabolic_holder_seminorm(u: SpaceTimeField, sample_box, alpha: float,
     per_axis = max(3, int(round(total_pts ** (1.0 / (n + 1)))))
     axes = [np.linspace(a, b, per_axis) for a, b in zip(x_lo, x_hi)]
     axes.append(np.linspace(t_lo, t_hi, per_axis))
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts, _ = _tensor_rule(axes, [np.ones(per_axis)] * (n + 1))
     vals = u.eval(pts[:, :n], pts[:, n])
     best = 0.0
     for i in range(len(pts) - 1):

@@ -320,7 +320,9 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
 
     One factorization is reused across iterations.  With theta = 1 and a
     constant right-hand side the first iterate is already the solution.
-    Non-convergence returns the best iterate with converged=False.
+    Non-convergence, including a residual that overflows to a non-finite
+    value, returns the best iterate with converged=False; positivity_ok
+    refers to that returned iterate.
     """
     if not 0.0 < theta <= 1.0:
         raise DomainValidationError("damping theta must lie in (0, 1]")
@@ -335,22 +337,21 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
 
     n_int = A.shape[0]
     u = np.zeros(n_int)
-    positivity_ok = True
     best_u, best_res = u.copy(), math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    # a diverging iteration overflows; the non-finite residual ends it quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            rhs = problem.f.eval_extended(u)
+            residual = rhs - A @ u
+            res_inf = float(np.max(np.abs(residual))) if n_int else 0.0
+            if res_inf < best_res:
+                best_res, best_u = res_inf, u.copy()
+            if res_inf <= tol or not math.isfinite(res_inf):
+                break
+            u = u + theta * scipy.linalg.lu_solve(lu, residual)
         rhs = problem.f.eval_extended(u)
-        residual = rhs - A @ u
-        res_inf = float(np.max(np.abs(residual))) if n_int else 0.0
-        if res_inf < best_res:
-            best_res, best_u = res_inf, u.copy()
-        if res_inf <= tol:
-            break
-        u = u + theta * scipy.linalg.lu_solve(lu, residual)
-        if np.any(u < 0.0):
-            positivity_ok = False
-    rhs = problem.f.eval_extended(u)
-    res_inf = float(np.max(np.abs(rhs - A @ u))) if n_int else 0.0
+        res_inf = float(np.max(np.abs(rhs - A @ u))) if n_int else 0.0
     if res_inf < best_res:
         best_res, best_u = res_inf, u
     converged = best_res <= tol
@@ -359,7 +360,7 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
         residual_inf=best_res,
         iterations=iterations,
         converged=converged,
-        positivity_ok=positivity_ok and bool(np.all(best_u >= 0.0)),
+        positivity_ok=bool(np.all(best_u >= 0.0)),
         hypothesis_ok=problem.f.hypothesis_ok,
     )
 

@@ -179,6 +179,18 @@ class TestMainExitCodes:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_thread_count_is_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FRACHEAT_THREADS", "two")
+        assert main(["liouville", "--out", str(tmp_path / "e")]) == 2
+        assert "FRACHEAT_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+
+def test_report_json_lists_the_returned_artifacts(tmp_path):
+    report = run_scenario(ScenarioConfig(scenario="liouville", output_dir=str(tmp_path)))
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["artifacts"] == report.artifacts == ["liouville.csv", "report.json"]
+
 
 class TestDeterminism:
     @staticmethod

@@ -227,6 +227,29 @@ class TestFractionalLaplacian:
         assert abs(m.value - l.value) <= min(5e-3, m.est_error + l.est_error)
 
 
+def _nan_master():
+    u = SpaceTimeField(lambda X, t: np.full(X.shape[0], np.nan), n=1, sup_bound=1.0)
+    return master_operator_pointwise(u, SpaceTimePoint([0.0], 0.0), P1, SCH)
+
+
+def _nan_laplacian():
+    g = SpaceField(lambda X: np.full(X.shape[0], np.nan), n=1, sup_bound=1.0)
+    return fractional_laplacian_pointwise(g, [0.0], P1, SCH)
+
+
+def _nan_marchaud():
+    h = TimeField(lambda t: np.full_like(t, np.nan), sup_bound=1.0)
+    return marchaud_left(h, 0.0, 0.5, SCH)
+
+
+@pytest.mark.parametrize("evaluate", [_nan_master, _nan_laplacian, _nan_marchaud],
+                         ids=["master", "laplacian", "marchaud"])
+def test_non_finite_result_raises(evaluate):
+    # nan > target_tol is False, so only an explicit finiteness gate stops it
+    with pytest.raises(ToleranceError, match="non-finite"):
+        evaluate()
+
+
 class TestMembership:
     def test_bounded_is_member(self):
         u = gaussian_bump(1, width=1.0, t_width=None)

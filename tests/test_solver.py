@@ -152,6 +152,13 @@ class TestSolve1D:
         assert not sol.positivity_ok
         assert not prob.f.hypothesis_ok
 
+    def test_divergence_returns_best_iterate(self):
+        # f(u) = 1 - 8u makes the undamped iteration blow up to inf and nan
+        prob = BallProblem(P1, 17, nonlinearity_by_name("custom-polynomial", [1, -8]))
+        sol = solve_steady(prob, SCH, theta=1.0, max_iter=400)
+        assert not sol.converged
+        assert np.all(np.isfinite(sol.values)) and math.isfinite(sol.residual_inf)
+
 
 class TestResidualField:
     def test_zero_solution(self):
@@ -183,6 +190,14 @@ class TestResidualField:
 
 
 class TestTwoDimensions:
+    def test_positivity_refers_to_returned_iterate(self):
+        # f(u) = 1 - 2u overshoots below zero on the way, then settles positive
+        prob = BallProblem(FracParams(2, 0.5), 9,
+                           nonlinearity_by_name("custom-polynomial", [1, -2]))
+        sol = solve_steady(prob, SCH, theta=1.0)
+        assert np.min(sol.values) == pytest.approx(0.166, abs=1e-3)
+        assert sol.positivity_ok
+
     def test_assembly_structure(self):
         prob = make_problem(K=17, n=2)
         A = assemble_dirichlet_matrix(prob, SCH)
