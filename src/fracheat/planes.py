@@ -105,28 +105,20 @@ def w_lambda_field(problem: BallProblem, full_values: np.ndarray,
     if vals.size != nodes.shape[0]:
         raise DomainValidationError("full_values must cover the whole grid")
 
-    proj = sign * nodes[:, axis_idx]
-    in_sigma = proj < cfg.lam - 1e-12
-    sel = np.flatnonzero(in_sigma)
+    sel = np.flatnonzero(sign * nodes[:, axis_idx] < cfg.lam - 1e-12)
+    if sel.size == 0:
+        # lam at or beyond the grid's edge: Sigma_lambda holds no node
+        return ReflectionData(nodes[sel], np.zeros(0), cfg.lam, cfg.direction, h)
     refl = reflect(nodes[sel], cfg)
     ax = problem.axis
     idx = np.rint((refl - ax[0]) / h).astype(int)
     if np.max(np.abs(refl - (ax[0] + idx * h))) > 1e-9:
         raise AlignmentError("reflected nodes do not land on the grid")
 
-    K = problem.points_per_axis
-    w = np.empty(len(sel))
-    inside = np.all((idx >= 0) & (idx < K), axis=1)
-    flat = np.zeros(len(sel), dtype=int)
-    if problem.p.n == 1:
-        flat[inside] = idx[inside, 0]
-    else:
-        flat[inside] = idx[inside, 0] * K + idx[inside, 1]
-    refl_vals = np.where(inside, vals[flat], 0.0)
-    # exterior rule: reflections beyond the unit ball carry value zero
-    out_ball = np.einsum("ij,ij->i", refl, refl) >= 1.0 - 1e-12
-    refl_vals = np.where(out_ball, 0.0, refl_vals)
-    w = refl_vals - vals[sel]
+    # reflections beyond the unit ball read the exterior zero; those are
+    # also the only ones that can leave the grid, whose indices are clipped
+    flat = np.ravel_multi_index(tuple(idx.T), problem.shape, mode="clip")
+    w = np.where(problem.inside(refl), vals[flat], 0.0) - vals[sel]
     return ReflectionData(nodes[sel], w, cfg.lam, cfg.direction, h)
 
 
@@ -178,9 +170,7 @@ def narrow_region_check(problem: BallProblem, full_values: np.ndarray,
             continue
         i_min = int(np.argmin(data.w_values))
         min_w = float(data.w_values[i_min])
-        axis_idx, sign = cfg.axis()
-        proj = sign * data.node_coords[:, axis_idx]
-        interior = (np.einsum("ij,ij->i", data.node_coords, data.node_coords) < 1.0 - 1e-12)
+        interior = problem.inside(data.node_coords)
         strict = bool(np.all(data.w_values[interior] > 0.0)) if np.any(interior) else True
         records.append(LambdaRecord(
             lam, min_w, tuple(data.node_coords[i_min]), strict, min_w >= -tol_geom
@@ -210,13 +200,12 @@ def symmetry_and_monotonicity_report(problem: BallProblem, full_values: np.ndarr
     permutations) of max - min of u on the orbit.  monotonicity_violations:
     adjacent same-ray pairs with u(r1) <= u(r2) - tol_geom for r1 < r2.
     """
-    K = problem.points_per_axis
-    m = (K - 1) // 2
+    m = (problem.points_per_axis - 1) // 2
     vals = np.asarray(full_values, dtype=float).ravel()
     n = problem.p.n
 
     orbits: dict = {}
-    nodes_idx = np.indices((K,) * n).reshape(n, -1).T - m
+    nodes_idx = np.indices(problem.shape).reshape(n, -1).T - m
     for flat, centered in enumerate(nodes_idx):
         key = tuple(sorted(abs(int(c)) for c in centered))
         orbits.setdefault(key, []).append(vals[flat])
@@ -227,7 +216,7 @@ def symmetry_and_monotonicity_report(problem: BallProblem, full_values: np.ndarr
         c = tuple(int(v) for v in centered)
         if all(v == 0 for v in c):
             continue
-        g = math.gcd(*[abs(v) for v in c]) if n > 1 else abs(c[0])
+        g = math.gcd(*c)
         prim = tuple(v // g for v in c)
         rays.setdefault(prim, []).append((g, vals[flat]))
     violations = 0

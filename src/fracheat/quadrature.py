@@ -201,11 +201,16 @@ def _fd_laplacian(evaluate, x: np.ndarray, delta: float) -> float:
     return float(lap)
 
 
+def _fd_slope(evaluate, t: float, delta: float) -> float:
+    """Central first difference at t of ``evaluate(times)``, from one call at [t + delta, t - delta]."""
+    vals = evaluate(np.array([t + delta, t - delta]))
+    return float(vals[0] - vals[1]) / (2.0 * delta)
+
+
 def _fd_heat(u: SpaceTimeField, x: np.ndarray, t: float, delta: float = 1e-3) -> float:
     """Finite-difference (d_t - Laplacian) u at (x, t), central stencils."""
     lap = _fd_laplacian(lambda pts: u.eval(pts, np.full(len(pts), t)), x, delta)
-    tvals = u.eval(np.asarray([x, x]), np.array([t + delta, t - delta]))
-    dudt = (tvals[0] - tvals[1]) / (2.0 * delta)
+    dudt = _fd_slope(lambda ts: u.eval(np.asarray([x, x]), ts), t, delta)
     return float(dudt - lap)
 
 
@@ -513,8 +518,7 @@ def _marchaud_single_pass(h: TimeField, t: float, s: float, sch: QuadratureSchem
     diff = h_t - h.eval(t - side * mid)
     val = float(np.dot(width, diff * mid ** (-1.0 - s))) / gam
 
-    delta = 1e-4
-    slope = float(h.eval(np.array([t + delta]))[0] - h.eval(np.array([t - delta]))[0]) / (2 * delta)
+    slope = _fd_slope(h.eval, t, 1e-4)
     val += side * slope * sch.r_min ** (1.0 - s) / ((1.0 - s) * gam)
     inner_rem = abs(slope) * sch.r_min ** (2.0 - s) / ((2.0 - s) * gam)
 

@@ -8,24 +8,31 @@ history discretization.
 
 Discretization: uniform symmetric grid on [-1, 1]^n (odd point count, so
 the origin is a node), nodal values interpolated piecewise-multilinearly,
-zero at and outside the unit sphere.  Row i of the collocation matrix is
-the operator of that interpolant at node i:
+zero at and outside the unit sphere.  ``BallProblem`` owns that layout:
+node order, the ball rule and the scatter of interior values onto the grid.
+
+The operator of the interpolant is translation-invariant, so the entry of
+the collocation matrix for nodes a and b depends only on the lattice offset
+b - a.  Each dimension builds one offset table, and the matrix is the
+gather ``table[node_b - node_a]`` over the interior nodes:
 
 * n = 1: the paired integrand is piecewise linear between grid radii, so
   every cell integrates in closed form against the kernel moments; the
   singular cell (0, h/2) uses a second-order Taylor model with the nodal
   second difference, and the zero exterior beyond radius 2 contributes its
-  exact far-field integral.  Coefficients depend on |i - j| only, so the
-  matrix is symmetric under every grid reflection by construction.
+  exact far-field integral.  The coefficients depend on |b - a| only, so
+  the matrix is symmetric under every grid reflection by construction.
 * n = 2: offset-lattice midpoint weights, with the kernel integrated
   exactly (tensor Gauss) over the cells nearest the singularity, the same
-  square-cell Taylor model at the center, and an exact annulus tail.
+  square-cell Taylor model (its four neighbours folded into the table) and
+  an exact annulus tail beyond radius 4, which joins the diagonal constant
+  at the table's centre.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +44,7 @@ from .fields import SpaceField, ZERO_BALL
 from .quadrature import QuadratureScheme, fractional_laplacian_pointwise
 
 _GL12 = np.polynomial.legendre.leggauss(12)
+_ROW_BLOCK = 16  # rows per gather block of the matrix assembly; small blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -129,20 +137,33 @@ class BallProblem:
     def axis(self) -> np.ndarray:
         return -1.0 + self.h * np.arange(self.points_per_axis)
 
+    @property
+    def shape(self) -> tuple:
+        """Grid shape (K,) * n; node k of ``nodes()`` sits at the C-order position k."""
+        return (self.points_per_axis,) * self.p.n
+
     def nodes(self) -> np.ndarray:
         """All grid nodes, shape (K^n, n)."""
-        ax = self.axis
-        if self.p.n == 1:
-            return ax.reshape(-1, 1)
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel()], axis=-1)
+        grids = np.meshgrid(*[self.axis] * self.p.n, indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=-1)
+
+    @staticmethod
+    def inside(pts: np.ndarray) -> np.ndarray:
+        """The ball rule: which rows of ``pts`` lie strictly inside the unit sphere."""
+        return np.einsum("ij,ij->i", pts, pts) < 1.0 - 1e-12
 
     def interior_mask(self) -> np.ndarray:
-        pts = self.nodes()
-        return np.einsum("ij,ij->i", pts, pts) < 1.0 - 1e-12
+        return self.inside(self.nodes())
 
     def interior_nodes(self) -> np.ndarray:
         return self.nodes()[self.interior_mask()]
+
+    def full_values(self, interior_values: np.ndarray) -> np.ndarray:
+        """Interior-node values scattered onto the whole grid (exterior zero), shaped ``shape``."""
+        mask = self.interior_mask()
+        flat = np.zeros(mask.size)
+        flat[mask] = interior_values
+        return flat.reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -155,14 +176,8 @@ class Solution:
     hypothesis_ok: bool
 
     def full_values(self, problem: BallProblem) -> np.ndarray:
-        """Values on the whole grid (exterior nodes zero), shaped per axis."""
-        mask = problem.interior_mask()
-        flat = np.zeros(mask.size)
-        flat[mask] = self.values
-        if problem.p.n == 1:
-            return flat
-        K = problem.points_per_axis
-        return flat.reshape(K, K)
+        """Values on the whole grid (exterior nodes zero), shaped ``problem.shape``."""
+        return problem.full_values(self.values)
 
 
 def _moments_1d(a: np.ndarray, b: np.ndarray, s: float, A: float):
@@ -175,21 +190,24 @@ def _moments_1d(a: np.ndarray, b: np.ndarray, s: float, A: float):
     return m0, m1
 
 
-def _assemble_1d(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
-    s = problem.p.s
-    A = integrated_kernel_constant(problem.p)
-    K = problem.points_per_axis
-    h = problem.h
-
-    cell_est = A * (0.5 * h) ** (4.0 - 2.0 * s) / ((4.0 - 2.0 * s) * h * h)
+def _require_fine_grid(cell_est: float, sch: QuadratureScheme) -> None:
     if cell_est > sch.target_tol:
         raise GridCoarseError(
             f"near-diagonal cell error estimate {cell_est:.2e} exceeds tolerance; refine the grid"
         )
 
-    # coefficient per offset k: row value of the operator on the hat basis
-    n_cells = K - 1  # cells [k h, (k+1) h] out to radius 2
-    coef = np.zeros(K + 1)
+
+def _offset_table_1d(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
+    """Row of the operator on the hat basis per offset -(K-1)..K-1 (length 2K-1)."""
+    s = problem.p.s
+    A = integrated_kernel_constant(problem.p)
+    K = problem.points_per_axis
+    h = problem.h
+
+    _require_fine_grid(A * (0.5 * h) ** (4.0 - 2.0 * s) / ((4.0 - 2.0 * s) * h * h), sch)
+
+    # coefficient per offset |k|; cells [k h, (k+1) h] reach out to radius 2
+    coef = np.zeros(K)
 
     taylor = A * (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) / (h * h)
     coef[0] += 2.0 * taylor
@@ -199,7 +217,7 @@ def _assemble_1d(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
     coef[0] += 2.0 * m1h[0] / h
     coef[1] -= m1h[0] / h
 
-    ks = np.arange(1, n_cells)
+    ks = np.arange(1, K - 1)
     m0, m1 = _moments_1d(ks * h, (ks + 1) * h, s, A)
     beta = ((ks + 1) * h * m0 - m1) / h
     gamma = (m1 - ks * h * m0) / h
@@ -208,10 +226,7 @@ def _assemble_1d(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
     np.add.at(coef, ks + 1, -gamma)
 
     coef[0] += 2.0 * A * 2.0 ** (-2.0 * s) / (2.0 * s)
-
-    full = scipy.linalg.toeplitz(coef[:K])
-    interior = problem.interior_mask()
-    return full[np.ix_(interior, interior)]
+    return np.concatenate([coef[:0:-1], coef])
 
 
 def _square_cell_integral(s: float) -> float:
@@ -223,14 +238,15 @@ def _square_cell_integral(s: float) -> float:
     return 8.0 * float(np.dot(w, vals))
 
 
-def _offset_weights_2d(h: float, s: float, A: float, window: int) -> np.ndarray:
-    """Integral of the kernel over each lattice cell in the offset window.
+def _offset_weights_2d(h: float, s: float, A: float, r_far: float) -> np.ndarray:
+    """Integral of the kernel over each lattice cell within radius r_far.
 
     Midpoint for distant cells, tensor Gauss over the cells within three
     spacings of the singularity; the center cell weight is zero here (it is
-    handled by the Taylor model).
+    handled by the Taylor model), and so is every cell beyond r_far, whose
+    annulus the caller integrates exactly.
     """
-    size = 2 * window + 1
+    window = int(math.ceil(r_far / h))
     ii, jj = np.meshgrid(np.arange(-window, window + 1), np.arange(-window, window + 1),
                          indexing="ij")
     dist = h * np.sqrt(ii.astype(float) ** 2 + jj.astype(float) ** 2)
@@ -248,69 +264,53 @@ def _offset_weights_2d(h: float, s: float, A: float, window: int) -> np.ndarray:
         WW = np.outer(gl_w, gl_w) * (0.5 * h) ** 2
         R2 = XX * XX + YY * YY
         W[a, b] = A * float(np.sum(WW * R2 ** (-1.0 - s)))
-    return W
+    return np.where((ii * ii + jj * jj) * h * h <= r_far * r_far, W, 0.0)
 
 
-def _assemble_2d(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
+def _offset_table_2d(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
+    """Matrix entry per lattice offset: -W, the Taylor neighbours, the diagonal at the centre."""
     s = problem.p.s
     A = integrated_kernel_constant(problem.p)
-    K = problem.points_per_axis
     h = problem.h
 
-    cell_est = A * 2.0 * math.pi * (0.5 * h) ** (4.0 - 2.0 * s) / ((4.0 - 2.0 * s) * h * h)
-    if cell_est > sch.target_tol:
-        raise GridCoarseError(
-            f"near-diagonal cell error estimate {cell_est:.2e} exceeds tolerance; refine the grid"
-        )
+    _require_fine_grid(
+        A * 2.0 * math.pi * (0.5 * h) ** (4.0 - 2.0 * s) / ((4.0 - 2.0 * s) * h * h), sch)
 
     r_far = 4.0
-    window = int(math.ceil(r_far / h))
-    W = _offset_weights_2d(h, s, A, window)
-    # keep only offsets inside the far radius; the annulus beyond is exact
-    ii, jj = np.meshgrid(np.arange(-window, window + 1), np.arange(-window, window + 1),
-                         indexing="ij")
-    inside = (ii * ii + jj * jj) * h * h <= r_far * r_far
-    W = np.where(inside, W, 0.0)
+    W = _offset_weights_2d(h, s, A, r_far)
+    window = W.shape[0] // 2
     w_total = float(np.sum(W))
     far_diag = A * 2.0 * math.pi * r_far ** (-2.0 * s) / (2.0 * s)
 
     taylor = A * _square_cell_integral(s) * h ** (2.0 - 2.0 * s) / 4.0 / (h * h)
 
-    interior = problem.interior_mask()
-    idx_of = -np.ones(K * K, dtype=int)
-    idx_of[np.flatnonzero(interior)] = np.arange(int(interior.sum()))
-    n_int = int(interior.sum())
-    mat = np.zeros((n_int, n_int))
-
-    int_flat = np.flatnonzero(interior)
-    for row, flat in enumerate(int_flat):
-        i, j = divmod(flat, K)
-        mat[row, row] += w_total + far_diag + 4.0 * taylor
-        # lattice neighbours within the window
-        i_lo, i_hi = max(0, i - window), min(K - 1, i + window)
-        j_lo, j_hi = max(0, j - window), min(K - 1, j + window)
-        sub = W[i_lo - i + window:i_hi - i + window + 1,
-                j_lo - j + window:j_hi - j + window + 1]
-        block = (np.arange(i_lo, i_hi + 1)[:, None] * K + np.arange(j_lo, j_hi + 1)[None, :])
-        cols = idx_of[block.ravel()]
-        vals = sub.ravel()
-        keep = cols >= 0
-        np.subtract.at(mat[row], cols[keep], vals[keep])
-        # Taylor neighbours (second-difference Laplacian stencil)
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            qi, qj = i + di, j + dj
-            if 0 <= qi < K and 0 <= qj < K:
-                c = idx_of[qi * K + qj]
-                if c >= 0:
-                    mat[row, c] -= taylor
-    return mat
+    table = -W
+    # Taylor neighbours (second-difference Laplacian stencil)
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        table[window + di, window + dj] -= taylor
+    table[window, window] = w_total + far_diag + 4.0 * taylor
+    return table
 
 
 def assemble_dirichlet_matrix(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
-    """Dense collocation matrix of (-Laplacian)^s over the interior nodes."""
-    if problem.p.n == 1:
-        return _assemble_1d(problem, sch)
-    return _assemble_2d(problem, sch)
+    """Dense collocation matrix of (-Laplacian)^s over the interior nodes.
+
+    Entry (a, b) is ``table[node_b - node_a]`` of the dimension's offset
+    table; the gather runs in blocks of rows so no index array grows to
+    the size of the matrix.
+    """
+    table = (_offset_table_1d if problem.p.n == 1 else _offset_table_2d)(problem, sch)
+    grid_idx = np.unravel_index(np.flatnonzero(problem.interior_mask()), problem.shape)
+    # node positions in the table's flat frame: pos[b] - pos[a] + centre is the
+    # flat index of offset b - a, since every offset fits the table
+    pos = np.ravel_multi_index(grid_idx, table.shape)
+    centre = np.ravel_multi_index(tuple(d // 2 for d in table.shape), table.shape)
+    flat_table = table.ravel()
+    mat = np.empty((pos.size, pos.size))
+    for lo in range(0, pos.size, _ROW_BLOCK):
+        rows = pos[lo:lo + _ROW_BLOCK]
+        mat[lo:lo + _ROW_BLOCK] = flat_table[pos[None, :] - rows[:, None] + centre]
+    return mat
 
 
 def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
@@ -368,25 +368,18 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
 def interpolant_field(problem: BallProblem, full_values: np.ndarray) -> SpaceField:
     """Piecewise-multilinear interpolant of nodal values, zero outside the ball."""
     ax = problem.axis
+    vals = np.asarray(full_values, dtype=float)
     if problem.p.n == 1:
-        vals = np.asarray(full_values, dtype=float)
-
         def g(X):
             return np.interp(X[:, 0], ax, vals, left=0.0, right=0.0)
+    else:
+        # imported here: scipy.interpolate adds about 0.3 s to the package import
+        from scipy.interpolate import RegularGridInterpolator
 
-        return SpaceField(g, n=1, exterior=ZERO_BALL, sup_bound=float(np.max(np.abs(vals)) or 1.0),
-                          ball_radius=1.0, space_scale=problem.h)
-
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator((ax, ax), np.asarray(full_values, dtype=float),
-                                     method="linear", bounds_error=False, fill_value=0.0)
-
-    def g2(X):
-        return interp(X)
-
-    return SpaceField(g2, n=2, exterior=ZERO_BALL,
-                      sup_bound=float(np.max(np.abs(full_values)) or 1.0),
+        g = RegularGridInterpolator((ax,) * problem.p.n, vals, method="linear",
+                                    bounds_error=False, fill_value=0.0)
+    return SpaceField(g, n=problem.p.n, exterior=ZERO_BALL,
+                      sup_bound=float(np.max(np.abs(vals)) or 1.0),
                       ball_radius=1.0, space_scale=problem.h)
 
 
@@ -404,35 +397,29 @@ def residual_field(problem: BallProblem, solution: Solution, sch: QuadratureSche
     full = solution.full_values(problem)
     g = interpolant_field(problem, full)
     h = problem.h
+    n = problem.p.n
     interior = np.flatnonzero(problem.interior_mask())
     rows = np.arange(len(interior)) if node_subset is None else np.asarray(node_subset, int)
     nodes = problem.nodes()
-    K = problem.points_per_axis
-    out = np.zeros(len(rows))
     rhs = problem.f.eval_extended(solution.values)
-    flat = np.asarray(full, dtype=float).ravel()
+    breaks = (np.arange(1, problem.points_per_axis) * h).tolist() if n == 1 else None
 
-    sch_local = QuadratureScheme(
-        r_min=(0.5 * h) ** 2,
-        r_max=sch.r_max,
-        nodes_per_decade=sch.nodes_per_decade,
-        hermite_order=sch.hermite_order,
-        target_tol=sch.target_tol,
-    )
+    # nodal second difference over the zero-padded grid, neighbours summed
+    # in the order +e1, -e1, +e2, -e2
+    padded = np.pad(full, 1)
+    curv = np.zeros(full.shape)
+    for axis in range(n):
+        for step in (1, -1):
+            window = [slice(1, -1)] * n
+            window[axis] = slice(1 + step, padded.shape[axis] - 1 + step)
+            curv += padded[tuple(window)]
+    curv = ((curv - 2.0 * n * full) / (h * h)).ravel()
+
+    sch_local = replace(sch, r_min=(0.5 * h) ** 2)
+    out = np.zeros(len(rows))
     for pos, row in enumerate(rows):
         flat_idx = interior[row]
-        x = nodes[flat_idx]
-        if problem.p.n == 1:
-            i = flat_idx
-            curv = (flat[i + 1] + flat[i - 1] - 2.0 * flat[i]) / (h * h)
-            breaks = (np.arange(1, K) * h).tolist()
-        else:
-            i, j = divmod(flat_idx, K)
-            get = lambda a, b: flat[a * K + b] if 0 <= a < K and 0 <= b < K else 0.0
-            curv = (get(i + 1, j) + get(i - 1, j) + get(i, j + 1) + get(i, j - 1)
-                    - 4.0 * get(i, j)) / (h * h)
-            breaks = None
-        ov = fractional_laplacian_pointwise(g, x, problem.p, sch_local,
-                                            breakpoints=breaks, curvature=curv)
+        ov = fractional_laplacian_pointwise(g, nodes[flat_idx], problem.p, sch_local,
+                                            breakpoints=breaks, curvature=float(curv[flat_idx]))
         out[pos] = abs(ov.value - rhs[row])
     return out

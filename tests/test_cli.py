@@ -172,6 +172,10 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "c")])
         assert code == 1
 
+    def test_plane_snapped_to_grid_edge(self, tmp_path):
+        # at h = 0.5 the default lambda = -0.9 snaps to -1, where no node lies
+        assert main(["moving-planes", "--h", "0.5", "--out", str(tmp_path / "e")]) == 0
+
     def test_numerical_error_is_three(self, tmp_path, capsys):
         # an unattainable quadrature tolerance raises through run_scenario
         code = main(["eval", "--field", "plane-wave", "--tol", "1e-9",

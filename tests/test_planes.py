@@ -48,10 +48,7 @@ def torsion_solution(K=129):
 
 
 def grid_samples(problem, field):
-    flat = np.zeros(problem.nodes().shape[0])
-    mask = problem.interior_mask()
-    flat[mask] = field.eval(problem.interior_nodes())
-    return flat
+    return problem.full_values(field.eval(problem.interior_nodes())).ravel()
 
 
 class TestReflect:
@@ -149,6 +146,16 @@ class TestNarrowRegion:
         rep = narrow_region_check(prob, full, [-0.5, -0.25], tol_geom=1e-12)
         assert rep.passed is False or rep.lambda_star >= -prob.h
         assert all(r.min_w == 0.0 for r in rep.records)
+
+    def test_plane_at_grid_edge_is_empty(self):
+        # no node lies strictly left of lam = -1, so Sigma_lambda is empty
+        prob, full = torsion_solution(K=9)
+        data = w_lambda_field(prob, full, PlaneConfig([1.0], -1.0))
+        assert data.w_values.size == 0 and data.node_coords.shape == (0, 1)
+        rep = narrow_region_check(prob, full, [-1.0, -0.5])
+        edge = rep.records[0]
+        assert edge.lam == -1.0 and edge.min_w == 0.0 and edge.passed
+        assert rep.lambda_star == -0.5
 
     def test_two_dimensional_sweep(self):
         p2 = FracParams(2, 0.5)

@@ -12,6 +12,8 @@ from fracheat.quadrature import QuadratureScheme
 from fracheat.solver import (
     BallProblem,
     Solution,
+    _offset_table_1d,
+    _offset_table_2d,
     assemble_dirichlet_matrix,
     nonlinearity_by_name,
     residual_field,
@@ -71,6 +73,22 @@ class TestProblemValidation:
         assert np.allclose(ax, -ax[::-1])
         assert ax[(len(ax) - 1) // 2] == 0.0
 
+    def test_grid_layout(self):
+        for n in (1, 2):
+            prob = make_problem(K=9, n=n)
+            nodes = prob.nodes()
+            assert prob.shape == (9,) * n and nodes.shape == (9**n, n)
+            # node k sits at the C-order grid position k
+            idx = np.unravel_index(np.arange(nodes.shape[0]), prob.shape)
+            assert np.array_equal(nodes, np.stack([prob.axis[i] for i in idx], axis=-1))
+            mask = prob.interior_mask()
+            assert np.array_equal(mask, np.linalg.norm(nodes, axis=1) < 1.0 - 1e-9)
+            vals = np.arange(1.0, mask.sum() + 1.0)
+            full = prob.full_values(vals)
+            assert full.shape == prob.shape
+            assert np.array_equal(full.ravel()[mask], vals)
+            assert not np.any(full.ravel()[~mask])
+
 
 class TestAssembly1D:
     def test_reflection_equivariance_exact(self):
@@ -102,6 +120,18 @@ class TestAssembly1D:
         with pytest.raises(GridCoarseError):
             assemble_dirichlet_matrix(make_problem(K=5),
                                       QuadratureScheme(target_tol=1e-9))
+
+
+@pytest.mark.parametrize("n, K", [(1, 17), (2, 9)])
+def test_matrix_gathers_offset_table(n, K):
+    # reference loop: entry (a, b) read from the table at the offset b - a
+    prob = make_problem(K=K, n=n)
+    A = assemble_dirichlet_matrix(prob, SCH)
+    table = (_offset_table_1d if n == 1 else _offset_table_2d)(prob, SCH)
+    centre = np.array(table.shape) // 2
+    idx = np.argwhere(prob.interior_mask().reshape(prob.shape))
+    ref = np.array([[table[tuple(b - a + centre)] for b in idx] for a in idx])
+    assert np.array_equal(A, ref)
 
 
 class TestSolve1D:
@@ -204,6 +234,16 @@ class TestTwoDimensions:
         off = A - np.diag(np.diag(A))
         assert off.max() <= 0.0
         assert np.diag(A).min() > 0.0
+
+    def test_residual_field(self):
+        prob = make_problem(K=9, n=2)
+        sol = solve_steady(prob, SCH, theta=1.0)
+        res = residual_field(prob, sol, SCH)
+        # the solution has a square-root edge at the sphere; stay inside |x| <= 0.8
+        inner = np.linalg.norm(prob.interior_nodes(), axis=1) <= 0.8
+        assert np.max(res[inner]) <= 5e-2
+        sub = np.array([0, 7, 12, len(sol.values) - 1])
+        assert np.array_equal(residual_field(prob, sol, SCH, node_subset=sub), res[sub])
 
     def test_matrix_reflection_equivariance(self):
         prob = make_problem(K=17, n=2)
