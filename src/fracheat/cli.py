@@ -36,6 +36,7 @@ from .fields import (
     plane_wave,
     random_space_bump,
     random_time_field,
+    spot_check,
 )
 from .planes import (
     narrow_region_check,
@@ -301,6 +302,8 @@ def _scenario_eval(cfg: ScenarioConfig, rng):
     p = cfg.frac_params()
     sch = cfg.quadrature_scheme()
     field = build_field(cfg.field["name"], cfg.n, cfg.s, cfg.field.get("params"), rng)
+    # a generator of its own, so the scenario's draws and CSV bytes stay as they were
+    spot_check(field, np.random.default_rng(0))
     x = cfg.point.get("x", [0.0] * cfg.n)
     t = float(cfg.point.get("t", 0.0))
     ov = master_operator_pointwise(field, SpaceTimePoint(x, t), p, sch)

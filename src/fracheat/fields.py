@@ -78,6 +78,10 @@ class SpaceTimeField:
         fields, bump width for localized ones, ``inf`` if constant in space).
     t_support : (a, b), optional
         u(., tau) vanishes for tau outside [a, b].
+    time_independent : bool
+        Declares that u does not depend on t.  The quadrature trusts the
+        declaration: it evaluates such a field at one time per pass and
+        reuses the values for every lag.  ``spot_check`` tests it.
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -173,11 +177,16 @@ def spot_check(field: SpaceTimeField, rng: np.random.Generator, samples: int = 2
     """Spot-check the declared invariants on random sample points.
 
     Exterior points of a zero-ball field must evaluate to exactly zero,
-    and no sampled magnitude may exceed the declared sup bound.
+    no sampled magnitude may exceed the declared sup bound, and a field
+    declared time-independent must return bit-identical values one time
+    unit later.
     """
     pts = rng.uniform(-half_width, half_width, size=(samples, field.n))
     ts = rng.uniform(-half_width, half_width, size=samples)
     vals = field.eval(pts, ts)
+    if field.time_independent and not np.array_equal(vals, field.eval(pts, ts + 1.0),
+                                                     equal_nan=True):
+        raise DomainValidationError("field declared time_independent depends on t")
     if math.isfinite(field.sup_bound) and np.any(np.abs(vals) > field.sup_bound * (1 + 1e-12)):
         raise DomainValidationError("sampled |u| exceeds the declared sup_bound")
     if field.exterior == ZERO_BALL:

@@ -22,7 +22,10 @@ Numerical layout of the lag integral:
 * the far tail contributes u(x,t) r_cut^{-s} / (s |Gamma(-s)|) exactly; what is
   discarded of the Gaussian average is covered by the reported tail bound,
 * one refinement pass doubles the grid density and the difference between
-  the two passes is the grid part of ``est_error``.
+  the two passes is the grid part of ``est_error``,
+* each pass evaluates a field once per distinct point: the panel values of
+  a time-independent field serve every lag, and the fractional-Laplacian
+  sweep gathers the points of all directions into one field call.
 
 The Gaussian average switches representation at large lag: Gauss-Hermite
 nodes ride the kernel scale 2 sqrt(r) and lose the field once that scale
@@ -48,7 +51,8 @@ from .fields import SpaceField, SpaceTimeField, TimeField, ZERO_BALL
 
 # cap factor for lag-cell widths: cells never wider than _CAP_FACTOR / nodes_per_decade
 _CAP_FACTOR = 0.8
-# batch size for vectorized field evaluations
+# batch size for vectorized field evaluations, and the most panel points per
+# lag that master_operator_pointwise accepts
 _EVAL_CHUNK = 2_000_000
 
 
@@ -160,9 +164,15 @@ def _capped_edges(lo: float, hi: float, npd: int,
         edges.extend(np.linspace(e, hi, count + 1)[1:])
     edges = np.asarray(edges)
     if breakpoints is not None:
-        inside = [b for b in breakpoints if lo < b < hi]
-        edges = _refine_toward(edges, lo, hi, inside, cap / 2.0 ** np.arange(1, 9))
+        edges = _insert_breakpoints(edges, lo, hi, npd, breakpoints)
     return edges
+
+
+def _insert_breakpoints(edges: np.ndarray, lo: float, hi: float, npd: int,
+                        breakpoints: Sequence[float]) -> np.ndarray:
+    """Edges with every breakpoint inside (lo, hi) added, refined toward by dyadic steps."""
+    inside = [b for b in breakpoints if lo < b < hi]
+    return _refine_toward(edges, lo, hi, inside, _CAP_FACTOR / npd / 2.0 ** np.arange(1, 9))
 
 
 def _refine_toward(edges: np.ndarray, lo: float, hi: float, centres: Sequence[float],
@@ -214,30 +224,32 @@ def _fd_heat(u: SpaceTimeField, x: np.ndarray, t: float, delta: float = 1e-3) ->
     return float(dudt - lap)
 
 
-def _panel_nodes(lo: np.ndarray, hi: np.ndarray, scale: float, order: int = 8,
-                 breakpoints: Optional[Sequence[float]] = None):
-    """Tensor Gauss-Legendre composite rule over the box [lo, hi].
+def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme, order: int = 8):
+    """Per-axis nodes and weights of the far-lag panel rule of ``u``.
 
-    Breakpoints (e.g. the support-ball edge, where zero-exterior profiles
-    have a root-type cusp) become panel edges with a short dyadic
-    refinement toward each.
+    A composite Gauss-Legendre rule on panels of width
+    ``space_scale * 16 / nodes_per_decade`` over the essential-support box.
+    The support sphere of a zero-ball field, where such profiles have a
+    root-type cusp, becomes a panel edge with a short dyadic refinement
+    toward it.  The rule is the tensor product of these axes.
     """
+    lo, hi = u.space_support
+    scale = u.space_scale * 16.0 / sch.nodes_per_decade
+    cusps = (-u.ball_radius, u.ball_radius) if u.exterior == ZERO_BALL else ()
     gl_x, gl_w = leggauss(order)
     axes_nodes, axes_weights = [], []
-    for a, b in zip(np.atleast_1d(lo), np.atleast_1d(hi)):
+    for a, b in zip(np.atleast_1d(np.asarray(lo, dtype=float)),
+                    np.atleast_1d(np.asarray(hi, dtype=float))):
         span = b - a
         count = max(1, int(math.ceil(span / max(scale, 1e-12))))
         edges = np.linspace(a, b, count + 1)
-        if breakpoints is not None:
-            inside = [c for c in breakpoints if a < c < b]
-            edges = _refine_toward(edges, a, b, inside, span / count / 2.0 ** np.arange(1, 6))
+        inside = [c for c in cusps if a < c < b]
+        edges = _refine_toward(edges, a, b, inside, span / count / 2.0 ** np.arange(1, 6))
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        weights = (half[:, None] * gl_w[None, :]).ravel()
-        axes_nodes.append(nodes)
-        axes_weights.append(weights)
-    return _tensor_rule(axes_nodes, axes_weights)
+        axes_nodes.append((mid[:, None] + half[:, None] * gl_x[None, :]).ravel())
+        axes_weights.append((half[:, None] * gl_w[None, :]).ravel())
+    return axes_nodes, axes_weights
 
 
 def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float,
@@ -276,13 +288,7 @@ def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float,
         out[near] = _gh_average(u, x, t, r_mid[near], sch)
     far = ~near
     if np.any(far):
-        lo, hi = u.space_support
-        panel_scale = u.space_scale * 16.0 / sch.nodes_per_decade
-        cusps = None
-        if u.exterior == ZERO_BALL:
-            cusps = (-u.ball_radius, u.ball_radius)
-        pts, w = _panel_nodes(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
-                              panel_scale, breakpoints=cusps)
+        pts, w = _tensor_rule(*_panel_axes(u, sch))
         out[far] = _panel_average(u, x, t, r_mid[far], pts, w, n)
     return out, discard
 
@@ -312,13 +318,18 @@ def _panel_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray
     dist_sq = np.sum(diff * diff, axis=-1)
     out = np.empty_like(r_mid)
     npts = len(w)
+    # a time-independent field has the same panel values at every lag: one
+    # row, evaluated once, broadcasts against every lag's kernel row
+    static = u.eval(pts, np.full(npts, t))[None, :] if u.time_independent else None
     step = max(1, _EVAL_CHUNK // npts)
     for i0 in range(0, len(r_mid), step):
         rs = r_mid[i0:i0 + step]
         kern = np.exp(-dist_sq[None, :] / (4.0 * rs[:, None]))
         kern *= (4.0 * math.pi * rs[:, None]) ** (-n / 2.0)
-        ts = np.repeat(t - rs, npts)
-        vals = u.eval(np.tile(pts, (len(rs), 1)), ts).reshape(len(rs), npts)
+        vals = static
+        if vals is None:
+            ts = np.repeat(t - rs, npts)
+            vals = u.eval(np.tile(pts, (len(rs), 1)), ts).reshape(len(rs), npts)
         out[i0:i0 + step] = (kern * vals) @ w
     return out
 
@@ -390,14 +401,22 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
     """Evaluate (d_t - Laplacian)^s u at q by the semigroup quadrature.
 
     Raises AdmissibilityError when the field carries no finite sup bound,
-    and ToleranceError when the value or the error estimate is not finite
-    or, after the built-in refinement pass, the estimate still exceeds
-    ``sch.target_tol``.
+    DomainValidationError, before any field evaluation, when the refined
+    pass's panel rule would hold more than 2,000,000 points per lag (the
+    default Gaussian at n = 3 has 192^3), and ToleranceError when the value
+    or the error estimate is not finite or, after the built-in refinement
+    pass, the estimate still exceeds ``sch.target_tol``.
     """
     q.validate(p)
     if q.x.shape != (u.n,):
         raise DomainValidationError("point dimension does not match the field")
     sup = u.require_bound()
+    if u.space_support is not None:
+        points = math.prod(len(a) for a in _panel_axes(u, sch.refine())[0])
+        if points > _EVAL_CHUNK:
+            raise DomainValidationError(
+                f"the refined pass's panel rule has {points:,} points per lag, more than "
+                f"the {_EVAL_CHUNK:,} of one field evaluation")
     return _two_pass(lambda sc: _master_single_pass(u, q, p, sc), sch, sup, p.s)
 
 
@@ -411,7 +430,6 @@ def _laplacian_single_pass(g: SpaceField, x: np.ndarray, p: FracParams,
                            curvature: Optional[float]) -> tuple[float, float, float]:
     n, s = p.n, p.s
     a_ns = integrated_kernel_constant(p)
-    g_x = float(g.eval(x.reshape(1, -1))[0])
     z_min = math.sqrt(sch.r_min)
 
     if g.exterior == ZERO_BALL:
@@ -433,23 +451,33 @@ def _laplacian_single_pass(g: SpaceField, x: np.ndarray, p: FracParams,
     else:
         raise DomainValidationError("fractional Laplacian quadrature supports n in {1, 2}")
 
-    total = 0.0
-    pair_peak = 0.0
-    for theta, tw in zip(thetas, th_w):
-        cusps = list(breakpoints) if breakpoints is not None else []
+    # the radial edges depend on x alone; each direction adds only the radii
+    # where x + z theta and x - z theta cross the support sphere
+    npd = sch.nodes_per_decade
+    base = _capped_edges(z_min, z_star, npd, breakpoints=breakpoints)
+    radial = []
+    for theta in thetas:
+        edges = base
         if g.exterior == ZERO_BALL:
-            # radii where x + z theta / x - z theta cross the support sphere
             b = float(np.dot(x, theta))
             disc = g.ball_radius**2 - (float(np.dot(x, x)) - b * b)
             if disc > 0:
                 root = math.sqrt(disc)
-                cusps.extend([abs(-b + root), abs(-b - root), abs(b + root), abs(b - root)])
-        edges = _capped_edges(z_min, z_star, sch.nodes_per_decade, breakpoints=cusps)
-        zm = 0.5 * (edges[:-1] + edges[1:])
-        zw = np.diff(edges)
-        pts_plus = x[None, :] + zm[:, None] * theta[None, :]
-        pts_minus = x[None, :] - zm[:, None] * theta[None, :]
-        s_pair = 2.0 * g_x - g.eval(pts_plus) - g.eval(pts_minus)
+                cusps = [abs(-b + root), abs(-b - root), abs(b + root), abs(b - root)]
+                edges = _insert_breakpoints(base, z_min, z_star, npd, cusps)
+        radial.append((0.5 * (edges[:-1] + edges[1:]), np.diff(edges)))
+
+    # one field call per pass: x, then x + z theta and x - z theta of every direction
+    offsets = np.concatenate([zm[:, None] * theta[None, :]
+                              for (zm, _), theta in zip(radial, thetas)])
+    vals = g.eval(np.concatenate([x[None, :], x[None, :] + offsets, x[None, :] - offsets]))
+    g_x = float(vals[0])
+    plus, minus = np.split(vals[1:], 2)
+    s_pairs = np.split(2.0 * g_x - plus - minus, np.cumsum([len(zm) for zm, _ in radial])[:-1])
+
+    total = 0.0
+    pair_peak = 0.0
+    for (zm, zw), tw, s_pair in zip(radial, th_w, s_pairs):
         pair_peak = max(pair_peak, float(np.max(np.abs(s_pair))))
         total += tw * float(np.dot(zw, s_pair * zm ** (-1.0 - 2.0 * s)))
     val = a_ns * total

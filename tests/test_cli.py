@@ -2,9 +2,10 @@
 
 import json
 
-
+import numpy as np
 import pytest
 
+from fracheat import cli
 from fracheat.cli import (
     ScenarioConfig,
     emit_plot_data,
@@ -12,7 +13,8 @@ from fracheat.cli import (
     parse_config,
     run_scenario,
 )
-from fracheat.errors import ConfigError
+from fracheat.errors import ConfigError, DomainValidationError
+from fracheat.fields import SpaceTimeField
 
 
 class TestParseConfig:
@@ -144,6 +146,15 @@ class TestScenarios:
                              point={"x": [0.0], "t": 0.0})
         report = run_scenario(cfg)
         assert report.overall_pass
+
+    def test_eval_spot_checks_the_field(self, tmp_path, monkeypatch):
+        # declared time-independent, but it depends on t
+        liar = SpaceTimeField(lambda X, t: np.cos(t), n=1, time_independent=True)
+        monkeypatch.setattr(cli, "build_field", lambda *args: liar)
+        cfg = ScenarioConfig(scenario="eval", output_dir=str(tmp_path / "out"),
+                             field={"name": "gaussian-bump"})
+        with pytest.raises(DomainValidationError, match="time_independent"):
+            run_scenario(cfg)
 
 
 class TestEmitPlotData:

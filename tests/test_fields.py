@@ -37,6 +37,24 @@ class TestExteriorRule:
         with pytest.raises(DomainValidationError, match="sup_bound"):
             spot_check(liar, np.random.default_rng(1))
 
+    def test_spot_check_catches_time_dependence(self):
+        liar = SpaceTimeField(lambda X, t: np.exp(-X[:, 0] ** 2) * np.cos(t), n=1,
+                              time_independent=True)
+        with pytest.raises(DomainValidationError, match="time_independent"):
+            spot_check(liar, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", FIELD_NAMES)
+    def test_spot_check_passes_for_named_fields(self, name, n):
+        spot_check(build_field(name, n, 0.5), np.random.default_rng(0))
+
+    def test_spot_check_passes_for_static_named_fields(self):
+        for params in ({"t_width": None}, {"rho": 0.0}):
+            name = "gaussian-bump" if "t_width" in params else "plane-wave"
+            fld = build_field(name, 2, 0.5, params)
+            assert fld.time_independent
+            spot_check(fld, np.random.default_rng(0))
+
     def test_unknown_exterior(self):
         with pytest.raises(DomainValidationError):
             SpaceTimeField(lambda X, t: np.zeros(X.shape[0]), n=1, exterior="mirror")

@@ -1,5 +1,6 @@
 """Pointwise operator quadratures against analytic and spectral oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracheat.core import FracParams, SpaceTimePoint
+from fracheat.core import FracParams, SpaceTimePoint, integrated_kernel_constant
 from fracheat.errors import AdmissibilityError, DomainValidationError, ToleranceError
 from fracheat.fields import (
+    ZERO_BALL,
     SpaceField,
     SpaceTimeField,
     TimeField,
@@ -22,7 +24,14 @@ from fracheat.fields import (
     torsion_profile,
 )
 from fracheat.quadrature import (
+    _EVAL_CHUNK,
     QuadratureScheme,
+    _capped_edges,
+    _fd_laplacian,
+    _panel_average,
+    _panel_axes,
+    _tensor_rule,
+    _two_pass,
     fractional_laplacian_pointwise,
     marchaud_left,
     marchaud_right,
@@ -31,6 +40,7 @@ from fracheat.quadrature import (
     slowly_increasing_membership,
     truncation_tail_bound,
 )
+from fracheat.solver import BallProblem, interpolant_field, nonlinearity_by_name, solve_steady
 
 P1 = FracParams(1, 0.5)
 SCH = QuadratureScheme()
@@ -225,6 +235,122 @@ class TestFractionalLaplacian:
         m = master_operator_pointwise(g.as_spacetime(), SpaceTimePoint(x0, 0.0), p2, SCH)
         l = fractional_laplacian_pointwise(g, x0, p2, SCH)
         assert abs(m.value - l.value) <= min(5e-3, m.est_error + l.est_error)
+
+
+def _counting(fld, sizes):
+    """The same field with every call of its callable recording the point count."""
+    def func(X, *args):
+        sizes.append(len(X))
+        return fld.func(X, *args)
+    return dataclasses.replace(fld, func=func)
+
+
+def _reference_laplacian_pass(g, x, p, sch, breakpoints, curvature):
+    """The Laplacian sweep direction by direction, two field calls per direction."""
+    n, s = p.n, p.s
+    a_ns = integrated_kernel_constant(p)
+    g_x = float(g.eval(x.reshape(1, -1))[0])
+    z_min = math.sqrt(sch.r_min)
+    if g.exterior == ZERO_BALL:
+        z_star = g.ball_radius + float(np.linalg.norm(x))
+    else:
+        z_star = 2.0 * math.sqrt(sch.r_max)
+    m_ang = 2 * sch.hermite_order
+    ang = (np.arange(m_ang) + 0.5) * math.pi / m_ang
+    thetas = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    total = 0.0
+    pair_peak = 0.0
+    for theta in thetas:
+        cusps = list(breakpoints) if breakpoints is not None else []
+        if g.exterior == ZERO_BALL:
+            b = float(np.dot(x, theta))
+            disc = g.ball_radius**2 - (float(np.dot(x, x)) - b * b)
+            if disc > 0:
+                root = math.sqrt(disc)
+                cusps.extend([abs(-b + root), abs(-b - root), abs(b + root), abs(b - root)])
+        edges = _capped_edges(z_min, z_star, sch.nodes_per_decade, breakpoints=cusps)
+        zm = 0.5 * (edges[:-1] + edges[1:])
+        zw = np.diff(edges)
+        s_pair = (2.0 * g_x - g.eval(x[None, :] + zm[:, None] * theta[None, :])
+                  - g.eval(x[None, :] - zm[:, None] * theta[None, :]))
+        pair_peak = max(pair_peak, float(np.max(np.abs(s_pair))))
+        total += math.pi / m_ang * float(np.dot(zw, s_pair * zm ** (-1.0 - 2.0 * s)))
+    val = a_ns * total
+    lap = _fd_laplacian(g.eval, x, max(1e-4, 0.5 * z_min)) if curvature is None else curvature
+    val -= a_ns * math.pi * (lap / n) * z_min ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    if pair_peak > 1e-14 * max(1.0, abs(g_x)):
+        val += 2.0 * g_x * a_ns * math.pi * z_star ** (-2.0 * s) / (2.0 * s)
+    if g.exterior == ZERO_BALL:
+        return val, 0.0, 0.0
+    return val, 0.0, 2.0 * g.sup_bound * a_ns * math.pi * z_star ** (-2.0 * s) / (2.0 * s)
+
+
+def _gauss_sum(X):
+    out = np.zeros(X.shape[0])
+    for c, w, a in (((0.2, -0.1), 0.6, 0.9), ((-0.4, 0.3), 0.8, -0.5)):
+        d = X - np.asarray(c)
+        out += a * np.exp(-np.sum(d * d, axis=-1) / w**2)
+    return out
+
+
+def _ball_interpolant():
+    problem = BallProblem(FracParams(2, 0.5), 9, nonlinearity_by_name("one"))
+    return interpolant_field(problem, solve_steady(problem).full_values(problem))
+
+
+class TestOneEvaluationPerPoint:
+    """Each pass evaluates a field once per distinct point, with unchanged bits."""
+
+    @pytest.mark.parametrize("field, points, breakpoints, curvature", [
+        (torsion_profile(2, 0.5), [(0.3, 0.2), (0.7, 0.0), (-0.55, 0.6)], None, None),
+        (torsion_profile(2, 0.5), [(0.25, -0.5)], (0.1, 0.4), -2.5),
+        (SpaceField(_gauss_sum, n=2, sup_bound=1.4, space_scale=0.6), [(0.0, 0.0), (0.5, -0.3)],
+         None, None),
+        (_ball_interpolant(), [(0.0, 0.0), (0.25, 0.5)], None, -3.0),
+    ], ids=["torsion", "torsion-breakpoints", "gauss-sum", "ball-interpolant"])
+    def test_laplacian_matches_per_direction_loop(self, field, points, breakpoints, curvature):
+        p2 = FracParams(2, 0.5)
+        sch = QuadratureScheme(r_min=1e-4, nodes_per_decade=8)
+        for x in np.asarray(points, dtype=float):
+            got = fractional_laplacian_pointwise(field, x, p2, sch, breakpoints, curvature)
+            want = _two_pass(lambda sc: _reference_laplacian_pass(field, x, p2, sc, breakpoints,
+                                                                  curvature),
+                             sch, field.sup_bound, p2.s)
+            assert (got.value, got.est_error) == (want.value, want.est_error)
+
+    def test_laplacian_one_field_call_per_pass(self):
+        sizes = []
+        g = _counting(torsion_profile(2, 0.5), sizes)
+        fractional_laplacian_pointwise(g, np.array([0.3, 0.2]), FracParams(2, 0.5), SCH,
+                                       curvature=-1.0)
+        assert len(sizes) == 2
+
+    def test_static_panel_values_match_per_lag_values(self):
+        u = gaussian_bump(2, center=[0.1, -0.2], width=0.8, t_width=None)
+        pts, w = _tensor_rule(*_panel_axes(u, SCH))
+        # enough lags that the per-lag evaluation takes more than one chunk
+        r_mid = np.geomspace(0.2, 500.0, 2 * _EVAL_CHUNK // len(w) + 7)
+        x = np.array([0.3, 0.1])
+        static = _panel_average(u, x, 0.5, r_mid, pts, w, 2)
+        per_lag = _panel_average(dataclasses.replace(u, time_independent=False), x, 0.5, r_mid,
+                                 pts, w, 2)
+        assert static.tobytes() == per_lag.tobytes()
+
+    def test_static_master_one_panel_call_per_pass(self):
+        sizes = []
+        u = _counting(gaussian_bump(2, t_width=None), sizes)
+        master_operator_pointwise(u, SpaceTimePoint([0.2, 0.1], 0.0), FracParams(2, 0.5), SCH)
+        coarse = len(_tensor_rule(*_panel_axes(u, SCH))[1])
+        fine = len(_tensor_rule(*_panel_axes(u, SCH.refine()))[1])
+        # Gauss-Hermite calls hold 400 points per lag, never a multiple of the panel size
+        assert [m for m in sizes if m % coarse == 0] == [coarse, fine]
+
+    def test_panel_cost_guard_runs_before_any_evaluation(self):
+        sizes = []
+        u = _counting(gaussian_bump(3), sizes)
+        with pytest.raises(DomainValidationError, match="7,077,888 points"):
+            master_operator_pointwise(u, SpaceTimePoint([0.0] * 3, 0.0), FracParams(3, 0.5), SCH)
+        assert sizes == []
 
 
 def _nan_master():
