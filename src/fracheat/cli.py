@@ -435,6 +435,8 @@ def _scenario_moving_planes(cfg: ScenarioConfig, rng):
     field_name = cfg.field.get("name", "")
     if field_name:
         fld = build_field(field_name, problem.p.n, cfg.s, cfg.field.get("params"), rng)
+        # a generator of its own, as in eval, so the CSV bytes stay as they were
+        spot_check(fld, np.random.default_rng(0))
         nodes = problem.interior_nodes()
         full = problem.full_values(fld.eval(nodes, np.zeros(len(nodes))))
         disc_est = 1e-3

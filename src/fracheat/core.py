@@ -99,6 +99,23 @@ def kernel_constants(p: FracParams) -> KernelConstants:
     )
 
 
+def sq_dist(X, c) -> np.ndarray:
+    """|x - c|^2 for every row x of X (shape (..., n)), with c scalar or length n.
+
+    Accumulates (X[..., k] - c[k])^2 one coordinate column at a time, so
+    every step is one pass over m values instead of NumPy work over a
+    length-n inner axis.  For n < 8 the bits equal those of
+    ``d = X - c; np.sum(d * d, axis=-1)``, which sums rows that short in
+    the same order.
+    """
+    X = np.asarray(X, dtype=float)
+    c = np.broadcast_to(np.asarray(c, dtype=float), X.shape[-1:])
+    out = (X[..., 0] - c[0]) ** 2
+    for k in range(1, X.shape[-1]):
+        out += (X[..., k] - c[k]) ** 2
+    return out
+
+
 def heat_kernel(dx, r, p: FracParams):
     """Space-time kernel C(n,s) r^{-(n/2+1+s)} exp(-|dx|^2 / (4 r)) for lag r > 0.
 
@@ -110,10 +127,7 @@ def heat_kernel(dx, r, p: FracParams):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise DomainValidationError("time lag r must be positive")
-    if dx.ndim == 1:
-        sq = float(np.dot(dx, dx))
-    else:
-        sq = np.sum(dx * dx, axis=-1)
+    sq = float(np.dot(dx, dx)) if dx.ndim == 1 else sq_dist(dx, 0.0)
     log_c = math.log(normalization_constant(p))
     power = p.n / 2.0 + 1.0 + p.s
     log_k = log_c - power * np.log(r_arr) - sq / (4.0 * r_arr)

@@ -13,6 +13,12 @@ Conventions for the callables:
 * time-only   ``func(t)`` with ``t`` of shape (m,),
 
 each returning a float array of shape (m,).
+
+The quadratures call them on millions of points of small dimension, so the
+library fields work column by column: ``core.sq_dist(X, c)`` accumulates
+(X[:, k] - c[k])^2 over the n columns.  Broadcasting X against a length-n
+row (``d = X - c; np.sum(d * d, axis=-1)``) gives the same bits but is the
+slow pattern: NumPy then loops over a length-n inner axis for every point.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .core import sq_dist
 from .errors import AdmissibilityError, DomainValidationError
 
 GLOBAL = "global"
@@ -253,7 +260,7 @@ def mollifier(x) -> np.ndarray:
     Peaks at 1 at the origin and is C-infinity across the support boundary.
     """
     pts = np.asarray(x, dtype=float)
-    sq = pts * pts if pts.ndim == 1 else np.sum(pts * pts, axis=-1)
+    sq = pts * pts if pts.ndim == 1 else sq_dist(pts, 0.0)
     out = np.zeros_like(sq, dtype=float)
     inside = sq < 1.0
     with np.errstate(divide="ignore"):
@@ -305,8 +312,7 @@ def torsion_profile(n: int, s: float, shift: Optional[Sequence[float]] = None) -
     off = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
 
     def g(X):
-        d = X - off
-        sq = np.sum(d * d, axis=-1)
+        sq = sq_dist(X, off)
         return np.where(sq < 1.0, np.power(np.maximum(1.0 - sq, 0.0), s), 0.0)
 
     # a shifted profile is clipped against the ORIGINAL unit ball, like grid data would be
@@ -325,8 +331,7 @@ def gaussian_bump(
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
 
     def f(X, t):
-        d = X - c
-        val = np.exp(-np.sum(d * d, axis=-1) / width**2)
+        val = np.exp(-sq_dist(X, c) / width**2)
         if t_width is not None:
             val = val * np.exp(-((t - t_center) ** 2) / t_width**2)
         return amplitude * val
@@ -366,7 +371,7 @@ def polynomial_cutoff(n: int, coeffs: Sequence[float]) -> SpaceField:
     cs = list(coeffs)
 
     def g(X):
-        sq = np.sum(X * X, axis=-1)
+        sq = sq_dist(X, 0.0)
         poly = np.zeros_like(sq)
         for c in reversed(cs):
             poly = poly * sq + c
@@ -390,8 +395,7 @@ def random_space_bump(rng: np.random.Generator, n: int) -> SpaceField:
     def g(X):
         out = np.zeros(X.shape[0])
         for c, w, a in zip(centers, widths, amps):
-            d = X - c
-            out += a * np.exp(-np.sum(d * d, axis=-1) / w**2)
+            out += a * np.exp(-sq_dist(X, c) / w**2)
         return out
 
     bound = float(np.sum(np.abs(amps)))

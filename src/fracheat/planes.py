@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fields import SpaceField, SpaceTimeField, TimeField, mollifier, plateau_bump
 from .quadrature import (
+    _EVAL_CHUNK,
     QuadratureScheme,
     _capped_edges,
     _fd_heat,
@@ -70,8 +71,11 @@ def reflect(x, cfg: PlaneConfig) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    proj = pts @ cfg.direction
-    out = pts + 2.0 * (cfg.lam - proj)[:, None] * cfg.direction[None, :]
+    step = 2.0 * (cfg.lam - pts @ cfg.direction)
+    # column by column: cheaper than broadcasting over an (m, n) array
+    out = np.empty_like(pts)
+    for k, e_k in enumerate(cfg.direction):
+        out[:, k] = pts[:, k] + step * e_k
     return out[0] if single else out
 
 
@@ -265,6 +269,24 @@ def _fold_panel_edges(lo: float, hi: float, centers: Sequence[float], sigma: flo
     return _refine_toward(edges, lo, hi, centers, sigma * np.arange(1, 9))
 
 
+def _runs(rules, limit: int):
+    """Consecutive lag rules grouped into lists of at most ``limit`` points.
+
+    Each rule is a tuple whose last entry is its weight array; a rule
+    larger than ``limit`` forms a list of its own.
+    """
+    run, size = [], 0
+    for rule in rules:
+        m = len(rule[-1])
+        if run and size + m > limit:
+            yield run
+            run, size = [], 0
+        run.append(rule)
+        size += m
+    if run:
+        yield run
+
+
 def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
                                 p: FracParams, sch: QuadratureScheme) -> FoldResidual:
     """Whole-space value versus the half-space folded form; exact algebra.
@@ -274,6 +296,12 @@ def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTim
     partner (w(q) + w(y)) K(q - y^lambda).  The two sides are computed by
     independent quadratures, so the residual is a pure quadrature
     discrepancy and must stay below the combined tolerance.
+
+    Each lag has its own panel rule on Sigma_lambda.  The field is
+    evaluated on runs of consecutive lags holding at most
+    ``_EVAL_CHUNK // 8`` (250,000) points, one call per run, and each lag's
+    weighted sum is then added in lag order, so the result does not depend
+    on how the lags are grouped.
     """
     _check_antisymmetry(w, cfg)
     axis_idx, sign = cfg.axis()
@@ -304,35 +332,41 @@ def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTim
     q_par = sign * x[axis_idx]  # coordinate of q along the plane normal
     q_refl = 2.0 * cfg.lam - q_par
 
+    def lag_rules():
+        for r, dw in zip(mids, widths):
+            sigma = 2.0 * math.sqrt(r)
+            lo = min(q_par - 8.0 * sigma, cfg.lam - 8.0 * sigma)
+            edges_y = _fold_panel_edges(lo, cfg.lam, [q_par, q_refl], sigma, feature)
+            y_mid = 0.5 * (edges_y[:-1] + edges_y[1:])
+            y_half = 0.5 * np.diff(edges_y)
+            y1 = (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()
+            wy = (y_half[:, None] * gl_w[None, :]).ravel()
+
+            axes_nodes, axes_weights = [y1], [wy]
+            if w.n == 2:
+                # the free axis carries a plain Gaussian factor: Hermite nodes
+                # y2 = x2 + sigma * z with weight sigma * wn absorb it exactly
+                axes_nodes.append(x[1 - axis_idx] + sigma * zn)
+                axes_weights.append(wn * sigma)
+            rule, wts = _tensor_rule(axes_nodes, axes_weights)
+            # rule columns are (normal, free); place them on the coordinate axes
+            pts = np.empty_like(rule)
+            pts[:, axis_idx] = sign * rule[:, 0]
+            if w.n == 2:
+                pts[:, 1 - axis_idx] = rule[:, 1]
+            yield r, dw, pts, rule[:, 0], wts
+
     total = 0.0
-    for r, dw in zip(mids, widths):
-        sigma = 2.0 * math.sqrt(r)
-        lo = min(q_par - 8.0 * sigma, cfg.lam - 8.0 * sigma)
-        edges_y = _fold_panel_edges(lo, cfg.lam, [q_par, q_refl], sigma, feature)
-        y_mid = 0.5 * (edges_y[:-1] + edges_y[1:])
-        y_half = 0.5 * np.diff(edges_y)
-        y1 = (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()
-        wy = (y_half[:, None] * gl_w[None, :]).ravel()
-
-        axes_nodes, axes_weights = [y1], [wy]
-        if w.n == 2:
-            # the free axis carries a plain Gaussian factor: Hermite nodes
-            # y2 = x2 + sigma * z with weight sigma * wn absorb it exactly
-            axes_nodes.append(x[1 - axis_idx] + sigma * zn)
-            axes_weights.append(wn * sigma)
-        rule, wts = _tensor_rule(axes_nodes, axes_weights)
-        y_par = rule[:, 0]
-        # rule columns are (normal, free); place them on the coordinate axes
-        pts = np.empty_like(rule)
-        pts[:, axis_idx] = sign * y_par
-        if w.n == 2:
-            pts[:, 1 - axis_idx] = rule[:, 1]
-
-        vals = w.eval(pts, np.full(pts.shape[0], t - r))
-        k_dir = np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
-        k_ref = np.exp(-((q_par - (2.0 * cfg.lam - y_par)) ** 2) / (4.0 * r))
-        integrand = (w_q - vals) * k_dir + (w_q + vals) * k_ref
-        total += dw * r ** (-(p.n / 2.0 + 1.0 + s)) * float(np.dot(wts, integrand))
+    for run in _runs(lag_rules(), _EVAL_CHUNK // 8):
+        rs, dws, pts, y_pars, wtss = zip(*run)
+        sizes = [len(wts) for wts in wtss]
+        vals = np.split(w.eval(np.concatenate(pts), np.repeat(t - np.array(rs), sizes)),
+                        np.cumsum(sizes)[:-1])
+        for r, dw, y_par, wts, v in zip(rs, dws, y_pars, wtss, vals):
+            k_dir = np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
+            k_ref = np.exp(-((q_par - (2.0 * cfg.lam - y_par)) ** 2) / (4.0 * r))
+            integrand = (w_q - v) * k_dir + (w_q + v) * k_ref
+            total += dw * r ** (-(p.n / 2.0 + 1.0 + s)) * float(np.dot(wts, integrand))
 
     folded = c_ns * total
     # inner lag piece and exact tail, shared with the whole-space form

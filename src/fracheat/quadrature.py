@@ -45,7 +45,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .core import FracParams, SpaceTimePoint, gamma_abs_neg, integrated_kernel_constant
+from .core import FracParams, SpaceTimePoint, gamma_abs_neg, integrated_kernel_constant, sq_dist
 from .errors import AdmissibilityError, DomainValidationError, ToleranceError
 from .fields import SpaceField, SpaceTimeField, TimeField, ZERO_BALL
 
@@ -314,8 +314,7 @@ def _gh_average(u: SpaceTimeField, x: np.ndarray, t: float,
 
 def _panel_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray,
                    pts: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    diff = pts - x[None, :]
-    dist_sq = np.sum(diff * diff, axis=-1)
+    dist_sq = sq_dist(pts, x)
     out = np.empty_like(r_mid)
     npts = len(w)
     # a time-independent field has the same panel values at every lag: one
@@ -330,7 +329,8 @@ def _panel_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray
         if vals is None:
             ts = np.repeat(t - rs, npts)
             vals = u.eval(np.tile(pts, (len(rs), 1)), ts).reshape(len(rs), npts)
-        out[i0:i0 + step] = (kern * vals) @ w
+        kern *= vals
+        out[i0:i0 + step] = kern @ w
     return out
 
 
@@ -601,7 +601,7 @@ def slowly_increasing_membership(u: SpaceTimeField, t: float, p: FracParams,
             for gmid, gw in zip(mid, width):
                 scal = 2.0 * math.sqrt(gmid)
                 pts = scal * z_pts
-                keep = np.sum(pts * pts, axis=-1) <= R * R
+                keep = sq_dist(pts, 0.0) <= R * R
                 if not np.any(keep):
                     continue
                 vals = np.abs(u.eval(pts[keep], np.full(int(keep.sum()), t - gmid)))

@@ -156,6 +156,16 @@ class TestScenarios:
         with pytest.raises(DomainValidationError, match="time_independent"):
             run_scenario(cfg)
 
+    def test_moving_planes_spot_checks_the_named_field(self, tmp_path, monkeypatch):
+        # |u| reaches 2, but the declared sup_bound is 1
+        liar = SpaceTimeField(lambda X, t: 2.0 * np.cos(X[:, 0]), n=1, sup_bound=1.0)
+        monkeypatch.setattr(cli, "build_field", lambda *args: liar)
+        cfg = ScenarioConfig(scenario="moving-planes", output_dir=str(tmp_path / "out"),
+                             problem={"h": 1.0 / 16.0, "f": "one"},
+                             field={"name": "torsion-profile"})
+        with pytest.raises(DomainValidationError, match="sup_bound"):
+            run_scenario(cfg)
+
 
 class TestEmitPlotData:
     def test_empty_series_warns(self, tmp_path):

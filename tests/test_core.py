@@ -17,6 +17,7 @@ from fracheat.core import (
     integrated_time_kernel,
     kernel_constants,
     normalization_constant,
+    sq_dist,
 )
 from fracheat.errors import DomainValidationError
 
@@ -134,6 +135,27 @@ class TestHeatKernel:
         with pytest.raises(DomainValidationError):
             # machine-zero lag with no Gaussian damping would overflow
             heat_kernel([0.0], 1e-300, p)
+
+
+class TestSqDist:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bits_of_the_axis_sum(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(5000, n)) * rng.uniform(1e-3, 1e3, size=(5000, 1))
+        for c in (rng.normal(size=n), 0.3, 0.0):
+            d = X - c
+            assert np.array_equal(sq_dist(X, c), np.sum(d * d, axis=-1))
+
+    def test_heat_kernel_keeps_the_axis_sum(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3):
+            p = FracParams(n, 0.5)
+            dx = rng.uniform(-2.0, 2.0, size=(2000, n))
+            r = rng.uniform(0.1, 2.0, size=2000)
+            sq = np.sum(dx * dx, axis=-1)
+            log_k = (math.log(normalization_constant(p)) - (n / 2.0 + 1.0 + 0.5) * np.log(r)
+                     - sq / (4.0 * r))
+            assert np.array_equal(heat_kernel(dx, r, p), np.exp(log_k))
 
 
 def integrated_kernel_oracle(d: float, p: FracParams) -> float:

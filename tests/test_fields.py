@@ -13,6 +13,8 @@ from fracheat.fields import (
     gaussian_bump,
     mollifier,
     plateau_bump,
+    polynomial_cutoff,
+    random_space_bump,
     spot_check,
     torsion_profile,
     torsion_rhs_constant,
@@ -96,3 +98,48 @@ class TestRegistry:
         left = field.eval(np.array([[-0.5]]), np.array([0.0]))[0]
         right = field.eval(np.array([[0.5]]), np.array([0.0]))[0]
         assert right > left
+
+
+class TestColumnwiseFormulas:
+    """The library fields give the bits of the broadcast formulas they replaced."""
+
+    @staticmethod
+    def _sq(X, c):
+        d = X - c
+        return np.sum(d * d, axis=-1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fields_match_the_broadcast_formulas(self, n):
+        rng = np.random.default_rng(20 + n)
+        X = rng.uniform(-1.5, 1.5, size=(4000, n))
+        t = rng.uniform(-1.0, 1.0, size=4000)
+        c = rng.uniform(-0.5, 0.5, size=n)
+
+        bump = gaussian_bump(n, center=c, width=0.7, t_center=0.1, t_width=0.9, amplitude=1.3)
+        old = 1.3 * (np.exp(-self._sq(X, c) / 0.7**2) * np.exp(-((t - 0.1) ** 2) / 0.9**2))
+        assert np.array_equal(bump.eval(X, t), old)
+
+        shift = np.full(n, 0.2)
+        sq = self._sq(X, shift)
+        old = np.where(sq < 1.0, np.power(np.maximum(1.0 - sq, 0.0), 0.3), 0.0)
+        inside = np.einsum("ij,ij->i", X, X) < 1.0
+        assert np.array_equal(torsion_profile(n, 0.3, shift=shift).eval(X)[inside], old[inside])
+
+        sq = self._sq(X, 0.0)
+        old_moll = np.zeros(len(X))
+        old_moll[sq < 1.0] = np.exp(1.0 + 1.0 / (sq[sq < 1.0] - 1.0))
+        assert np.array_equal(mollifier(X), old_moll)
+        old = ((0.25 * sq - 0.5) * sq + 1.0) * old_moll
+        assert np.array_equal(polynomial_cutoff(n, [1.0, -0.5, 0.25]).eval(X)[inside],
+                              old[inside])
+
+        state = np.random.default_rng(7)
+        g = random_space_bump(np.random.default_rng(7), n)
+        k = int(state.integers(2, 4))
+        centers = state.uniform(-0.8, 0.8, size=(k, n))
+        widths = state.uniform(0.4, 0.9, size=k)
+        amps = state.uniform(-1.0, 1.0, size=k)
+        old = np.zeros(len(X))
+        for cc, w, a in zip(centers, widths, amps):
+            old += a * np.exp(-self._sq(X, cc) / w**2)
+        assert np.array_equal(g.eval(X), old)

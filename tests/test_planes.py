@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermgauss
 
-from fracheat.core import FracParams, SpaceTimePoint
+from fracheat import planes
+from fracheat.core import FracParams, SpaceTimePoint, gamma_abs_neg, normalization_constant
 from fracheat.errors import (
     AlignmentError,
     AntisymmetryError,
@@ -23,6 +25,7 @@ from fracheat.fields import (
 )
 from fracheat.planes import (
     PlaneConfig,
+    _fold_panel_edges,
     antisymmetric_fold_residual,
     build_antisym_bump,
     build_cutoff_eta,
@@ -34,11 +37,22 @@ from fracheat.planes import (
     verify_lemma_scaling,
     w_lambda_field,
 )
-from fracheat.quadrature import QuadratureScheme
+from fracheat.quadrature import (
+    QuadratureScheme,
+    _capped_edges,
+    _fd_heat,
+    _tensor_rule,
+    master_operator_pointwise,
+)
 from fracheat.solver import BallProblem, nonlinearity_by_name, solve_steady
+from test_quadrature import _counting
 
 P1 = FracParams(1, 0.5)
 SCH = QuadratureScheme()
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
 
 
 def torsion_solution(K=129):
@@ -90,6 +104,21 @@ class TestReflect:
     def test_bad_direction(self):
         with pytest.raises(DomainValidationError):
             PlaneConfig([1.0, 1.0], 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bits_of_the_broadcast_formula(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-3.0, 3.0, size=(3000, n))
+        directions = [np.eye(n)[0], -np.eye(n)[n - 1]]
+        if n > 1:
+            directions += [np.ones(n) / math.sqrt(n), _unit(rng.normal(size=n))]
+        for e in directions:
+            cfg = PlaneConfig(e, -0.3)
+            old = pts + 2.0 * (cfg.lam - pts @ cfg.direction)[:, None] * cfg.direction[None, :]
+            assert np.array_equal(reflect(pts, cfg), old)
+            # a single point is one row, whose matrix product may round differently
+            one = pts[:1] + 2.0 * (cfg.lam - pts[:1] @ cfg.direction)[:, None] * cfg.direction
+            assert np.array_equal(reflect(pts[0], cfg), one[0])
 
 
 class TestWLambda:
@@ -273,6 +302,102 @@ class TestFoldResidual:
         w = antisymmetrize(base, lambda X: reflect(X, self.CFG))
         with pytest.raises(DomainValidationError):
             antisymmetric_fold_residual(w, self.CFG, SpaceTimePoint([0.5], 0.0), P1, SCH)
+
+
+def _per_lag_fold(w, cfg, q, p, sch):
+    """The folded value with one field call per lag, the order of the sums kept."""
+    axis_idx, sign = cfg.axis()
+    x, t = q.x, q.t
+    s = p.s
+    w_q = w.at(x, t)
+    r_cut = sch.r_max
+    if w.t_support is not None:
+        r_cut = min(r_cut, max(t - w.t_support[0], 4.0 * sch.r_min))
+    edges = _capped_edges(sch.r_min, r_cut, sch.nodes_per_decade)
+    zn, wn = hermgauss(sch.hermite_order)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    feature = w.space_scale if math.isfinite(w.space_scale) else 1.0
+    q_par = sign * x[axis_idx]
+    q_refl = 2.0 * cfg.lam - q_par
+    total = 0.0
+    for r, dw in zip(0.5 * (edges[:-1] + edges[1:]), np.diff(edges)):
+        sigma = 2.0 * math.sqrt(r)
+        lo = min(q_par - 8.0 * sigma, cfg.lam - 8.0 * sigma)
+        edges_y = _fold_panel_edges(lo, cfg.lam, [q_par, q_refl], sigma, feature)
+        y_mid = 0.5 * (edges_y[:-1] + edges_y[1:])
+        y_half = 0.5 * np.diff(edges_y)
+        axes_nodes = [(y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()]
+        axes_weights = [(y_half[:, None] * gl_w[None, :]).ravel()]
+        if w.n == 2:
+            axes_nodes.append(x[1 - axis_idx] + sigma * zn)
+            axes_weights.append(wn * sigma)
+        rule, wts = _tensor_rule(axes_nodes, axes_weights)
+        y_par = rule[:, 0]
+        pts = np.empty_like(rule)
+        pts[:, axis_idx] = sign * y_par
+        if w.n == 2:
+            pts[:, 1 - axis_idx] = rule[:, 1]
+        vals = w.eval(pts, np.full(pts.shape[0], t - r))
+        k_dir = np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
+        k_ref = np.exp(-((q_par - (2.0 * cfg.lam - y_par)) ** 2) / (4.0 * r))
+        integrand = (w_q - vals) * k_dir + (w_q + vals) * k_ref
+        total += dw * r ** (-(p.n / 2.0 + 1.0 + s)) * float(np.dot(wts, integrand))
+    folded = normalization_constant(p) * total
+    gam = gamma_abs_neg(s)
+    folded += _fd_heat(w, x, t) * sch.r_min ** (1.0 - s) / ((1.0 - s) * gam)
+    folded += w_q * r_cut ** (-s) / (s * gam)
+    return folded
+
+
+class TestChunkedFold:
+    """The fold evaluates runs of lags per field call and keeps the bits of a per-lag loop."""
+
+    CASES = [
+        # (direction, centre, x, t, t_width); the last one's history is cut by t_support
+        ([1.0], [-0.65], [-0.55], 0.2, 0.8),
+        ([1.0, 0.0], [-0.65, 0.2], [-0.55, 0.0], 0.2, 0.8),
+        ([-1.0, 0.0], [0.6, -0.1], [0.5, 0.1], 0.1, 0.8),
+        ([0.0, 1.0], [0.1, -0.6], [0.0, -0.5], 0.2, 0.8),
+        ([1.0], [-0.6], [-0.4], -1.5, 0.5),
+    ]
+
+    @staticmethod
+    def _fold_field(direction, centre, tw):
+        cfg = PlaneConfig(direction, 0.0)
+        base = gaussian_bump(len(direction), center=centre, width=0.55, t_width=tw)
+        return cfg, antisymmetrize(base, lambda X: reflect(X, cfg))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bits_of_the_per_lag_loop(self, case):
+        direction, centre, x, t, tw = case
+        cfg, w = self._fold_field(direction, centre, tw)
+        q, p = SpaceTimePoint(x, t), FracParams(len(direction), 0.5)
+        fr = antisymmetric_fold_residual(w, cfg, q, p, SCH)
+        assert fr.folded == _per_lag_fold(w, cfg, q, p, SCH)
+        assert fr.whole_space == master_operator_pointwise(w, q, p, SCH).value
+
+    def test_runs_spanning_several_calls(self, monkeypatch):
+        cfg, w = self._fold_field([1.0], [-0.65], 0.8)
+        q = SpaceTimePoint([-0.55], 0.2)
+        whole, calls = [], []
+        master_operator_pointwise(_counting(w, whole), q, P1, SCH)
+        # at most 2,000 points per call, where one lag holds up to about 1,500
+        monkeypatch.setattr(planes, "_EVAL_CHUNK", 8 * 2000)
+        fr = antisymmetric_fold_residual(_counting(w, calls), cfg, q, P1, SCH)
+        assert fr.folded == _per_lag_fold(w, cfg, q, P1, SCH)
+        assert len(calls) - len(whole) > 20
+        # only the whole-space value's own calls may hold more
+        assert sum(m > 2000 for m in calls) == sum(m > 2000 for m in whole)
+
+    def test_n1_fold_makes_few_field_calls(self):
+        cfg, w = self._fold_field([1.0], [-0.65], 0.8)
+        q = SpaceTimePoint([-0.55], 0.2)
+        whole, calls = [], []
+        master_operator_pointwise(_counting(w, whole), q, P1, SCH)
+        antisymmetric_fold_residual(_counting(w, calls), cfg, q, P1, SCH)
+        # beyond the whole-space value: the antisymmetry probe, w(q), the
+        # folded lags in one run and the heat stencil; one call per lag before
+        assert len(calls) - len(whole) <= 10
 
 
 class TestCutoffs:

@@ -1,0 +1,180 @@
+"""Bit-level fingerprint of fracheat's numerical outputs.
+
+    python3 tools/fingerprint.py > fingerprint.txt
+
+Prints one line per output: the hex of value and est_error of pointwise
+operator values (master, fractional Laplacian and Marchaud at n = 1 and
+n = 2), fold residuals, SHA-256 prefixes of `residual_field` arrays, of a
+few kernel, field and reflection arrays, and of the CSV files of the six
+determinism configs plus n = 2 `eval`, `reduce-check` and `moving-planes`
+(solved and named-field).  A change meant to leave the numbers alone
+shows an empty diff between the fingerprints of the two trees.  The
+library is imported from ``src/`` next to this file.  Takes about 20 s on a
+2-core Xeon; it is a tool, not a test, and stays out of the test suite.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from fracheat.cli import ScenarioConfig, run_scenario  # noqa: E402
+from fracheat.core import FracParams, SpaceTimePoint, heat_kernel  # noqa: E402
+from fracheat.fields import (  # noqa: E402
+    antisymmetrize,
+    gaussian_bump,
+    mollifier,
+    plane_wave,
+    polynomial_cutoff,
+    random_space_bump,
+    random_spacetime_bump,
+    random_time_field,
+    torsion_profile,
+)
+from fracheat.planes import PlaneConfig, antisymmetric_fold_residual, reflect  # noqa: E402
+from fracheat.quadrature import (  # noqa: E402
+    QuadratureScheme,
+    fractional_laplacian_pointwise,
+    marchaud_left,
+    marchaud_right,
+    master_operator_pointwise,
+)
+from fracheat.solver import BallProblem, nonlinearity_by_name, residual_field, solve_steady  # noqa: E402
+
+SCH = QuadratureScheme()
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _array(name: str, arr) -> None:
+    print(f"{name} {_digest(np.ascontiguousarray(arr, dtype=float).tobytes())}")
+
+
+def _value(name: str, compute) -> None:
+    try:
+        ov = compute()
+    except Exception as exc:  # the exception is part of the fingerprint
+        print(f"{name} raised {type(exc).__name__}: {exc}")
+        return
+    print(f"{name} {float(ov.value).hex()} {float(ov.est_error).hex()}")
+
+
+def pointwise() -> None:
+    for n in (1, 2):
+        p = FracParams(n, 0.5)
+        x = np.array([0.3, -0.2][:n])
+        rng = np.random.default_rng(10 + n)
+        fields = {
+            "gauss": gaussian_bump(n, center=[0.1] * n, width=0.8, t_center=0.2),
+            "gauss-static": gaussian_bump(n, width=0.7, t_width=None),
+            "torsion": torsion_profile(n, 0.5).as_spacetime(),
+            "shifted-torsion": torsion_profile(n, 0.5, shift=[0.2] + [0.0] * (n - 1)).as_spacetime(),
+            "cutoff": polynomial_cutoff(n, [1.0, -0.5]).as_spacetime(),
+            "plane-wave": plane_wave(n, [1.0] * n, 1.0),
+            "space-bump": random_space_bump(rng, n).as_spacetime(),
+            "spacetime-bump": random_spacetime_bump(rng, n),
+        }
+        if n == 1:
+            fields["time-field"] = random_time_field(rng).as_spacetime(1)
+        for name, u in fields.items():
+            for s in (0.3, 0.7) if n == 1 else (0.5,):
+                _value(f"master n={n} s={s} {name}",
+                       lambda: master_operator_pointwise(u, SpaceTimePoint(x, 0.1),
+                                                         FracParams(n, s), SCH))
+        for name, g in (("torsion", torsion_profile(n, 0.5)),
+                        ("shifted-torsion", torsion_profile(n, 0.5, shift=[0.2] + [0.0] * (n - 1))),
+                        ("cutoff", polynomial_cutoff(n, [1.0, -0.5])),
+                        ("space-bump", random_space_bump(rng, n))):
+            _value(f"laplacian n={n} {name}",
+                   lambda: fractional_laplacian_pointwise(g, x, p, SCH))
+    h = random_time_field(np.random.default_rng(7))
+    for s in (0.3, 0.5, 0.8):
+        _value(f"marchaud-left s={s}", lambda: marchaud_left(h, 0.2, s, SCH))
+        _value(f"marchaud-right s={s}", lambda: marchaud_right(h, 0.2, s, SCH))
+
+
+def folds() -> None:
+    cases = [
+        # (n, direction, lam, centre, x, t, t_width)
+        (1, [1.0], 0.0, [-0.65], [-0.55], 0.2, 0.8),
+        (1, [-1.0], 0.1, [0.7], [0.5], 0.0, 0.9),
+        (1, [1.0], 0.0, [-0.6], [-0.4], -1.5, 0.5),  # t_support cuts the lag range
+        (2, [1.0, 0.0], 0.0, [-0.65, 0.2], [-0.55, 0.0], 0.2, 0.8),
+        (2, [-1.0, 0.0], 0.0, [0.6, -0.1], [0.5, 0.1], 0.1, 0.8),
+        (2, [0.0, 1.0], 0.0, [0.1, -0.6], [0.0, -0.5], 0.2, 0.8),
+    ]
+    for n, direction, lam, centre, x, t, tw in cases:
+        cfg = PlaneConfig(direction, lam)
+        base = gaussian_bump(n, center=centre, width=0.55, t_width=tw)
+        w = antisymmetrize(base, lambda X, cfg=cfg: reflect(X, cfg))
+        try:
+            fr = antisymmetric_fold_residual(w, cfg, SpaceTimePoint(x, t), FracParams(n, 0.5), SCH)
+        except Exception as exc:
+            print(f"fold n={n} e={direction} raised {type(exc).__name__}: {exc}")
+            continue
+        print(f"fold n={n} e={direction} lam={lam} t={t} {fr.residual.hex()} "
+              f"{fr.whole_space.hex()} {fr.folded.hex()} {fr.combined_tol.hex()}")
+
+
+def residuals() -> None:
+    for n, points in ((1, 33), (2, 17)):
+        problem = BallProblem(FracParams(n, 0.5), points, nonlinearity_by_name("one"))
+        sol = solve_steady(problem, SCH, theta=1.0)
+        _array(f"residual_field n={n} K={points}", residual_field(problem, sol, SCH))
+
+
+def arrays() -> None:
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        pts = rng.uniform(-2.0, 2.0, size=(1000, n))
+        _array(f"heat_kernel n={n}", heat_kernel(pts, 0.37, FracParams(n, 0.5)))
+        directions = [np.eye(n)[0], -np.eye(n)[n - 1]] + ([np.ones(n) / np.sqrt(n)] if n > 1 else [])
+        for direction in directions:
+            _array(f"reflect n={n} e={np.round(direction, 3).tolist()}",
+                   reflect(pts, PlaneConfig(direction, 0.3)))
+        _array(f"mollifier n={n}", mollifier(0.6 * pts))
+        _array(f"cutoff n={n}", polynomial_cutoff(n, [1.0, -0.5, 0.25]).eval(0.6 * pts))
+
+
+def scenarios() -> None:
+    configs = [
+        {"scenario": "eval", "field": {"name": "gaussian-bump"}, "point": {"x": [0.0], "t": 0.0}},
+        {"scenario": "reduce-check", "seed": 5},
+        {"scenario": "lemma-scaling", "kind": "time-cutoff", "r_list": [0.5, 1.0, 2.0, 5.0]},
+        {"scenario": "solve-ball", "problem": {"h": 1.0 / 16.0, "f": "one"}},
+        {"scenario": "moving-planes", "problem": {"h": 1.0 / 16.0, "f": "one"}},
+        {"scenario": "liouville", "seed": 5},
+        {"scenario": "eval", "n": 2, "field": {"name": "gaussian-bump"},
+         "point": {"x": [0.1, 0.2], "t": 0.0}},
+        {"scenario": "eval", "n": 2, "field": {"name": "shifted-torsion"},
+         "point": {"x": [0.1, 0.2], "t": 0.0}},
+        {"scenario": "reduce-check", "n": 2, "seed": 5},
+        {"scenario": "moving-planes", "n": 2, "problem": {"h": 1.0 / 8.0, "f": "one"}},
+        {"scenario": "moving-planes", "n": 2, "problem": {"h": 1.0 / 8.0},
+         "field": {"name": "shifted-torsion"}},
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, kwargs in enumerate(configs):
+            out = Path(tmp) / str(i)
+            label = f"csv[{i}] {kwargs['scenario']} n={kwargs.get('n', 1)}"
+            try:
+                run_scenario(ScenarioConfig(output_dir=str(out), **kwargs))
+            except Exception as exc:
+                print(f"{label} raised {type(exc).__name__}: {exc}")
+                continue
+            for f in sorted(out.glob("*.csv")):
+                print(f"{label} {f.name} {_digest(f.read_bytes())}")
+
+
+if __name__ == "__main__":
+    pointwise()
+    folds()
+    residuals()
+    arrays()
+    scenarios()
