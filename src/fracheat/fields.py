@@ -461,6 +461,7 @@ def antisymmetrize(field: SpaceTimeField, reflect_fn) -> SpaceTimeField:
         space_support=support,
         space_scale=field.space_scale,
         t_support=field.t_support,
+        time_independent=field.time_independent,
     )
 
 

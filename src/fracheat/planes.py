@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .core import FracParams, SpaceTimePoint, gamma_abs_neg, normalization_constant
+from .core import FracParams, SpaceTimePoint
 from .errors import (
     AlignmentError,
     AntisymmetryError,
@@ -31,10 +31,12 @@ from .fields import SpaceField, SpaceTimeField, TimeField, mollifier, plateau_bu
 from .quadrature import (
     _EVAL_CHUNK,
     QuadratureScheme,
-    _capped_edges,
-    _fd_heat,
+    _checked_bound,
+    _master_single_pass,
+    _panel_axes,
     _refine_toward,
     _tensor_rule,
+    _two_pass,
     marchaud_left,
     master_operator_pointwise,
 )
@@ -256,19 +258,6 @@ def _check_antisymmetry(w: SpaceTimeField, cfg: PlaneConfig) -> None:
         raise AntisymmetryError("field is not antisymmetric about the plane")
 
 
-def _fold_panel_edges(lo: float, hi: float, centers: Sequence[float], sigma: float,
-                      feature: float) -> np.ndarray:
-    """Panel edges over [lo, hi] graded around kernel centers.
-
-    Panels are capped at the field feature scale and refined toward each
-    kernel peak so both the Gaussian (width sigma) and the field stay
-    resolved at every lag.
-    """
-    count = int(math.ceil((hi - lo) / feature))
-    edges = np.linspace(lo, hi, min(count, 160) + 1)
-    return _refine_toward(edges, lo, hi, centers, sigma * np.arange(1, 9))
-
-
 def _runs(rules, limit: int):
     """Consecutive lag rules grouped into lists of at most ``limit`` points.
 
@@ -287,95 +276,114 @@ def _runs(rules, limit: int):
         yield run
 
 
+def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
+                    sch: QuadratureScheme, r_mid: np.ndarray) -> np.ndarray:
+    """Int_Sigma w(y, t - r) (K_r(x - y) - K_r(x - y^lambda)) dy for every lag r in r_mid.
+
+    K_r is the heat kernel (4 pi r)^{-n/2} exp(-|z|^2 / (4 r)).  For an
+    antisymmetric w this is the Gaussian average E_z w(x + 2 sqrt(r) z, t - r)
+    written over Sigma_lambda alone.  Along the plane normal, Gauss-Legendre
+    panels cover Sigma_lambda within eight kernel widths of q, clipped to the
+    support and graded toward q and q^lambda.  At n = 2 the free axis takes
+    Hermite nodes up to the lag where the kernel scale reaches the feature
+    size and the support panel axis of ``_panel_axes`` beyond, as the
+    Gaussian average does.  One field call per run of consecutive lags
+    holding at most ``_EVAL_CHUNK // 8`` (250,000) points; each lag's sum is
+    taken on its own, so the result does not depend on the grouping.
+    """
+    axis_idx, sign = cfg.axis()
+    x, t, n = q.x, q.t, w.n
+    free = 1 - axis_idx
+    q_par = sign * x[axis_idx]  # coordinate of q along the plane normal
+    q_refl = 2.0 * cfg.lam - q_par
+    lo_supp, hi_supp, r_cross = -math.inf, math.inf, math.inf
+    if w.space_support is not None:
+        a, b = (float(np.atleast_1d(e)[axis_idx]) for e in w.space_support)
+        lo_supp, hi_supp = (a, b) if sign > 0 else (-b, -a)
+        r_cross = (0.5 * w.space_scale) ** 2
+        if n == 2:
+            panel_nodes, panel_weights = (axes[free] for axes in _panel_axes(w, sch))
+    hi = min(cfg.lam, hi_supp)
+    feature = w.space_scale if math.isfinite(w.space_scale) else 1.0
+    zn, wn = hermgauss(sch.hermite_order)
+    gl_x, gl_w = _GL8
+
+    def lag_rules():
+        for i, r in enumerate(r_mid):
+            sigma = 2.0 * math.sqrt(r)
+            lo = max(q_par - 8.0 * sigma, lo_supp)
+            if lo >= hi:
+                continue
+            # panels capped at the feature scale, refined toward both kernel peaks
+            edges_y = np.linspace(lo, hi, min(int(math.ceil((hi - lo) / feature)), 160) + 1)
+            edges_y = _refine_toward(edges_y, lo, hi, [q_par, q_refl], sigma * np.arange(1, 9))
+            y_mid = 0.5 * (edges_y[:-1] + edges_y[1:])
+            y_half = 0.5 * np.diff(edges_y)
+            normal = (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()
+            axes = {axis_idx: (sign * normal, (y_half[:, None] * gl_w[None, :]).ravel())}
+            if n == 2 and r <= r_cross:
+                # Hermite nodes y2 = x2 + sigma * z absorb the free axis's
+                # Gaussian factor exactly
+                axes[free] = (x[free] + sigma * zn, wn * sigma)
+            elif n == 2:
+                axes[free] = (panel_nodes,
+                              panel_weights * np.exp(-((panel_nodes - x[free]) ** 2) / (4.0 * r)))
+            pts, wts = _tensor_rule(*zip(*(axes[k] for k in range(n))))
+            yield i, pts, sign * pts[:, axis_idx], wts
+
+    out = np.zeros_like(r_mid)
+    for run in _runs(lag_rules(), _EVAL_CHUNK // 8):
+        idx, pts, y_pars, wtss = zip(*run)
+        sizes = [len(wts) for wts in wtss]
+        vals = np.split(w.eval(np.concatenate(pts), np.repeat(t - r_mid[list(idx)], sizes)),
+                        np.cumsum(sizes)[:-1])
+        for i, y_par, wts, v in zip(idx, y_pars, wtss, vals):
+            r = r_mid[i]
+            kern = (np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
+                    - np.exp(-((q_refl - y_par) ** 2) / (4.0 * r)))
+            out[i] = (4.0 * math.pi * r) ** (-n / 2.0) * float(np.dot(wts, v * kern))
+    return out
+
+
 def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
                                 p: FracParams, sch: QuadratureScheme) -> FoldResidual:
-    """Whole-space value versus the half-space folded form; exact algebra.
+    """Whole-space value versus the half-space folded form of the operator.
 
     Folding reflects the integral over the complement of Sigma_lambda back
     onto Sigma_lambda: every kernel pairing (w(q) - w(y)) K(q - y) gains the
-    partner (w(q) + w(y)) K(q - y^lambda).  The two sides are computed by
-    independent quadratures, so the residual is a pure quadrature
-    discrepancy and must stay below the combined tolerance.
+    partner (w(q) + w(y)) K(q - y^lambda).  The w(q) terms sum to the
+    kernel's unit mass, so only the Gaussian average differs, and the two
+    sides compute it independently: the whole-space Gaussian average of w,
+    and ``_folded_average`` over Sigma_lambda.  Everything else is shared
+    through ``_master_single_pass``: the lag rule of the coarse pass, the
+    inner piece below ``r_min`` and the tail.
 
-    Each lag has its own panel rule on Sigma_lambda.  The field is
-    evaluated on runs of consecutive lags holding at most
-    ``_EVAL_CHUNK // 8`` (250,000) points, one call per run, and each lag's
-    weighted sum is then added in lag order, so the result does not depend
-    on how the lags are grouped.
+    ``whole_space`` is ``master_operator_pointwise(w, q, p, sch).value``.
+    ``folded`` is folded_coarse + (whole_space - whole_coarse): the folded
+    coarse pass put on the footing of ``whole_space``, with whole_coarse
+    the coarse pass of ``whole_space`` itself.  So ``residual = |whole_space
+    - folded|`` is |whole_coarse - folded_coarse| up to rounding: the two
+    averages compared over one lag rule, with the lag discretisation
+    cancelled.
     """
     _check_antisymmetry(w, cfg)
     axis_idx, sign = cfg.axis()
     if w.n > 2:
         raise DomainValidationError("fold residual supports n in {1, 2}")
-    x, t = q.x, q.t
-    if sign * x[axis_idx] >= cfg.lam:
+    if sign * q.x[axis_idx] >= cfg.lam:
         raise DomainValidationError("evaluation point must lie strictly inside Sigma_lambda")
 
-    whole = master_operator_pointwise(w, q, p, sch)
+    whole_passes = []
 
-    s = p.s
-    gam = gamma_abs_neg(s)
-    c_ns = normalization_constant(p)
-    w_q = w.at(x, t)
+    def whole_pass(sc):
+        whole_passes.append(_master_single_pass(w, q, p, sc))
+        return whole_passes[-1]
 
-    r_cut = sch.r_max
-    if w.t_support is not None:
-        r_cut = min(r_cut, max(t - w.t_support[0], 4.0 * sch.r_min))
-    edges = _capped_edges(sch.r_min, r_cut, sch.nodes_per_decade)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
-
-    zn, wn = hermgauss(sch.hermite_order)
-    gl_x, gl_w = _GL8
-
-    feature = w.space_scale if math.isfinite(w.space_scale) else 1.0
-    q_par = sign * x[axis_idx]  # coordinate of q along the plane normal
-    q_refl = 2.0 * cfg.lam - q_par
-
-    def lag_rules():
-        for r, dw in zip(mids, widths):
-            sigma = 2.0 * math.sqrt(r)
-            lo = min(q_par - 8.0 * sigma, cfg.lam - 8.0 * sigma)
-            edges_y = _fold_panel_edges(lo, cfg.lam, [q_par, q_refl], sigma, feature)
-            y_mid = 0.5 * (edges_y[:-1] + edges_y[1:])
-            y_half = 0.5 * np.diff(edges_y)
-            y1 = (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()
-            wy = (y_half[:, None] * gl_w[None, :]).ravel()
-
-            axes_nodes, axes_weights = [y1], [wy]
-            if w.n == 2:
-                # the free axis carries a plain Gaussian factor: Hermite nodes
-                # y2 = x2 + sigma * z with weight sigma * wn absorb it exactly
-                axes_nodes.append(x[1 - axis_idx] + sigma * zn)
-                axes_weights.append(wn * sigma)
-            rule, wts = _tensor_rule(axes_nodes, axes_weights)
-            # rule columns are (normal, free); place them on the coordinate axes
-            pts = np.empty_like(rule)
-            pts[:, axis_idx] = sign * rule[:, 0]
-            if w.n == 2:
-                pts[:, 1 - axis_idx] = rule[:, 1]
-            yield r, dw, pts, rule[:, 0], wts
-
-    total = 0.0
-    for run in _runs(lag_rules(), _EVAL_CHUNK // 8):
-        rs, dws, pts, y_pars, wtss = zip(*run)
-        sizes = [len(wts) for wts in wtss]
-        vals = np.split(w.eval(np.concatenate(pts), np.repeat(t - np.array(rs), sizes)),
-                        np.cumsum(sizes)[:-1])
-        for r, dw, y_par, wts, v in zip(rs, dws, y_pars, wtss, vals):
-            k_dir = np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
-            k_ref = np.exp(-((q_par - (2.0 * cfg.lam - y_par)) ** 2) / (4.0 * r))
-            integrand = (w_q - v) * k_dir + (w_q + v) * k_ref
-            total += dw * r ** (-(p.n / 2.0 + 1.0 + s)) * float(np.dot(wts, integrand))
-
-    folded = c_ns * total
-    # inner lag piece and exact tail, shared with the whole-space form
-    heat = _fd_heat(w, x, t)
-    folded += heat * sch.r_min ** (1.0 - s) / ((1.0 - s) * gam)
-    folded += w_q * r_cut ** (-s) / (s * gam)
-
-    combined = 2.0 * whole.est_error
-    return FoldResidual(abs(whole.value - folded), whole.value, folded, combined)
+    whole = _two_pass(whole_pass, sch, _checked_bound(w, q, p, sch), p.s)
+    folded_coarse = _master_single_pass(
+        w, q, p, sch, average=lambda r_mid: (_folded_average(w, cfg, q, sch, r_mid), 0.0))[0]
+    folded = folded_coarse + (whole.value - whole_passes[0][0])
+    return FoldResidual(abs(whole.value - folded), whole.value, folded, 2.0 * whole.est_error)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ y = x + 2 sqrt(r) z in the defining double integral turns it into
 where E_z averages against the Gaussian weight pi^{-n/2} exp(-|z|^2).  The
 substitution is exact, eliminates the principal value (the weight is
 symmetric), and concentrates all singularity handling in the scalar lag
-integral.  The same lag grid drives the one-sided Marchaud derivatives, and
-a paired radial grid drives the direct fractional-Laplacian route.
+integral.  A paired radial grid drives the direct fractional-Laplacian route.
 
-Numerical layout of the lag integral:
+Numerical layout of the lag integral.  ``_lag_integral`` is the one
+implementation, with three callers that each supply only the average of
+the field over the lag r and its slope at r = 0: the master operator (the
+Gaussian average), the one-sided Marchaud derivatives (u(t -+ r)) and the
+antisymmetric fold of ``planes`` (the average folded onto a half-space).
 
 * geometric cells (``nodes_per_decade`` per decade) near r = 0, with the
   cell width capped at 0.8 / nodes_per_decade so bounded oscillatory tails
@@ -116,7 +119,8 @@ def truncation_tail_bound(sup_bound: float, r_max: float, s: float) -> float:
 def _two_pass(single_pass, sch: QuadratureScheme, sup_bound: float, s: float) -> OperatorValue:
     """Coarse and refined sweeps, Richardson value, error estimate and gate.
 
-    ``single_pass(scheme)`` returns ``(value, inner_remainder, discard_bound)``.
+    ``single_pass(scheme)`` returns ``(value, inner_remainder, discard_bound)``;
+    it sweeps ``sch`` first, then ``sch.refine()``.
     The estimate adds the pass difference, the lag-truncation bound and the
     refined pass's remainders; a non-finite value or estimate, or an
     estimate above ``sch.target_tol``, raises ToleranceError.
@@ -259,37 +263,25 @@ def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float,
     Returns the averages and a bound for what the truncations of this
     routine discard (band-limit cut for global fields).
     """
-    n = u.n
     out = np.zeros_like(r_mid)
     discard = 0.0
-
+    a_max = _gh_trust(sch.hermite_order)
     if u.space_support is None:
         # global field: Hermite nodes everywhere, but only while the rule
-        # still resolves oscillation at the declared feature scale
-        if math.isinf(u.space_scale):
-            trust = math.inf
-        else:
-            a_max = _gh_trust(sch.hermite_order)
-            trust = (0.5 * a_max * u.space_scale) ** 2
-        mask = r_mid <= trust
-        if np.any(mask):
-            out[mask] = _gh_average(u, x, t, r_mid[mask], sch)
-        if np.any(~mask) and math.isfinite(u.sup_bound):
-            a_max = _gh_trust(sch.hermite_order)
-            # the true average beyond the trust lag is <= M exp(-a_max^2/4)
+        # still resolves oscillation at the declared feature scale; the true
+        # average beyond that lag is <= M exp(-a_max^2/4)
+        near = r_mid <= (0.5 * a_max * u.space_scale) ** 2
+        if not np.all(near) and math.isfinite(u.sup_bound):
             discard = u.sup_bound * math.exp(-0.25 * a_max * a_max)
-        return out, discard
-
-    # field with an essential-support box: Hermite while the kernel scale
-    # is below the feature scale, fixed support panels afterwards
-    r_cross = (0.5 * u.space_scale) ** 2
-    near = r_mid <= r_cross
+    else:
+        # field with an essential-support box: Hermite while the kernel scale
+        # is below the feature scale, fixed support panels afterwards
+        near = r_mid <= (0.5 * u.space_scale) ** 2
+        if not np.all(near):
+            pts, w = _tensor_rule(*_panel_axes(u, sch))
+            out[~near] = _panel_average(u, x, t, r_mid[~near], pts, w, u.n)
     if np.any(near):
         out[near] = _gh_average(u, x, t, r_mid[near], sch)
-    far = ~near
-    if np.any(far):
-        pts, w = _tensor_rule(*_panel_axes(u, sch))
-        out[far] = _panel_average(u, x, t, r_mid[far], pts, w, n)
     return out, discard
 
 
@@ -334,66 +326,87 @@ def _panel_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray
     return out
 
 
-def _master_single_pass(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
-                        sch: QuadratureScheme) -> tuple[float, float, float]:
-    """One quadrature sweep; returns (value, inner_remainder, discard_bound)."""
-    s = p.s
+def _lag_integral(average, u_q: float, heat: float, s: float, sch: QuadratureScheme,
+                  r_cut: float, exact_tail: bool = False, static: bool = False,
+                  decay: Optional[float] = None) -> tuple[float, float, float]:
+    """One sweep of (1/|Gamma(-s)|) Int_0^inf r^{-1-s} [u_q - avg(r)] dr.
+
+    The one lag integral of the master operator, the Marchaud derivatives
+    and the fold.  Callers supply ``average(r_mid) -> (avg, discard)``, the
+    average at the cell midpoints and a bound for what it discards, and
+    ``heat``, the slope of u_q - avg at r = 0, for the inner piece below
+    ``r_min``.  ``static`` drops the cells' width cap.  Beyond ``r_cut`` the
+    average vanishes when ``exact_tail`` and decays like r^{-decay} when
+    ``decay`` is given.  Returns (value, inner_remainder, discard_bound).
+    """
     gam = gamma_abs_neg(s)
-    x, t = q.x, q.t
-    u_q = u.at(x, t)
+    val, discard, invariant = 0.0, 0.0, False
+    if r_cut > sch.r_min:
+        # a time-independent field has a smooth, monotone-tailed lag
+        # integrand, so pure geometric cells suffice; time variation needs
+        # the width cap
+        edges = _capped_edges(sch.r_min, r_cut, sch.nodes_per_decade, cap_width=not static)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        width = np.diff(edges)
 
-    r_cut = sch.r_max
-    exact_tail = False
-    if u.t_support is not None:
-        r_dead = t - u.t_support[0]
-        if r_dead <= sch.r_min:
-            # the whole history is outside the field's support
-            val = u_q * sch.r_min ** (-s) / (s * gam)
-            heat = _fd_heat(u, x, t)
-            val += heat * sch.r_min ** (1.0 - s) / ((1.0 - s) * gam)
-            rem = abs(heat) * sch.r_min ** (2.0 - s) / ((2.0 - s) * gam)
-            return val, rem, 0.0
-        if r_dead < sch.r_max:
-            r_cut = r_dead
-            exact_tail = True
+        avg, discard = average(mid)
+        diff = u_q - avg
+        invariant = float(np.max(np.abs(diff))) <= 1e-14 * max(1.0, abs(u_q))
+        if invariant:
+            # heat flow leaves the field invariant (constants): the integrand
+            # is identically zero and the roundoff of the weights is dropped
+            diff = np.zeros_like(diff)
+        integrand = diff * mid ** (-1.0 - s)
+        val = float(np.dot(width, integrand)) / gam
 
-    # a time-independent field has a smooth, monotone-tailed lag integrand,
-    # so pure geometric cells suffice; time variation needs the width cap
-    edges = _capped_edges(sch.r_min, r_cut, sch.nodes_per_decade,
-                          cap_width=not u.time_independent)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    width = np.diff(edges)
-
-    avg, discard = _gaussian_average(u, x, t, mid, sch)
-    diff = u_q - avg
-    invariant = float(np.max(np.abs(diff))) <= 1e-14 * max(1.0, abs(u_q))
-    if invariant:
-        # heat flow leaves the field invariant (constants): the integrand
-        # is identically zero and the roundoff of the weights is dropped
-        diff = np.zeros_like(diff)
-    integrand = diff * mid ** (-1.0 - s)
-    val = float(np.dot(width, integrand)) / gam
-
-    # analytic inner piece: integrand ~ r^{-s} (d_t - Lap)u below r_min
-    heat = _fd_heat(u, x, t)
+    # analytic inner piece: integrand ~ r^{-s} heat below r_min
     val += heat * sch.r_min ** (1.0 - s) / ((1.0 - s) * gam)
     inner_rem = abs(heat) * sch.r_min ** (2.0 - s) / ((2.0 - s) * gam)
 
-    # far tail: the u(x,t) part integrates exactly; the Gaussian-average
-    # part is modelled where its decay law is known and bounded otherwise
-    if invariant:
-        pass
-    elif exact_tail:
+    # far tail: the u_q part integrates exactly; the average part is
+    # modelled where its decay law is known and bounded otherwise
+    if not invariant:
         val += u_q * r_cut ** (-s) / (s * gam)
-    elif u.time_independent and u.space_support is not None:
-        # compact time-independent field: average decays like r^{-n/2}
-        e_last = float(avg[-1])
-        val += u_q * r_cut ** (-s) / (s * gam)
-        val -= e_last * r_cut ** (-s) / ((s + p.n / 2.0) * gam)
-    else:
-        val += u_q * r_cut ** (-s) / (s * gam)
+        if decay is not None and not exact_tail:
+            val -= float(avg[-1]) * r_cut ** (-s) / ((s + decay) * gam)
     discard_tail = 0.0 if exact_tail else discard * r_cut ** (-s) / (s * gam)
     return val, inner_rem, discard_tail
+
+
+def _master_single_pass(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
+                        sch: QuadratureScheme, average=None) -> tuple[float, float, float]:
+    """The lag integral of u at q over the Gaussian average, or over ``average`` when given.
+
+    The fold passes its folded average and so shares every other piece:
+    the cells, the inner piece and the tail.
+    """
+    x, t = q.x, q.t
+    r_cut, exact_tail = sch.r_max, False
+    if u.t_support is not None and t - u.t_support[0] < sch.r_max:
+        # no history before the support: the lag integral ends there exactly
+        # (at r_min, with no cells, when the whole history lies outside)
+        r_cut, exact_tail = max(t - u.t_support[0], sch.r_min), True
+    average = average or (lambda r_mid: _gaussian_average(u, x, t, r_mid, sch))
+    # a compact time-independent field has an average decaying like r^{-n/2}
+    compact_static = u.time_independent and u.space_support is not None
+    return _lag_integral(average, u.at(x, t), _fd_heat(u, x, t), p.s, sch, r_cut, exact_tail,
+                         u.time_independent, p.n / 2.0 if compact_static else None)
+
+
+def _checked_bound(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
+                   sch: QuadratureScheme) -> float:
+    """The sup bound of u, after the input checks of master_operator_pointwise."""
+    q.validate(p)
+    if q.x.shape != (u.n,):
+        raise DomainValidationError("point dimension does not match the field")
+    sup = u.require_bound()
+    if u.space_support is not None:
+        points = math.prod(len(a) for a in _panel_axes(u, sch.refine())[0])
+        if points > _EVAL_CHUNK:
+            raise DomainValidationError(
+                f"the refined pass's panel rule has {points:,} points per lag, more than "
+                f"the {_EVAL_CHUNK:,} of one field evaluation")
+    return sup
 
 
 def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
@@ -407,16 +420,7 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
     or the error estimate is not finite or, after the built-in refinement
     pass, the estimate still exceeds ``sch.target_tol``.
     """
-    q.validate(p)
-    if q.x.shape != (u.n,):
-        raise DomainValidationError("point dimension does not match the field")
-    sup = u.require_bound()
-    if u.space_support is not None:
-        points = math.prod(len(a) for a in _panel_axes(u, sch.refine())[0])
-        if points > _EVAL_CHUNK:
-            raise DomainValidationError(
-                f"the refined pass's panel rule has {points:,} points per lag, more than "
-                f"the {_EVAL_CHUNK:,} of one field evaluation")
+    sup = _checked_bound(u, q, p, sch)
     return _two_pass(lambda sc: _master_single_pass(u, q, p, sc), sch, sup, p.s)
 
 
@@ -521,38 +525,24 @@ def fractional_laplacian_pointwise(g: SpaceField, x, p: FracParams, sch: Quadrat
 
 
 def _marchaud(h: TimeField, t: float, s: float, sch: QuadratureScheme, side: int) -> OperatorValue:
+    """side=+1: left derivative (past values); side=-1: right (future values)."""
     if not 0.0 < s < 1.0:
         raise DomainValidationError(f"order s must lie in (0, 1), got {s}")
     if not math.isfinite(h.sup_bound):
         raise AdmissibilityError("time field has no finite sup_bound")
-    return _two_pass(lambda sc: _marchaud_single_pass(h, t, s, sc, side), sch, h.sup_bound, s)
-
-
-def _marchaud_single_pass(h: TimeField, t: float, s: float, sch: QuadratureScheme,
-                          side: int) -> tuple[float, float, float]:
-    """side=+1: left derivative (past values); side=-1: right (future values)."""
-    gam = gamma_abs_neg(s)
-    h_t = float(h.eval(np.array([t]))[0])
-
     r_cut = sch.r_max
     if h.support is not None:
         horizon = (t - h.support[0]) if side > 0 else (h.support[1] - t)
         if horizon < sch.r_max:
             r_cut = max(horizon, 2.0 * sch.r_min)
+    h_t = float(h.eval(np.array([t]))[0])
+    heat = side * _fd_slope(h.eval, t, 1e-4)
 
-    edges = _capped_edges(sch.r_min, r_cut, sch.nodes_per_decade)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    width = np.diff(edges)
-    diff = h_t - h.eval(t - side * mid)
-    val = float(np.dot(width, diff * mid ** (-1.0 - s))) / gam
+    def average(r_mid):
+        return h.eval(t - side * r_mid), 0.0
 
-    slope = _fd_slope(h.eval, t, 1e-4)
-    val += side * slope * sch.r_min ** (1.0 - s) / ((1.0 - s) * gam)
-    inner_rem = abs(slope) * sch.r_min ** (2.0 - s) / ((2.0 - s) * gam)
-
-    if float(np.max(np.abs(diff))) > 1e-14 * max(1.0, abs(h_t)):
-        val += h_t * r_cut ** (-s) / (s * gam)
-    return val, inner_rem, 0.0
+    return _two_pass(lambda sc: _lag_integral(average, h_t, heat, s, sc, r_cut),
+                     sch, h.sup_bound, s)
 
 
 def marchaud_left(h: TimeField, t: float, s: float, sch: QuadratureScheme) -> OperatorValue:

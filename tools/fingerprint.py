@@ -4,10 +4,11 @@
 
 Prints one line per output: the hex of value and est_error of pointwise
 operator values (master, fractional Laplacian and Marchaud at n = 1 and
-n = 2), fold residuals, SHA-256 prefixes of `residual_field` arrays, of a
-few kernel, field and reflection arrays, and of the CSV files of the six
-determinism configs plus n = 2 `eval`, `reduce-check` and `moving-planes`
-(solved and named-field).  A change meant to leave the numbers alone
+n = 2), fold residuals of time-dependent and time-independent fields,
+SHA-256 prefixes of `residual_field` arrays, of a few kernel, field and
+reflection arrays, and of the CSV files of the six determinism configs
+plus n = 2 `eval`, `reduce-check` and `moving-planes` (solved and
+named-field).  A change meant to leave the numbers alone
 shows an empty diff between the fingerprints of the two trees.  The
 library is imported from ``src/`` next to this file.  Takes about 20 s on a
 2-core Xeon; it is a tool, not a test, and stays out of the test suite.
@@ -108,6 +109,9 @@ def folds() -> None:
         (2, [1.0, 0.0], 0.0, [-0.65, 0.2], [-0.55, 0.0], 0.2, 0.8),
         (2, [-1.0, 0.0], 0.0, [0.6, -0.1], [0.5, 0.1], 0.1, 0.8),
         (2, [0.0, 1.0], 0.0, [0.1, -0.6], [0.0, -0.5], 0.2, 0.8),
+        # time-independent: geometric lag cells and the static tail model
+        (1, [1.0], 0.0, [-0.65], [-0.55], 0.2, None),
+        (2, [1.0, 0.0], 0.0, [-0.65, 0.2], [-0.55, 0.0], 0.2, None),
     ]
     for n, direction, lam, centre, x, t, tw in cases:
         cfg = PlaneConfig(direction, lam)
@@ -118,7 +122,8 @@ def folds() -> None:
         except Exception as exc:
             print(f"fold n={n} e={direction} raised {type(exc).__name__}: {exc}")
             continue
-        print(f"fold n={n} e={direction} lam={lam} t={t} {fr.residual.hex()} "
+        static = " static" if tw is None else ""
+        print(f"fold n={n} e={direction} lam={lam} t={t}{static} {fr.residual.hex()} "
               f"{fr.whole_space.hex()} {fr.folded.hex()} {fr.combined_tol.hex()}")
 
 
