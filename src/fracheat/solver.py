@@ -26,7 +26,15 @@ gather ``table[node_b - node_a]`` over the interior nodes:
   exactly (tensor Gauss) over the cells nearest the singularity, the same
   square-cell Taylor model (its four neighbours folded into the table) and
   an exact annulus tail beyond radius 4, which joins the diagonal constant
-  at the table's centre.
+  at the table's centre.  Each near-cell weight is computed once per offset
+  orbit, so the table is bit-symmetric under the eight lattice symmetries.
+
+Both tables are even under every axis reflection x_k -> -x_k, and so is the
+ball, so the matrix commutes with the n reflections.  ``solve_steady``
+factors it by parity class: one block per sign pattern of the reflections,
+over the orbit representatives of ``BallProblem.reflection_orbits``, so
+2^n LUs of about N / 2^n unknowns replace one N x N LU.  Its Picard
+residual still uses the full matrix.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .fields import SpaceField, ZERO_BALL
 from .quadrature import QuadratureScheme, fractional_laplacian_pointwise
 
 _GL12 = np.polynomial.legendre.leggauss(12)
-_ROW_BLOCK = 16  # rows per gather block of the matrix assembly; small blocks stay in cache
+_ROW_BLOCK = 16  # rows per gather of the matrix and its parity blocks; small blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -165,6 +173,26 @@ class BallProblem:
         flat[mask] = interior_values
         return flat.reshape(self.shape)
 
+    def reflection_orbits(self) -> tuple:
+        """Interior nodes under the axis reflections x_k -> -x_k, as ``(rep, flips)``.
+
+        ``rep[a]`` is the interior index of node a's representative, the node
+        of its orbit with every grid index at or above the centre; bit k of
+        ``flips[a]`` is set where node a lies below the centre on axis k, so
+        node a is ``rep[a]`` reflected on exactly those axes.
+        """
+        centre = self.points_per_axis // 2
+        flat = np.flatnonzero(self.interior_mask())
+        idx = np.unravel_index(flat, self.shape)
+        interior_of = np.full(self.points_per_axis ** self.p.n, -1)
+        interior_of[flat] = np.arange(flat.size)
+        rep = interior_of[np.ravel_multi_index(tuple(centre + np.abs(i - centre) for i in idx),
+                                               self.shape)]
+        flips = np.zeros(flat.size, dtype=int)
+        for axis, i in enumerate(idx):
+            flips |= (i < centre).astype(int) << axis
+        return rep, flips
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -244,7 +272,9 @@ def _offset_weights_2d(h: float, s: float, A: float, r_far: float) -> np.ndarray
     Midpoint for distant cells, tensor Gauss over the cells within three
     spacings of the singularity; the center cell weight is zero here (it is
     handled by the Taylor model), and so is every cell beyond r_far, whose
-    annulus the caller integrates exactly.
+    annulus the caller integrates exactly.  Each near weight is computed once
+    per offset orbit (0 <= i <= j) and written to all eight images, so the
+    table is bit-symmetric under the axis reflections and the diagonal swap.
     """
     window = int(math.ceil(r_far / h))
     ii, jj = np.meshgrid(np.arange(-window, window + 1), np.arange(-window, window + 1),
@@ -255,15 +285,16 @@ def _offset_weights_2d(h: float, s: float, A: float, r_far: float) -> np.ndarray
     W[window, window] = 0.0
 
     gl_x, gl_w = _GL12
-    near = np.argwhere((np.abs(ii) <= 3) & (np.abs(jj) <= 3) & ((ii != 0) | (jj != 0)))
-    for a, b in near:
-        zi, zj = ii[a, b] * h, jj[a, b] * h
-        xg = zi + 0.5 * h * gl_x
-        yg = zj + 0.5 * h * gl_x
-        XX, YY = np.meshgrid(xg, yg, indexing="ij")
-        WW = np.outer(gl_w, gl_w) * (0.5 * h) ** 2
-        R2 = XX * XX + YY * YY
-        W[a, b] = A * float(np.sum(WW * R2 ** (-1.0 - s)))
+    WW = np.outer(gl_w, gl_w) * (0.5 * h) ** 2
+    for j in range(1, 4):
+        for i in range(j + 1):
+            XX, YY = np.meshgrid(i * h + 0.5 * h * gl_x, j * h + 0.5 * h * gl_x, indexing="ij")
+            R2 = XX * XX + YY * YY
+            weight = A * float(np.sum(WW * R2 ** (-1.0 - s)))
+            for a, b in ((i, j), (j, i)):
+                for sa in (-1, 1):
+                    for sb in (-1, 1):
+                        W[window + sa * a, window + sb * b] = weight
     return np.where((ii * ii + jj * jj) * h * h <= r_far * r_far, W, 0.0)
 
 
@@ -313,29 +344,94 @@ def assemble_dirichlet_matrix(problem: BallProblem, sch: QuadratureScheme) -> np
     return mat
 
 
+def _parity_factors(problem: BallProblem, A: np.ndarray) -> list:
+    """LU of A's block on each parity class of the axis reflections.
+
+    Sign pattern sigma (bit k set: odd under x_k -> -x_k) holds the vectors
+    with u[g b] = chi(g) u[b], chi(g) = (-1)^|g & sigma|.  Its unknowns are
+    the orbit representatives off every odd axis (on such an axis the value
+    is zero); its block is B[a, b] = |orbit(b)| / 2^n * sum_g chi(g) A[a, g b],
+    gathered from a few rows of A at a time, one class at a time.  Each class
+    is returned as (nodes, cols, signs, orbit sizes, lu): the interior nodes
+    it reaches, the unknown of each and the character of its flip pattern.
+    """
+    n = problem.p.n
+    patterns = np.arange(2 ** n)
+    rep, flips = problem.reflection_orbits()
+    orbit = np.bincount(rep, minlength=rep.size)
+    # image[b, g]: representative b reflected on the axes in g (g within its moving axes)
+    image = np.full((rep.size, patterns.size), -1)
+    image[rep, flips] = np.arange(rep.size)
+    moving = np.zeros(rep.size, dtype=int)  # axes whose reflection moves the representative
+    np.bitwise_or.at(moving, rep, flips)
+    reps = np.flatnonzero(orbit)
+    factors = []
+    for sigma in patterns:
+        chi = np.array([(-1.0) ** bin(g & sigma).count("1") for g in patterns])
+        unknowns = reps[(moving[reps] & sigma) == sigma]
+        # images[g, b] = g b; a reflection acts on b as its part on b's moving axes
+        images = image[unknowns, patterns[:, None] & moving[unknowns]]
+        block = np.zeros((unknowns.size, unknowns.size), order="F")  # factored in place
+        for lo in range(0, unknowns.size, _ROW_BLOCK):
+            rows = A[unknowns[lo:lo + _ROW_BLOCK]]
+            for g in patterns:
+                block[lo:lo + _ROW_BLOCK] += chi[g] * rows[:, images[g]]
+        block *= orbit[unknowns] / patterns.size
+        try:
+            lu = scipy.linalg.lu_factor(block, overwrite_a=True)
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise SingularMatrixError(f"collocation matrix factorization failed: {exc}") from exc
+        if not np.all(np.isfinite(lu[0])):
+            raise SingularMatrixError("parity block factorization produced non-finite factors")
+        col = np.full(rep.size, -1)
+        col[unknowns] = np.arange(unknowns.size)
+        nodes = np.flatnonzero(col[rep] >= 0)
+        factors.append((nodes, col[rep[nodes]], chi[flips[nodes]], orbit[unknowns], lu))
+    return factors
+
+
+def _parity_solve(factors: list, r: np.ndarray) -> np.ndarray:
+    """A^{-1} r class by class: signed orbit means in, block solve, signed scatter out."""
+    u = np.zeros_like(r)
+    for nodes, cols, signs, orbit, lu in factors:
+        r_class = np.bincount(cols, weights=signs * r[nodes], minlength=orbit.size) / orbit
+        u[nodes] += signs * scipy.linalg.lu_solve(lu, r_class)[cols]
+    return u
+
+
 def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
                  theta: float = 0.8, max_iter: int = 200, tol: float = 1e-8,
                  matrix: Optional[np.ndarray] = None) -> Solution:
     """Damped Picard iteration u <- u + theta A^{-1} (f(u) - A u).
 
-    One factorization is reused across iterations.  With theta = 1 and a
-    constant right-hand side the first iterate is already the solution.
-    Non-convergence, including a residual that overflows to a non-finite
-    value, returns the best iterate with converged=False; positivity_ok
-    refers to that returned iterate.
+    A^{-1} is applied by parity class: the ball and the operator are
+    invariant under every axis reflection, so A splits into one block per
+    sign pattern of the n reflections, each LU-factored once (2^n blocks of
+    about N / 2^n unknowns instead of one N x N factorization).  The blocks
+    are gathered from ``matrix`` when given, which must be square over the
+    problem's interior nodes.  The residual f(u) - A u is always taken with
+    the full matrix, so a matrix without the reflection symmetry converges
+    more slowly or reports converged=False, never a wrong converged answer.
+    With theta = 1 and a constant right-hand side the first iterate is
+    already the solution.  Non-convergence, including a residual that
+    overflows to a non-finite value, returns the best iterate with
+    converged=False; positivity_ok refers to that returned iterate.
     """
     if not 0.0 < theta <= 1.0:
         raise DomainValidationError("damping theta must lie in (0, 1]")
-    sch = sch or QuadratureScheme()
-    A = assemble_dirichlet_matrix(problem, sch) if matrix is None else matrix
-    try:
-        lu = scipy.linalg.lu_factor(A)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularMatrixError(f"collocation matrix factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(lu[0])):
-        raise SingularMatrixError("collocation matrix factorization produced non-finite factors")
+    n_int = int(np.count_nonzero(problem.interior_mask()))
+    if matrix is None:
+        A = assemble_dirichlet_matrix(problem, sch or QuadratureScheme())
+    else:
+        A = np.asarray(matrix, dtype=float)
+        if A.shape != (n_int, n_int):
+            raise DomainValidationError(
+                f"matrix of shape {A.shape} does not match the {n_int} interior nodes")
+        # the blocks read only the representatives' rows; the sum reaches every entry
+        if not math.isfinite(float(A.sum())):
+            raise SingularMatrixError("collocation matrix has non-finite entries")
+    factors = _parity_factors(problem, A)
 
-    n_int = A.shape[0]
     u = np.zeros(n_int)
     best_u, best_res = u.copy(), math.inf
     iterations = 0
@@ -349,7 +445,7 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
                 best_res, best_u = res_inf, u.copy()
             if res_inf <= tol or not math.isfinite(res_inf):
                 break
-            u = u + theta * scipy.linalg.lu_solve(lu, residual)
+            u = u + theta * _parity_solve(factors, residual)
         rhs = problem.f.eval_extended(u)
         res_inf = float(np.max(np.abs(rhs - A @ u))) if n_int else 0.0
     if res_inf < best_res:
@@ -392,14 +488,18 @@ def residual_field(problem: BallProblem, solution: Solution, sch: QuadratureSche
     convention: a Taylor model on |z| < h/2 driven by the nodal second
     difference, since the interpolant itself is only Lipschitz at nodes.
     ``node_subset`` restricts evaluation to those interior-node positions
-    (useful as a cheap discretization-error estimate on large grids).
+    (useful as a cheap discretization-error estimate on large grids); they
+    must be integers in [0, N) for the N interior nodes.
     """
+    interior = np.flatnonzero(problem.interior_mask())
+    rows = np.arange(len(interior)) if node_subset is None else np.asarray(node_subset)
+    if rows.ndim != 1 or rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
+                                        or rows.max() >= len(interior)):
+        raise DomainValidationError(f"node_subset must be integer indices in [0, {len(interior)})")
     full = solution.full_values(problem)
     g = interpolant_field(problem, full)
     h = problem.h
     n = problem.p.n
-    interior = np.flatnonzero(problem.interior_mask())
-    rows = np.arange(len(interior)) if node_subset is None else np.asarray(node_subset, int)
     nodes = problem.nodes()
     rhs = problem.f.eval_extended(solution.values)
     breaks = (np.arange(1, problem.points_per_axis) * h).tolist() if n == 1 else None

@@ -1,12 +1,14 @@
 """Unit-ball Dirichlet solver against the closed-form torsion benchmark."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracheat.core import FracParams
-from fracheat.errors import DomainValidationError, GridCoarseError
+from fracheat.errors import DomainValidationError, GridCoarseError, SingularMatrixError
 from fracheat.fields import torsion_profile, torsion_rhs_constant
 from fracheat.quadrature import QuadratureScheme
 from fracheat.solver import (
@@ -14,6 +16,8 @@ from fracheat.solver import (
     Solution,
     _offset_table_1d,
     _offset_table_2d,
+    _parity_factors,
+    _parity_solve,
     assemble_dirichlet_matrix,
     nonlinearity_by_name,
     residual_field,
@@ -190,7 +194,85 @@ class TestSolve1D:
         assert np.all(np.isfinite(sol.values)) and math.isfinite(sol.residual_inf)
 
 
+class TestParitySolve:
+    @pytest.mark.parametrize("n, K", [(1, 17), (1, 65), (2, 9), (2, 17), (2, 33)])
+    def test_matches_dense_lu(self, n, K):
+        # right-hand sides with no symmetry reach every class, on-axis nodes included
+        prob = make_problem(K=K, n=n)
+        A = assemble_dirichlet_matrix(prob, SCH)
+        factors = _parity_factors(prob, A)
+        assert sum(len(orbit) for *_, orbit, _ in factors) == A.shape[0]
+        lu = scipy.linalg.lu_factor(A)
+        rng = np.random.default_rng(K)
+        for _ in range(3):
+            r = rng.standard_normal(A.shape[0])
+            dense = scipy.linalg.lu_solve(lu, r)
+            rel = np.max(np.abs(_parity_solve(factors, r) - dense)) / np.max(np.abs(dense))
+            assert rel <= 1e-13
+
+    @pytest.mark.parametrize("n, K", [(1, 17), (2, 17)])
+    def test_orbit_map(self, n, K):
+        prob = make_problem(K=K, n=n)
+        rep, flips = prob.reflection_orbits()
+        nodes = prob.interior_nodes()
+        signs = np.where((flips[:, None] >> np.arange(n)) & 1, -1.0, 1.0)
+        assert np.array_equal(nodes, signs * nodes[rep])
+        assert np.all(nodes[rep] >= 0.0)
+
+    def test_blocks_come_from_the_supplied_matrix(self):
+        prob = make_problem(K=17, n=2, f="one")
+        A = assemble_dirichlet_matrix(prob, SCH)
+        a = solve_steady(prob, SCH, theta=1.0, matrix=A)
+        b = solve_steady(prob, SCH, theta=1.0, matrix=2.0 * A)
+        assert a.converged and b.converged
+        assert np.max(np.abs(2.0 * b.values - a.values)) <= 1e-13 * np.max(a.values)
+
+    @pytest.mark.parametrize("n, K", [(1, 33), (2, 17)])
+    def test_asymmetric_matrix_never_converges_wrongly(self, n, K):
+        prob = make_problem(K=K, n=n, f="one-minus-half-u")
+        A = assemble_dirichlet_matrix(prob, SCH)
+        B = A.copy()
+        B[2, 9] += 0.5 * A[2, 2]  # breaks every reflection symmetry
+        sol = solve_steady(prob, SCH, matrix=B)
+        if sol.converged:
+            true_res = np.max(np.abs(prob.f.eval_extended(sol.values) - B @ sol.values))
+            assert true_res <= 1e-8
+            assert sol.residual_inf == true_res
+            assert np.max(np.abs(sol.values - solve_steady(prob, SCH, matrix=A).values)) > 1e-6
+
+    def test_peak_memory_below_half_the_matrix(self):
+        prob = make_problem(K=65, n=2, f="one")
+        A = assemble_dirichlet_matrix(prob, SCH)
+        tracemalloc.start()
+        try:
+            sol = solve_steady(prob, SCH, theta=1.0, matrix=A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 0.5 * A.nbytes
+
+    def test_non_finite_matrix_rejected(self):
+        prob = make_problem(K=17, n=2)
+        A = assemble_dirichlet_matrix(prob, SCH)
+        A[0, -1] = np.nan  # a row no parity block reads
+        with pytest.raises(SingularMatrixError):
+            solve_steady(prob, SCH, matrix=A)
+
+    def test_matrix_of_another_problem_rejected(self):
+        A = assemble_dirichlet_matrix(make_problem(K=33), SCH)
+        with pytest.raises(DomainValidationError):
+            solve_steady(make_problem(K=17), SCH, matrix=A)
+
+
 class TestResidualField:
+    @pytest.mark.parametrize("subset", [[-1], [1.7], [99], [[0, 1]]])
+    def test_node_subset_validated(self, subset):
+        prob = make_problem(K=17, f="zero")
+        sol = solve_steady(prob, SCH)
+        with pytest.raises(DomainValidationError):
+            residual_field(prob, sol, SCH, node_subset=np.array(subset))
+
     def test_zero_solution(self):
         prob = make_problem(K=33, f="zero")
         sol = solve_steady(prob, SCH)
@@ -251,8 +333,11 @@ class TestTwoDimensions:
         K = prob.points_per_axis
         idx = np.flatnonzero(prob.interior_mask())
         pos = {f: r for r, f in enumerate(idx)}
-        perm = np.array([pos[(K - 1 - f // K) * K + f % K] for f in idx])
-        assert np.max(np.abs(A[np.ix_(perm, perm)] - A)) <= 1e-14
+        flip1 = np.array([pos[(K - 1 - f // K) * K + f % K] for f in idx])
+        flip2 = np.array([pos[(f // K) * K + K - 1 - f % K] for f in idx])
+        assert np.array_equal(A[np.ix_(flip1, flip1)], A)
+        assert np.array_equal(A[np.ix_(flip2, flip2)], A)
+        assert np.array_equal(A.T, A)
 
     def test_torsion_center_value(self):
         prob = make_problem(K=17, n=2)

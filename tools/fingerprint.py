@@ -5,10 +5,11 @@
 Prints one line per output: the hex of value and est_error of pointwise
 operator values (master, fractional Laplacian and Marchaud at n = 1 and
 n = 2), fold residuals of time-dependent and time-independent fields,
-SHA-256 prefixes of `residual_field` arrays, of a few kernel, field and
-reflection arrays, and of the CSV files of the six determinism configs
-plus n = 2 `eval`, `reduce-check` and `moving-planes` (solved and
-named-field).  A change meant to leave the numbers alone
+`solve_steady` results (SHA-256 prefix of the values, hex of the residual,
+iteration count), SHA-256 prefixes of `residual_field` arrays, of a few
+kernel, field and reflection arrays, and of the CSV files of the six
+determinism configs plus n = 2 `eval`, `reduce-check` and `moving-planes`
+(solved and named-field).  A change meant to leave the numbers alone
 shows an empty diff between the fingerprints of the two trees.  The
 library is imported from ``src/`` next to this file.  Takes about 20 s on a
 2-core Xeon; it is a tool, not a test, and stays out of the test suite.
@@ -127,6 +128,15 @@ def folds() -> None:
               f"{fr.whole_space.hex()} {fr.folded.hex()} {fr.combined_tol.hex()}")
 
 
+def solves() -> None:
+    for n, points in ((1, 33), (2, 17)):
+        for f in ("one", "one-minus-half-u"):
+            problem = BallProblem(FracParams(n, 0.5), points, nonlinearity_by_name(f))
+            sol = solve_steady(problem, SCH)
+            print(f"solve_steady n={n} K={points} f={f} {_digest(sol.values.tobytes())} "
+                  f"{sol.residual_inf.hex()} {sol.iterations}")
+
+
 def residuals() -> None:
     for n, points in ((1, 33), (2, 17)):
         problem = BallProblem(FracParams(n, 0.5), points, nonlinearity_by_name("one"))
@@ -180,6 +190,7 @@ def scenarios() -> None:
 if __name__ == "__main__":
     pointwise()
     folds()
+    solves()
     residuals()
     arrays()
     scenarios()
