@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -117,6 +118,12 @@ def _check_keys(mapping: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
 
 
+def _check_number(value, where: str, positive: bool = False) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            or positive and value <= 0):
+        raise ConfigError(f"{where} must be a finite{' positive' * positive} number, got {value!r}")
+
+
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ScenarioConfig:
     """Load and validate a scenario configuration.
 
@@ -191,6 +198,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
         raise ConfigError(f"s must lie in (0,1), got {cfg.s}")
     if cfg.n < 1:
         raise ConfigError(f"n must be a positive integer, got {cfg.n}")
+    for key in ("lambdas", "r_list"):
+        for value in getattr(cfg, key):
+            _check_number(value, f"every entry of {key}")
+    if "h" in cfg.problem:
+        _check_number(cfg.problem["h"], "problem.h", positive=True)
     if cfg.scenario == "eval":
         if "name" not in cfg.field:
             raise ConfigError(
@@ -455,12 +467,7 @@ def _scenario_moving_planes(cfg: ScenarioConfig, rng):
     lams = sorted({snap_lambda(l, h) for l in lams})
 
     # sweep every axis orientation; the primary (+x1) run feeds the CSV
-    directions = []
-    for axis in range(problem.p.n):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(problem.p.n)
-            e[axis] = sgn
-            directions.append(e)
+    directions = [sgn * e for e in np.eye(problem.p.n) for sgn in (1.0, -1.0)]
     reports = _pmap(
         lambda e: narrow_region_check(problem, full, lams, direction=e, tol_geom=tol_geom),
         directions,

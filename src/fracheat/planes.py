@@ -6,13 +6,15 @@ maximum-principle probes, the antisymmetric folding identity of the
 operator over a half-space, the explicit cutoff/bump constructions, and
 the dilation scaling law sup |op(cutoff_r)| ~ r^{-2s}.
 
-Planes used against grid data are restricted to half-grid offsets along a
-coordinate axis, so reflection maps nodes to nodes and the sign checks on
-w carry no interpolation error.
+Planes used against grid data lie along a coordinate axis at lam = m h / 2,
+m an integer.  On the grid's integer offsets (``BallProblem.offsets``) the
+reflection is the index map c -> m - c of the offset c along the normal, so
+the sign checks on w carry no interpolation error.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -92,39 +94,43 @@ class ReflectionData:
     h: float
 
 
+def _grid_values(problem: BallProblem, full_values: np.ndarray) -> np.ndarray:
+    """``full_values`` flattened in ``nodes()`` order, which must be one value per grid node."""
+    vals = np.asarray(full_values, dtype=float).ravel()
+    if vals.size != problem.points_per_axis ** problem.p.n:
+        raise DomainValidationError(f"full_values needs one value per grid node, got {vals.size}")
+    return vals
+
+
 def w_lambda_field(problem: BallProblem, full_values: np.ndarray,
                    cfg: PlaneConfig) -> ReflectionData:
     """Comparison field on Sigma_lambda; exact antisymmetry by construction.
 
-    Requires lam at a half-grid offset so every node reflects onto a node;
-    reflections landing outside the ball read the exterior zero.
+    Requires lam = m h / 2 for an integer m.  With c a node's signed offset
+    along the plane normal, Sigma_lambda holds the nodes with 2c < m and the
+    reflection maps c to m - c.  A mirror beyond the grid is clipped to an
+    edge node; edge nodes lie outside the ball, so every mirror outside it
+    reads the exterior zero.
     """
     axis_idx, sign = cfg.axis()
+    if len(cfg.direction) != problem.p.n:
+        raise DomainValidationError(f"plane direction needs {problem.p.n} components on this grid")
     h = problem.h
     ratio = 2.0 * cfg.lam / h
     if abs(ratio - round(ratio)) > 1e-9:
         raise AlignmentError(
             f"lambda={cfg.lam} is not reflection-compatible with spacing h={h}"
         )
+    vals = _grid_values(problem, full_values)
+    off = problem.offsets()
+    m, sgn = round(ratio), int(sign)
+    c = sgn * off[:, axis_idx]
+    sel = np.flatnonzero(2 * c < m)
+    mirror = off[sel] + problem.points_per_axis // 2
+    mirror[:, axis_idx] += sgn * (m - 2 * c[sel])
+    flat = np.ravel_multi_index(tuple(mirror.T), problem.shape, mode="clip")
     nodes = problem.nodes()
-    vals = np.asarray(full_values, dtype=float).ravel()
-    if vals.size != nodes.shape[0]:
-        raise DomainValidationError("full_values must cover the whole grid")
-
-    sel = np.flatnonzero(sign * nodes[:, axis_idx] < cfg.lam - 1e-12)
-    if sel.size == 0:
-        # lam at or beyond the grid's edge: Sigma_lambda holds no node
-        return ReflectionData(nodes[sel], np.zeros(0), cfg.lam, cfg.direction, h)
-    refl = reflect(nodes[sel], cfg)
-    ax = problem.axis
-    idx = np.rint((refl - ax[0]) / h).astype(int)
-    if np.max(np.abs(refl - (ax[0] + idx * h))) > 1e-9:
-        raise AlignmentError("reflected nodes do not land on the grid")
-
-    # reflections beyond the unit ball read the exterior zero; those are
-    # also the only ones that can leave the grid, whose indices are clipped
-    flat = np.ravel_multi_index(tuple(idx.T), problem.shape, mode="clip")
-    w = np.where(problem.inside(refl), vals[flat], 0.0) - vals[sel]
+    w = np.where(problem.inside(nodes[flat]), vals[flat], 0.0) - vals[sel]
     return ReflectionData(nodes[sel], w, cfg.lam, cfg.direction, h)
 
 
@@ -161,11 +167,7 @@ def narrow_region_check(problem: BallProblem, full_values: np.ndarray,
     the sup definition in the moving-plane argument.  The symmetric
     configuration passes every lambda and lambda_star reaches -h.
     """
-    n = problem.p.n
-    e = np.zeros(n)
-    e[0] = 1.0
-    if direction is not None:
-        e = np.atleast_1d(np.asarray(direction, dtype=float))
+    e = np.eye(problem.p.n)[0] if direction is None else np.atleast_1d(np.asarray(direction, float))
     lams = sorted(float(l) for l in lambda_list)
     records = []
     for lam in lams:
@@ -177,16 +179,12 @@ def narrow_region_check(problem: BallProblem, full_values: np.ndarray,
         i_min = int(np.argmin(data.w_values))
         min_w = float(data.w_values[i_min])
         interior = problem.inside(data.node_coords)
-        strict = bool(np.all(data.w_values[interior] > 0.0)) if np.any(interior) else True
+        strict = bool(np.all(data.w_values[interior] > 0.0))
         records.append(LambdaRecord(
             lam, min_w, tuple(data.node_coords[i_min]), strict, min_w >= -tol_geom
         ))
-    lambda_star = -1.0
-    for rec in records:
-        if rec.passed:
-            lambda_star = rec.lam
-        else:
-            break
+    passing = list(itertools.takewhile(lambda r: r.passed, records))
+    lambda_star = passing[-1].lam if passing else -1.0
     passed = bool(records) and all(r.passed for r in records) \
         and lambda_star >= -problem.h - 1e-12
     return MovingPlaneReport(tuple(records), lambda_star, tol_geom, tuple(e), passed)
@@ -202,35 +200,25 @@ def symmetry_and_monotonicity_report(problem: BallProblem, full_values: np.ndarr
                                      tol_geom: float = 1e-8) -> SymmetryReport:
     """Orbit spread under the grid's reflection group, and radial-ray dips.
 
-    symmetry_defect: max over node orbits (coordinate sign flips and
-    permutations) of max - min of u on the orbit.  monotonicity_violations:
-    adjacent same-ray pairs with u(r1) <= u(r2) - tol_geom for r1 < r2.
+    symmetry_defect: max over the 2^n n! grid symmetries g (axis
+    permutations and flips) of max |u - g u|, which is the max over node
+    orbits of max - min of u on the orbit; NaN data gives NaN.
+    monotonicity_violations: nodes g p on a ray (p primitive, g >= 2 the
+    gcd of the node's |offset|) with u((g - 1) p) <= u(g p) - tol_geom.
     """
-    m = (problem.points_per_axis - 1) // 2
-    vals = np.asarray(full_values, dtype=float).ravel()
     n = problem.p.n
+    u = _grid_values(problem, full_values)
+    grid = u.reshape(problem.shape)
+    flips = [tuple(k for k in range(n) if bits >> k & 1) for bits in range(2 ** n)]
+    defect = np.max([np.max(np.abs(grid - np.flip(grid.transpose(perm), axes)))
+                     for perm in itertools.permutations(range(n)) for axes in flips])
 
-    orbits: dict = {}
-    nodes_idx = np.indices(problem.shape).reshape(n, -1).T - m
-    for flat, centered in enumerate(nodes_idx):
-        key = tuple(sorted(abs(int(c)) for c in centered))
-        orbits.setdefault(key, []).append(vals[flat])
-    defect = max(max(v) - min(v) for v in orbits.values())
-
-    rays: dict = {}
-    for flat, centered in enumerate(nodes_idx):
-        c = tuple(int(v) for v in centered)
-        if all(v == 0 for v in c):
-            continue
-        g = math.gcd(*c)
-        prim = tuple(v // g for v in c)
-        rays.setdefault(prim, []).append((g, vals[flat]))
-    violations = 0
-    for seq in rays.values():
-        seq.sort()
-        for (r1, v1), (r2, v2) in zip(seq[:-1], seq[1:]):
-            if v1 <= v2 - tol_geom:
-                violations += 1
+    off = problem.offsets()
+    g = np.gcd.reduce(np.abs(off), axis=1)
+    later = np.flatnonzero(g >= 2)
+    prev = off[later] - off[later] // g[later, None]
+    prev_flat = np.ravel_multi_index(tuple((prev + problem.points_per_axis // 2).T), problem.shape)
+    violations = np.count_nonzero(u[prev_flat] <= u[later] - tol_geom)
     return SymmetryReport(float(defect), int(violations))
 
 

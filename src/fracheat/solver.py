@@ -151,9 +151,8 @@ class BallProblem:
         return (self.points_per_axis,) * self.p.n
 
     def nodes(self) -> np.ndarray:
-        """All grid nodes, shape (K^n, n)."""
-        grids = np.meshgrid(*[self.axis] * self.p.n, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        """All grid nodes, shape (K^n, n); node k has grid indices ``offsets()[k] + K // 2``."""
+        return self.axis[self.offsets() + self.points_per_axis // 2]
 
     @staticmethod
     def inside(pts: np.ndarray) -> np.ndarray:
@@ -173,25 +172,30 @@ class BallProblem:
         flat[mask] = interior_values
         return flat.reshape(self.shape)
 
+    def offsets(self) -> np.ndarray:
+        """Integer offset of every node from the centre node, shape (K^n, n), in ``nodes()`` order.
+
+        The grid's index frame: node k sits at h * offsets()[k] up to
+        rounding, so grid reflections and rays act on these integers exactly.
+        """
+        idx = np.moveaxis(np.indices(self.shape), 0, -1).reshape(-1, self.p.n)
+        return idx - self.points_per_axis // 2
+
     def reflection_orbits(self) -> tuple:
         """Interior nodes under the axis reflections x_k -> -x_k, as ``(rep, flips)``.
 
         ``rep[a]`` is the interior index of node a's representative, the node
-        of its orbit with every grid index at or above the centre; bit k of
-        ``flips[a]`` is set where node a lies below the centre on axis k, so
-        node a is ``rep[a]`` reflected on exactly those axes.
+        of its orbit with every offset at or above zero; bit k of ``flips[a]``
+        is set where node a's offset on axis k is negative, so node a is
+        ``rep[a]`` reflected on exactly those axes.
         """
-        centre = self.points_per_axis // 2
-        flat = np.flatnonzero(self.interior_mask())
-        idx = np.unravel_index(flat, self.shape)
-        interior_of = np.full(self.points_per_axis ** self.p.n, -1)
-        interior_of[flat] = np.arange(flat.size)
-        rep = interior_of[np.ravel_multi_index(tuple(centre + np.abs(i - centre) for i in idx),
+        mask = self.interior_mask()
+        off = self.offsets()[mask]
+        interior_of = np.full(mask.size, -1)
+        interior_of[mask] = np.arange(len(off))
+        rep = interior_of[np.ravel_multi_index(tuple((np.abs(off) + self.points_per_axis // 2).T),
                                                self.shape)]
-        flips = np.zeros(flat.size, dtype=int)
-        for axis, i in enumerate(idx):
-            flips |= (i < centre).astype(int) << axis
-        return rep, flips
+        return rep, (off < 0) @ (1 << np.arange(self.p.n))
 
 
 @dataclass(frozen=True)
@@ -362,8 +366,8 @@ def _parity_factors(problem: BallProblem, A: np.ndarray) -> list:
     # image[b, g]: representative b reflected on the axes in g (g within its moving axes)
     image = np.full((rep.size, patterns.size), -1)
     image[rep, flips] = np.arange(rep.size)
-    moving = np.zeros(rep.size, dtype=int)  # axes whose reflection moves the representative
-    np.bitwise_or.at(moving, rep, flips)
+    # axes whose reflection moves a node: those where it sits off the centre
+    moving = (problem.offsets()[problem.interior_mask()] != 0) @ (1 << np.arange(n))
     reps = np.flatnonzero(orbit)
     factors = []
     for sigma in patterns:

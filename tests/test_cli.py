@@ -65,6 +65,13 @@ class TestParseConfig:
         c = parse_config(None, {"scenario": "liouville", "seed": 6})
         assert a.config_hash() != c.config_hash()
 
+    def test_numeric_configs_keep_their_hash(self):
+        # hashes of the same configs before list entries and problem.h were validated
+        planes = parse_config(None, {"scenario": "moving-planes", "lambdas": [-0.5, -0.25],
+                                     "problem": {"h": 0.125, "f": "one"}})
+        scaling = parse_config(None, {"scenario": "lemma-scaling", "r_list": [0.5, 1, 2.0, 5.0]})
+        assert (planes.config_hash(), scaling.config_hash()) == ("2108602b753f", "1e2e8788fdcc")
+
     def test_flat_shorthand_forms(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({
@@ -192,6 +199,24 @@ class TestMainExitCodes:
         code = main(["moving-planes", "--h", "0.0625", "--field", "shifted-torsion",
                      "--out", str(tmp_path / "c")])
         assert code == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ({"scenario": "moving-planes", "lambdas": [float("nan")]}, "lambdas"),
+        ({"scenario": "moving-planes", "lambdas": ["a"]}, "lambdas"),
+        ({"scenario": "moving-planes", "lambdas": [-0.5, float("inf")]}, "lambdas"),
+        ({"scenario": "lemma-scaling", "r_list": ["x", 1, 2, 3]}, "r_list"),
+        ({"scenario": "solve-ball", "problem": {"h": 0}}, "problem.h"),
+        ({"scenario": "solve-ball", "problem": {"h": -0.1}}, "problem.h"),
+        ({"scenario": "moving-planes", "problem": {"h": float("nan")}}, "problem.h"),
+    ])
+    def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, config, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))  # NaN and Infinity as Python's json writes them
+        out = tmp_path / "out"
+        assert main([config["scenario"], "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert not out.exists()
 
     def test_plane_snapped_to_grid_edge(self, tmp_path):
         # at h = 0.5 the default lambda = -0.9 snaps to -1, where no node lies

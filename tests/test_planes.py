@@ -1,5 +1,6 @@
 """Reflections, comparison fields, folding identity, cutoffs and scaling laws."""
 
+import functools
 import math
 
 import numpy as np
@@ -63,6 +64,58 @@ def torsion_solution(K=129):
 
 def grid_samples(problem, field):
     return problem.full_values(field.eval(problem.interior_nodes())).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def _solved(n, K):
+    prob = BallProblem(FracParams(n, 0.5), K, nonlinearity_by_name("one"))
+    return prob, solve_steady(prob, SCH, theta=1.0).full_values(prob)
+
+
+def _grid_data(n, K):
+    """Solved, noisy, random and random-inside-the-ball values on an n-D grid of K per axis."""
+    prob, full = _solved(n, K)
+    rng = np.random.default_rng(100 * n + K)
+    rand = rng.standard_normal(prob.shape)
+    return prob, {
+        "solution": full,
+        "noisy": full + 1e-3 * rng.standard_normal(prob.shape),
+        "random": rand,
+        "random-inside": np.where(prob.interior_mask().reshape(prob.shape), rand, 0.0),
+    }
+
+
+def _reference_w(prob, full, cfg):
+    """w_lambda by coordinates: reflect the nodes, round back to grid indices."""
+    axis_idx, sign = cfg.axis()
+    nodes = prob.nodes()
+    vals = np.asarray(full, dtype=float).ravel()
+    sel = np.flatnonzero(sign * nodes[:, axis_idx] < cfg.lam - 1e-12)
+    refl = reflect(nodes[sel], cfg)
+    idx = np.rint((refl - prob.axis[0]) / prob.h).astype(int)
+    assert np.max(np.abs(refl - (prob.axis[0] + idx * prob.h)), initial=0.0) <= 1e-9
+    flat = np.ravel_multi_index(tuple(idx.T), prob.shape, mode="clip")
+    return nodes[sel], np.where(prob.inside(refl), vals[flat], 0.0) - vals[sel]
+
+
+def _reference_report(prob, full, tol):
+    """Symmetry defect and ray violations by dicts of orbits and gcd rays."""
+    m = (prob.points_per_axis - 1) // 2
+    vals = np.asarray(full, dtype=float).ravel()
+    centered_all = np.indices(prob.shape).reshape(prob.p.n, -1).T - m
+    orbits, rays = {}, {}
+    for flat, centered in enumerate(centered_all):
+        c = tuple(int(v) for v in centered)
+        orbits.setdefault(tuple(sorted(abs(v) for v in c)), []).append(vals[flat])
+        if any(c):
+            g = math.gcd(*c)
+            rays.setdefault(tuple(v // g for v in c), []).append((g, vals[flat]))
+    defect = max(max(v) - min(v) for v in orbits.values())
+    violations = 0
+    for seq in rays.values():
+        seq.sort()
+        violations += sum(v1 <= v2 - tol for (_, v1), (_, v2) in zip(seq[:-1], seq[1:]))
+    return float(defect), violations
 
 
 class TestReflect:
@@ -157,6 +210,39 @@ class TestWLambda:
         with pytest.raises(AlignmentError):
             w_lambda_field(prob, full, PlaneConfig(np.array([1.0, 1.0]) / math.sqrt(2), 0.0))
 
+    @pytest.mark.parametrize("direction", [[0.0, 0.0, 1.0], [1.0]])
+    def test_direction_of_wrong_length(self, direction):
+        prob, full = _solved(2, 9)
+        with pytest.raises(DomainValidationError, match="components"):
+            w_lambda_field(prob, full, PlaneConfig(direction, -0.5))
+
+    def test_lambda_within_alignment_tolerance(self):
+        # 3e-12 off the half-grid plane passes the alignment test; the on-plane
+        # node (w = 0) must still stay out of Sigma_lambda
+        prob, full = torsion_solution(K=129)
+        exact = w_lambda_field(prob, full, PlaneConfig([1.0], -0.5))
+        near = w_lambda_field(prob, full, PlaneConfig([1.0], -0.5 + 3e-12))
+        assert near.w_values.size == 32
+        assert np.array_equal(near.node_coords, exact.node_coords)
+        assert np.array_equal(near.w_values, exact.w_values)
+        rec = narrow_region_check(prob, full, [-0.5 + 3e-12], tol_geom=1e-10).records[0]
+        assert rec.min_w > 0.0 and rec.strict_positive_interior
+
+    @pytest.mark.parametrize("n, K", [(1, 33), (2, 17)])
+    def test_matches_coordinate_reference(self, n, K):
+        prob, datas = _grid_data(n, K)
+        h = prob.h
+        lams = [snap_lambda(v, h) for v in np.arange(-1.2, 1.2 + h / 4, h / 2)]
+        assert lams[0] < -1.0 and lams[-1] > 1.0
+        for full in datas.values():
+            for e in np.concatenate([np.eye(n), -np.eye(n)]):
+                for lam in lams:
+                    cfg = PlaneConfig(e, lam)
+                    data = w_lambda_field(prob, full, cfg)
+                    coords, w = _reference_w(prob, full, cfg)
+                    assert np.array_equal(data.node_coords, coords), (e, lam)
+                    assert np.array_equal(data.w_values, w), (e, lam)
+
 
 class TestNarrowRegion:
     def test_torsion_passes_both_orientations(self):
@@ -237,6 +323,38 @@ class TestSymmetryReport:
         rep = symmetry_and_monotonicity_report(prob, radial)
         assert rep.symmetry_defect == 0.0
         assert rep.monotonicity_violations == 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("K", [5, 9, 17, 33])
+    def test_matches_dict_reference(self, n, K):
+        prob, datas = _grid_data(n, K)
+        for name, full in datas.items():
+            for tol in (0.0, 1e-8, 1e-3):
+                rep = symmetry_and_monotonicity_report(prob, full, tol_geom=tol)
+                defect, violations = _reference_report(prob, full, tol)
+                assert rep.symmetry_defect.hex() == defect.hex(), (name, tol)
+                assert rep.monotonicity_violations == violations, (name, tol)
+
+    @pytest.mark.parametrize("check", [
+        symmetry_and_monotonicity_report,
+        lambda prob, vals: w_lambda_field(prob, vals, PlaneConfig([1.0, 0.0], -0.5)),
+    ], ids=["report", "w_lambda"])
+    def test_values_must_cover_the_grid(self, check):
+        prob, full = _solved(2, 9)
+        with pytest.raises(DomainValidationError, match="one value per grid node"):
+            check(prob, np.zeros(200))
+        # the interior-only solution vector is not a grid
+        interior = full.ravel()[prob.interior_mask()]
+        with pytest.raises(DomainValidationError, match="one value per grid node"):
+            check(prob, interior)
+
+    def test_nan_fails_the_report(self):
+        prob, _ = _solved(2, 9)
+        vals = np.zeros(prob.shape)
+        vals[2, 3] = np.nan
+        rep = symmetry_and_monotonicity_report(prob, vals)
+        assert math.isnan(rep.symmetry_defect)
+        assert not rep.symmetry_defect <= 1e-12
 
 
 class TestFoldResidual:

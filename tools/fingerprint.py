@@ -6,13 +6,16 @@ Prints one line per output: the hex of value and est_error of pointwise
 operator values (master, fractional Laplacian and Marchaud at n = 1 and
 n = 2), fold residuals of time-dependent and time-independent fields,
 `solve_steady` results (SHA-256 prefix of the values, hex of the residual,
-iteration count), SHA-256 prefixes of `residual_field` arrays, of a few
-kernel, field and reflection arrays, and of the CSV files of the six
-determinism configs plus n = 2 `eval`, `reduce-check` and `moving-planes`
-(solved and named-field).  A change meant to leave the numbers alone
-shows an empty diff between the fingerprints of the two trees.  The
-library is imported from ``src/`` next to this file.  Takes about 20 s on a
-2-core Xeon; it is a tool, not a test, and stays out of the test suite.
+iteration count), the ball-grid symmetry report (defect hex, violation
+count) and every narrow-region record (lambda, min_w hex, argmin, strict
+flag, passed) on solved, noisy and shifted-torsion grid data, SHA-256
+prefixes of `residual_field` arrays, of a few kernel, field and
+reflection arrays, and of the CSV files of the six determinism configs
+plus n = 2 `eval`, `reduce-check` and `moving-planes` (solved and
+named-field).  A change meant to leave the numbers alone shows an empty
+diff between the fingerprints of the two trees.  The library is imported
+from ``src/`` next to this file.  Takes about 15 s on a 2-core Xeon; it is
+a tool, not a test, and stays out of the test suite.
 """
 
 import hashlib
@@ -37,7 +40,14 @@ from fracheat.fields import (  # noqa: E402
     random_time_field,
     torsion_profile,
 )
-from fracheat.planes import PlaneConfig, antisymmetric_fold_residual, reflect  # noqa: E402
+from fracheat.planes import (  # noqa: E402
+    PlaneConfig,
+    antisymmetric_fold_residual,
+    narrow_region_check,
+    reflect,
+    snap_lambda,
+    symmetry_and_monotonicity_report,
+)
 from fracheat.quadrature import (  # noqa: E402
     QuadratureScheme,
     fractional_laplacian_pointwise,
@@ -144,6 +154,30 @@ def residuals() -> None:
         _array(f"residual_field n={n} K={points}", residual_field(problem, sol, SCH))
 
 
+def grid_diagnostics() -> None:
+    for n, points in ((1, 33), (2, 17)):
+        problem = BallProblem(FracParams(n, 0.5), points, nonlinearity_by_name("one"))
+        full = solve_steady(problem, SCH, theta=1.0).full_values(problem)
+        shifted = torsion_profile(n, 0.5, shift=[0.2] + [0.0] * (n - 1))
+        data = {
+            "solved": full,
+            "noisy": full + 1e-3 * np.random.default_rng(20 + n).standard_normal(full.shape),
+            "shifted-torsion": problem.full_values(shifted.eval(problem.interior_nodes())),
+        }
+        # -1.2 lies beyond the grid edge; mirrors across 0.5 leave the grid
+        lams = [snap_lambda(v, problem.h) for v in (-1.2, -0.7, -0.3, -problem.h / 2, 0.5)]
+        for name, values in data.items():
+            label = f"n={n} K={points} {name}"
+            sym = symmetry_and_monotonicity_report(problem, values)
+            print(f"symmetry {label} {sym.symmetry_defect.hex()} {sym.monotonicity_violations}")
+            for direction in np.concatenate([np.eye(n), -np.eye(n)]):
+                rep = narrow_region_check(problem, values, lams, direction=direction)
+                for r in rep.records:
+                    argmin = ",".join(float(v).hex() for v in r.argmin)
+                    print(f"narrow {label} e={direction.tolist()} lam={r.lam} {r.min_w.hex()} "
+                          f"({argmin}) {r.strict_positive_interior} {r.passed}")
+
+
 def arrays() -> None:
     rng = np.random.default_rng(3)
     for n in (1, 2, 3):
@@ -192,5 +226,6 @@ if __name__ == "__main__":
     folds()
     solves()
     residuals()
+    grid_diagnostics()
     arrays()
     scenarios()
