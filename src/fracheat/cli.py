@@ -124,6 +124,12 @@ def _check_number(value, where: str, positive: bool = False) -> None:
         raise ConfigError(f"{where} must be a finite{' positive' * positive} number, got {value!r}")
 
 
+def _check_integer(value, where: str, smallest: int, odd: bool = False) -> None:
+    _check_number(value, where)
+    if value != int(value) or value < smallest or odd and value % 2 == 0:
+        raise ConfigError(f"{where} must be an {'odd ' * odd}integer >= {smallest}, got {value!r}")
+
+
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ScenarioConfig:
     """Load and validate a scenario configuration.
 
@@ -201,8 +207,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
     for key in ("lambdas", "r_list"):
         for value in getattr(cfg, key):
             _check_number(value, f"every entry of {key}")
-    if "h" in cfg.problem:
-        _check_number(cfg.problem["h"], "problem.h", positive=True)
+    for key in ("h", "theta", "tol"):
+        if key in cfg.problem:
+            _check_number(cfg.problem[key], f"problem.{key}", positive=True)
+    if cfg.problem.get("theta", 1) > 1:
+        raise ConfigError(f"problem.theta must lie in (0, 1], got {cfg.problem['theta']!r}")
+    for key, smallest, odd in (("points_per_axis", 5, True), ("max_iter", 1, False)):
+        if key in cfg.problem:
+            _check_integer(cfg.problem[key], f"problem.{key}", smallest, odd)
     if cfg.scenario == "eval":
         if "name" not in cfg.field:
             raise ConfigError(

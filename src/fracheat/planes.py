@@ -102,6 +102,13 @@ def _grid_values(problem: BallProblem, full_values: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _grid_frame(problem: BallProblem, full_values: np.ndarray) -> tuple:
+    """``(values, offsets, nodes, inside)`` over the whole grid: what every plane's w reads."""
+    vals = _grid_values(problem, full_values)
+    nodes = problem.nodes()
+    return vals, problem.offsets(), nodes, problem.inside(nodes)
+
+
 def w_lambda_field(problem: BallProblem, full_values: np.ndarray,
                    cfg: PlaneConfig) -> ReflectionData:
     """Comparison field on Sigma_lambda; exact antisymmetry by construction.
@@ -112,6 +119,11 @@ def w_lambda_field(problem: BallProblem, full_values: np.ndarray,
     edge node; edge nodes lie outside the ball, so every mirror outside it
     reads the exterior zero.
     """
+    return _w_lambda(problem, _grid_frame(problem, full_values), cfg)
+
+
+def _w_lambda(problem: BallProblem, frame: tuple, cfg: PlaneConfig) -> ReflectionData:
+    """``w_lambda_field`` on a ``_grid_frame``, which a sweep over planes builds once."""
     axis_idx, sign = cfg.axis()
     if len(cfg.direction) != problem.p.n:
         raise DomainValidationError(f"plane direction needs {problem.p.n} components on this grid")
@@ -121,16 +133,14 @@ def w_lambda_field(problem: BallProblem, full_values: np.ndarray,
         raise AlignmentError(
             f"lambda={cfg.lam} is not reflection-compatible with spacing h={h}"
         )
-    vals = _grid_values(problem, full_values)
-    off = problem.offsets()
+    vals, off, nodes, inside = frame
     m, sgn = round(ratio), int(sign)
     c = sgn * off[:, axis_idx]
     sel = np.flatnonzero(2 * c < m)
     mirror = off[sel] + problem.points_per_axis // 2
     mirror[:, axis_idx] += sgn * (m - 2 * c[sel])
     flat = np.ravel_multi_index(tuple(mirror.T), problem.shape, mode="clip")
-    nodes = problem.nodes()
-    w = np.where(problem.inside(nodes[flat]), vals[flat], 0.0) - vals[sel]
+    w = np.where(inside[flat], vals[flat], 0.0) - vals[sel]
     return ReflectionData(nodes[sel], w, cfg.lam, cfg.direction, h)
 
 
@@ -169,10 +179,11 @@ def narrow_region_check(problem: BallProblem, full_values: np.ndarray,
     """
     e = np.eye(problem.p.n)[0] if direction is None else np.atleast_1d(np.asarray(direction, float))
     lams = sorted(float(l) for l in lambda_list)
+    frame = _grid_frame(problem, full_values)
     records = []
     for lam in lams:
         cfg = PlaneConfig(e, lam)
-        data = w_lambda_field(problem, full_values, cfg)
+        data = _w_lambda(problem, frame, cfg)
         if data.w_values.size == 0:
             records.append(LambdaRecord(lam, 0.0, (), True, True))
             continue
@@ -201,17 +212,19 @@ def symmetry_and_monotonicity_report(problem: BallProblem, full_values: np.ndarr
     """Orbit spread under the grid's reflection group, and radial-ray dips.
 
     symmetry_defect: max over the 2^n n! grid symmetries g (axis
-    permutations and flips) of max |u - g u|, which is the max over node
-    orbits of max - min of u on the orbit; NaN data gives NaN.
+    permutations and flips) of max |u - g u|, taken as the max over the
+    orbits of ``BallProblem.orbits()`` of max - min of u on the orbit;
+    NaN data gives NaN.
     monotonicity_violations: nodes g p on a ray (p primitive, g >= 2 the
     gcd of the node's |offset|) with u((g - 1) p) <= u(g p) - tol_geom.
     """
-    n = problem.p.n
     u = _grid_values(problem, full_values)
-    grid = u.reshape(problem.shape)
-    flips = [tuple(k for k in range(n) if bits >> k & 1) for bits in range(2 ** n)]
-    defect = np.max([np.max(np.abs(grid - np.flip(grid.transpose(perm), axes)))
-                     for perm in itertools.permutations(range(n)) for axes in flips])
+    orbit = problem.orbits()
+    top, bottom = u.copy(), u.copy()  # orbit max and min at each representative, u elsewhere
+    with np.errstate(invalid="ignore"):  # NaN propagates into the defect
+        np.maximum.at(top, orbit, u)
+        np.minimum.at(bottom, orbit, u)
+    defect = np.max(top - bottom)
 
     off = problem.offsets()
     g = np.gcd.reduce(np.abs(off), axis=1)

@@ -29,12 +29,12 @@ gather ``table[node_b - node_a]`` over the interior nodes:
   at the table's centre.  Each near-cell weight is computed once per offset
   orbit, so the table is bit-symmetric under the eight lattice symmetries.
 
-Both tables are even under every axis reflection x_k -> -x_k, and so is the
-ball, so the matrix commutes with the n reflections.  ``solve_steady``
-factors it by parity class: one block per sign pattern of the reflections,
-over the orbit representatives of ``BallProblem.reflection_orbits``, so
-2^n LUs of about N / 2^n unknowns replace one N x N LU.  Its Picard
-residual still uses the full matrix.
+Both tables are invariant under every signed axis permutation of the
+lattice, and so is the ball, so the matrix commutes with that group and
+Picard, started from zero, never leaves its fully symmetric vectors.
+``solve_steady`` therefore solves on that one class: its unknowns are the
+orbit representatives of ``BallProblem.orbits()`` (about N / 8 at n = 2),
+factored once.  Its Picard residual still uses the full matrix.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .fields import SpaceField, ZERO_BALL
 from .quadrature import QuadratureScheme, fractional_laplacian_pointwise
 
 _GL12 = np.polynomial.legendre.leggauss(12)
-_ROW_BLOCK = 16  # rows per gather of the matrix and its parity blocks; small blocks stay in cache
+_ROW_BLOCK = 16  # rows per gather of the matrix and its class block; small blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -181,21 +181,19 @@ class BallProblem:
         idx = np.moveaxis(np.indices(self.shape), 0, -1).reshape(-1, self.p.n)
         return idx - self.points_per_axis // 2
 
-    def reflection_orbits(self) -> tuple:
-        """Interior nodes under the axis reflections x_k -> -x_k, as ``(rep, flips)``.
+    def orbits(self) -> np.ndarray:
+        """Flat index of each node's orbit representative, in ``nodes()`` order.
 
-        ``rep[a]`` is the interior index of node a's representative, the node
-        of its orbit with every offset at or above zero; bit k of ``flips[a]``
-        is set where node a's offset on axis k is negative, so node a is
-        ``rep[a]`` reflected on exactly those axes.
+        The orbits are those of the 2^n n! signed axis permutations acting on
+        ``offsets()``; the representative of an orbit is the node whose offset
+        is sort(|offset|), the same for every member.
         """
-        mask = self.interior_mask()
-        off = self.offsets()[mask]
-        interior_of = np.full(mask.size, -1)
-        interior_of[mask] = np.arange(len(off))
-        rep = interior_of[np.ravel_multi_index(tuple((np.abs(off) + self.points_per_axis // 2).T),
-                                               self.shape)]
-        return rep, (off < 0) @ (1 << np.arange(self.p.n))
+        key = list(np.abs(self.offsets()).T + self.points_per_axis // 2)
+        # odd-even transposition sort of whole columns: np.sort(axis=1) goes row by row, 4x slower
+        for i in range(len(key)):
+            for k in range(i % 2, len(key) - 1, 2):
+                key[k], key[k + 1] = np.minimum(key[k], key[k + 1]), np.maximum(key[k], key[k + 1])
+        return np.ravel_multi_index(tuple(key), self.shape)
 
 
 @dataclass(frozen=True)
@@ -348,74 +346,48 @@ def assemble_dirichlet_matrix(problem: BallProblem, sch: QuadratureScheme) -> np
     return mat
 
 
-def _parity_factors(problem: BallProblem, A: np.ndarray) -> list:
-    """LU of A's block on each parity class of the axis reflections.
+def _class_factor(problem: BallProblem, A: np.ndarray) -> tuple:
+    """LU of A on the fully symmetric vectors, as ``(cols, sizes, lu)``.
 
-    Sign pattern sigma (bit k set: odd under x_k -> -x_k) holds the vectors
-    with u[g b] = chi(g) u[b], chi(g) = (-1)^|g & sigma|.  Its unknowns are
-    the orbit representatives off every odd axis (on such an axis the value
-    is zero); its block is B[a, b] = |orbit(b)| / 2^n * sum_g chi(g) A[a, g b],
-    gathered from a few rows of A at a time, one class at a time.  Each class
-    is returned as (nodes, cols, signs, orbit sizes, lu): the interior nodes
-    it reaches, the unknown of each and the character of its flip pattern.
+    Such a vector takes one value per orbit of ``BallProblem.orbits()``;
+    ``cols[a]`` is the orbit of interior node a and ``sizes`` the orbit
+    sizes.  The block is B[a, b] = sum of A[a, b'] over the nodes b' of
+    orbit b, for the representative rows a, gathered a few rows at a time.
     """
-    n = problem.p.n
-    patterns = np.arange(2 ** n)
-    rep, flips = problem.reflection_orbits()
-    orbit = np.bincount(rep, minlength=rep.size)
-    # image[b, g]: representative b reflected on the axes in g (g within its moving axes)
-    image = np.full((rep.size, patterns.size), -1)
-    image[rep, flips] = np.arange(rep.size)
-    # axes whose reflection moves a node: those where it sits off the centre
-    moving = (problem.offsets()[problem.interior_mask()] != 0) @ (1 << np.arange(n))
-    reps = np.flatnonzero(orbit)
-    factors = []
-    for sigma in patterns:
-        chi = np.array([(-1.0) ** bin(g & sigma).count("1") for g in patterns])
-        unknowns = reps[(moving[reps] & sigma) == sigma]
-        # images[g, b] = g b; a reflection acts on b as its part on b's moving axes
-        images = image[unknowns, patterns[:, None] & moving[unknowns]]
-        block = np.zeros((unknowns.size, unknowns.size), order="F")  # factored in place
-        for lo in range(0, unknowns.size, _ROW_BLOCK):
-            rows = A[unknowns[lo:lo + _ROW_BLOCK]]
-            for g in patterns:
-                block[lo:lo + _ROW_BLOCK] += chi[g] * rows[:, images[g]]
-        block *= orbit[unknowns] / patterns.size
-        try:
-            lu = scipy.linalg.lu_factor(block, overwrite_a=True)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularMatrixError(f"collocation matrix factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(lu[0])):
-            raise SingularMatrixError("parity block factorization produced non-finite factors")
-        col = np.full(rep.size, -1)
-        col[unknowns] = np.arange(unknowns.size)
-        nodes = np.flatnonzero(col[rep] >= 0)
-        factors.append((nodes, col[rep[nodes]], chi[flips[nodes]], orbit[unknowns], lu))
-    return factors
-
-
-def _parity_solve(factors: list, r: np.ndarray) -> np.ndarray:
-    """A^{-1} r class by class: signed orbit means in, block solve, signed scatter out."""
-    u = np.zeros_like(r)
-    for nodes, cols, signs, orbit, lu in factors:
-        r_class = np.bincount(cols, weights=signs * r[nodes], minlength=orbit.size) / orbit
-        u[nodes] += signs * scipy.linalg.lu_solve(lu, r_class)[cols]
-    return u
+    mask = problem.interior_mask()
+    reps, cols, sizes = np.unique(problem.orbits()[mask], return_inverse=True, return_counts=True)
+    interior_of = np.cumsum(mask) - 1
+    rows = interior_of[reps]
+    order = np.argsort(cols, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    block = np.empty((reps.size, reps.size), order="F")  # factored in place
+    for lo in range(0, reps.size, _ROW_BLOCK):
+        block[lo:lo + _ROW_BLOCK] = np.add.reduceat(
+            A[np.ix_(rows[lo:lo + _ROW_BLOCK], order)], starts, axis=1)
+    try:
+        lu = scipy.linalg.lu_factor(block, overwrite_a=True)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise SingularMatrixError(f"collocation matrix factorization failed: {exc}") from exc
+    if not np.all(np.isfinite(lu[0])):
+        raise SingularMatrixError("class block factorization produced non-finite factors")
+    return cols, sizes, lu
 
 
 def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
                  theta: float = 0.8, max_iter: int = 200, tol: float = 1e-8,
                  matrix: Optional[np.ndarray] = None) -> Solution:
-    """Damped Picard iteration u <- u + theta A^{-1} (f(u) - A u).
+    """Damped Picard iteration u <- u + theta A^{-1} (f(u) - A u) on the symmetric class.
 
-    A^{-1} is applied by parity class: the ball and the operator are
-    invariant under every axis reflection, so A splits into one block per
-    sign pattern of the n reflections, each LU-factored once (2^n blocks of
-    about N / 2^n unknowns instead of one N x N factorization).  The blocks
-    are gathered from ``matrix`` when given, which must be square over the
-    problem's interior nodes.  The residual f(u) - A u is always taken with
-    the full matrix, so a matrix without the reflection symmetry converges
-    more slowly or reports converged=False, never a wrong converged answer.
+    The ball and the operator are invariant under every signed axis
+    permutation, and f acts pointwise, so from u = 0 every iterate is fully
+    symmetric.  A^{-1} is applied on that class alone: the residual's
+    orbit means go through one LU of the class block (the representatives
+    of ``BallProblem.orbits()``, factored once) and the result is copied
+    back to every orbit member, so the returned values are exactly
+    symmetric.  The block is gathered from ``matrix`` when given, which
+    must be square over the problem's interior nodes.  The residual
+    f(u) - A u is always taken with the full matrix, so a matrix without
+    the symmetry reports converged=False, never a wrong converged answer.
     With theta = 1 and a constant right-hand side the first iterate is
     already the solution.  Non-convergence, including a residual that
     overflows to a non-finite value, returns the best iterate with
@@ -431,10 +403,10 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
         if A.shape != (n_int, n_int):
             raise DomainValidationError(
                 f"matrix of shape {A.shape} does not match the {n_int} interior nodes")
-        # the blocks read only the representatives' rows; the sum reaches every entry
+        # the block reads only the representatives' rows; the sum reaches every entry
         if not math.isfinite(float(A.sum())):
             raise SingularMatrixError("collocation matrix has non-finite entries")
-    factors = _parity_factors(problem, A)
+    cols, sizes, lu = _class_factor(problem, A)
 
     u = np.zeros(n_int)
     best_u, best_res = u.copy(), math.inf
@@ -449,7 +421,8 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
                 best_res, best_u = res_inf, u.copy()
             if res_inf <= tol or not math.isfinite(res_inf):
                 break
-            u = u + theta * _parity_solve(factors, residual)
+            r_class = np.bincount(cols, weights=residual) / sizes
+            u = u + theta * scipy.linalg.lu_solve(lu, r_class)[cols]
         rhs = problem.f.eval_extended(u)
         res_inf = float(np.max(np.abs(rhs - A @ u))) if n_int else 0.0
     if res_inf < best_res:

@@ -208,6 +208,19 @@ class TestMainExitCodes:
         ({"scenario": "solve-ball", "problem": {"h": 0}}, "problem.h"),
         ({"scenario": "solve-ball", "problem": {"h": -0.1}}, "problem.h"),
         ({"scenario": "moving-planes", "problem": {"h": float("nan")}}, "problem.h"),
+        ({"scenario": "solve-ball", "problem": {"points_per_axis": "x"}}, "points_per_axis"),
+        ({"scenario": "solve-ball", "problem": {"points_per_axis": 4}}, "points_per_axis"),
+        ({"scenario": "solve-ball", "problem": {"points_per_axis": 3}}, "points_per_axis"),
+        ({"scenario": "moving-planes", "problem": {"points_per_axis": 9.5}}, "points_per_axis"),
+        ({"scenario": "solve-ball", "problem": {"theta": "a"}}, "problem.theta"),
+        ({"scenario": "solve-ball", "problem": {"theta": 0}}, "problem.theta"),
+        ({"scenario": "solve-ball", "problem": {"theta": 1.5}}, "problem.theta"),
+        ({"scenario": "solve-ball", "problem": {"max_iter": 2.5}}, "problem.max_iter"),
+        ({"scenario": "solve-ball", "problem": {"max_iter": 0}}, "problem.max_iter"),
+        ({"scenario": "solve-ball", "problem": {"max_iter": True}}, "problem.max_iter"),
+        ({"scenario": "solve-ball", "problem": {"tol": "q"}}, "problem.tol"),
+        ({"scenario": "solve-ball", "problem": {"tol": -1e-8}}, "problem.tol"),
+        ({"scenario": "solve-ball", "problem": {"tol": float("inf")}}, "problem.tol"),
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Unit-ball Dirichlet solver against the closed-form torsion benchmark."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -14,10 +15,9 @@ from fracheat.quadrature import QuadratureScheme
 from fracheat.solver import (
     BallProblem,
     Solution,
+    _class_factor,
     _offset_table_1d,
     _offset_table_2d,
-    _parity_factors,
-    _parity_solve,
     assemble_dirichlet_matrix,
     nonlinearity_by_name,
     residual_field,
@@ -195,29 +195,42 @@ class TestSolve1D:
 
 
 class TestParitySolve:
+    """The solve on the one class it needs: vectors even under every signed axis permutation."""
+
     @pytest.mark.parametrize("n, K", [(1, 17), (1, 65), (2, 9), (2, 17), (2, 33)])
     def test_matches_dense_lu(self, n, K):
-        # right-hand sides with no symmetry reach every class, on-axis nodes included
+        # fully symmetric right-hand sides: one random value per orbit, on-axis nodes included
         prob = make_problem(K=K, n=n)
         A = assemble_dirichlet_matrix(prob, SCH)
-        factors = _parity_factors(prob, A)
-        assert sum(len(orbit) for *_, orbit, _ in factors) == A.shape[0]
+        cols, sizes, lu_class = _class_factor(prob, A)
         lu = scipy.linalg.lu_factor(A)
         rng = np.random.default_rng(K)
         for _ in range(3):
-            r = rng.standard_normal(A.shape[0])
+            r = rng.standard_normal(sizes.size)[cols]
             dense = scipy.linalg.lu_solve(lu, r)
-            rel = np.max(np.abs(_parity_solve(factors, r) - dense)) / np.max(np.abs(dense))
-            assert rel <= 1e-13
+            r_class = np.bincount(cols, weights=r) / sizes
+            one_class = scipy.linalg.lu_solve(lu_class, r_class)[cols]
+            assert np.max(np.abs(one_class - dense)) / np.max(np.abs(dense)) <= 1e-13
 
-    @pytest.mark.parametrize("n, K", [(1, 17), (2, 17)])
+    @pytest.mark.parametrize("n, K", [(1, 17), (2, 9), (2, 17)])
     def test_orbit_map(self, n, K):
         prob = make_problem(K=K, n=n)
-        rep, flips = prob.reflection_orbits()
-        nodes = prob.interior_nodes()
-        signs = np.where((flips[:, None] >> np.arange(n)) & 1, -1.0, 1.0)
-        assert np.array_equal(nodes, signs * nodes[rep])
-        assert np.all(nodes[rep] >= 0.0)
+        rep, off, mask = prob.orbits(), prob.offsets(), prob.interior_mask()
+        assert np.array_equal(off[rep], np.sort(np.abs(off), axis=1))
+        group = [(list(perm), np.array(signs)) for perm in itertools.permutations(range(n))
+                 for signs in itertools.product((-1, 1), repeat=n)]
+        assert len(group) == 2**n * math.factorial(n)
+        # every node is a signed axis permutation of its representative ...
+        images = np.stack([signs * off[rep][:, perm] for perm, signs in group])
+        assert np.all(np.any(np.all(images == off, axis=2), axis=0))
+        # ... and every signed axis permutation of a node has the same representative
+        for perm, signs in group:
+            moved = np.ravel_multi_index(tuple((signs * off[:, perm] + K // 2).T), prob.shape)
+            assert np.array_equal(rep[moved], rep)
+        assert np.all(mask[rep[mask]])
+        cols, sizes, _ = _class_factor(prob, assemble_dirichlet_matrix(prob, SCH))
+        assert sizes.sum() == np.count_nonzero(mask)
+        assert np.array_equal(np.bincount(cols), sizes)
 
     def test_blocks_come_from_the_supplied_matrix(self):
         prob = make_problem(K=17, n=2, f="one")
@@ -227,18 +240,33 @@ class TestParitySolve:
         assert a.converged and b.converged
         assert np.max(np.abs(2.0 * b.values - a.values)) <= 1e-13 * np.max(a.values)
 
-    @pytest.mark.parametrize("n, K", [(1, 33), (2, 17)])
-    def test_asymmetric_matrix_never_converges_wrongly(self, n, K):
+    @pytest.mark.parametrize("n, K, breaks", [
+        pytest.param(1, 33, "reflections", id="1-33"),
+        pytest.param(2, 17, "reflections", id="2-17"),
+        pytest.param(2, 17, "diagonal swap", id="2-17-swap"),
+    ])
+    def test_asymmetric_matrix_never_converges_wrongly(self, n, K, breaks):
         prob = make_problem(K=K, n=n, f="one-minus-half-u")
         A = assemble_dirichlet_matrix(prob, SCH)
         B = A.copy()
-        B[2, 9] += 0.5 * A[2, 2]  # breaks every reflection symmetry
+        if breaks == "reflections":
+            B[2, 9] += 0.5 * A[2, 2]  # breaks every reflection symmetry
+        else:
+            # heavier diagonal where |x1| > |x2|: every reflection keeps that set, the swap does not
+            mask = prob.interior_mask()
+            off = prob.offsets()[mask]
+            B[np.diag_indices_from(B)] *= np.where(np.abs(off[:, 0]) > np.abs(off[:, 1]), 1.5, 1.0)
+            interior_of = np.cumsum(mask) - 1
+            images = ((off * [-1, 1], True), (off * [1, -1], True), (off[:, ::-1], False))
+            for image, kept in images:
+                g = interior_of[np.ravel_multi_index(tuple((image + K // 2).T), prob.shape)]
+                assert np.array_equal(B[np.ix_(g, g)], B) == kept
         sol = solve_steady(prob, SCH, matrix=B)
-        if sol.converged:
-            true_res = np.max(np.abs(prob.f.eval_extended(sol.values) - B @ sol.values))
-            assert true_res <= 1e-8
-            assert sol.residual_inf == true_res
-            assert np.max(np.abs(sol.values - solve_steady(prob, SCH, matrix=A).values)) > 1e-6
+        # the iterate stays fully symmetric, which B's solution is not, and the
+        # reported residual is B's own, so the solve cannot report convergence
+        true_res = np.max(np.abs(prob.f.eval_extended(sol.values) - B @ sol.values))
+        assert sol.residual_inf == true_res
+        assert not sol.converged and true_res > 1e-8
 
     def test_peak_memory_below_half_the_matrix(self):
         prob = make_problem(K=65, n=2, f="one")
@@ -255,7 +283,7 @@ class TestParitySolve:
     def test_non_finite_matrix_rejected(self):
         prob = make_problem(K=17, n=2)
         A = assemble_dirichlet_matrix(prob, SCH)
-        A[0, -1] = np.nan  # a row no parity block reads
+        A[0, -1] = np.nan  # in a row the class block does not read
         with pytest.raises(SingularMatrixError):
             solve_steady(prob, SCH, matrix=A)
 
@@ -352,6 +380,6 @@ class TestTwoDimensions:
         prob = make_problem(K=17, n=2)
         sol = solve_steady(prob, SCH, theta=1.0)
         full = sol.full_values(prob)
-        assert np.max(np.abs(full - full.T)) <= 1e-12
-        assert np.max(np.abs(full - full[::-1, :])) <= 1e-12
-        assert np.max(np.abs(full - full[:, ::-1])) <= 1e-12
+        assert np.array_equal(full, full.T)
+        assert np.array_equal(full, full[::-1, :])
+        assert np.array_equal(full, full[:, ::-1])
