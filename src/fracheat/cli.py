@@ -18,11 +18,9 @@ import hashlib
 import json
 import math
 import numbers
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -164,6 +162,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
             data[key] = value
 
     _check_keys(data, _TOP_KEYS, "config")
+    _check_integer(data.get("n", 1), "n", 1)
+    _check_number(data.get("s", 0.5), "s")
+    _check_integer(data.get("seed", 12345), "seed", 0)
     if "scenario" not in data:
         raise ConfigError(f"missing required key 'scenario'; one of {SCENARIOS}")
     if data["scenario"] not in SCENARIOS:
@@ -202,8 +203,17 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
     )
     if not 0.0 < cfg.s < 1.0:
         raise ConfigError(f"s must lie in (0,1), got {cfg.s}")
-    if cfg.n < 1:
-        raise ConfigError(f"n must be a positive integer, got {cfg.n}")
+    # the integer minima are those QuadratureScheme and TorusGrid enforce
+    for sub, integers, smallest in (("scheme", ("nodes_per_decade", "hermite_order"), 4),
+                                    ("torus", ("N_x", "N_t"), 8)):
+        for key, value in getattr(cfg, sub).items():
+            if key in integers:
+                _check_integer(value, f"{sub}.{key}", smallest)
+            else:
+                _check_number(value, f"{sub}.{key}", positive=True)
+    x = cfg.point.get("x", [])
+    for value in [*(x if isinstance(x, (list, tuple)) else [x]), cfg.point.get("t", 0.0)]:
+        _check_number(value, "every entry of point")
     for key in ("lambdas", "r_list"):
         for value in getattr(cfg, key):
             _check_number(value, f"every entry of {key}")
@@ -276,25 +286,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _thread_count() -> int:
-    """The FRACHEAT_THREADS setting (default 1); a non-integer is a ConfigError."""
-    raw = os.environ.get("FRACHEAT_THREADS", "1") or "1"
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"FRACHEAT_THREADS must be an integer, got {raw!r}") from None
-
-
-def _pmap(fn, items):
-    """Order-preserving map, parallel when FRACHEAT_THREADS > 1."""
-    threads = _thread_count()
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_series(outdir: Path, name: str, columns, rows, cfg_hash: str, scenario: str) -> str:
     path = outdir / name
     lines = [f"# fracheat {scenario} config={cfg_hash} columns={','.join(columns)}"]
@@ -343,31 +334,24 @@ def _scenario_reduce_check(cfg: ScenarioConfig, rng):
     records = []
     rows = []
 
-    # draw all random instances up front so threading cannot reorder them
-    space_cases = [(random_space_bump(rng, cfg.n), rng.uniform(-0.5, 0.5, size=cfg.n))
-                   for _ in range(3)]
-    time_cases = [(random_time_field(rng), float(rng.uniform(-0.5, 0.5))) for _ in range(3)]
-
-    def space_case(case):
-        g, x0 = case
+    diffs = []
+    for _ in range(3):
+        g, x0 = random_space_bump(rng, cfg.n), rng.uniform(-0.5, 0.5, size=cfg.n)
         m = master_operator_pointwise(g.as_spacetime(), SpaceTimePoint(x0, 0.0), p, sch)
         l = fractional_laplacian_pointwise(g, x0, p, sch)
-        return abs(m.value - l.value), m.est_error + l.est_error
-
-    diffs = _pmap(space_case, space_cases)
+        diffs.append((abs(m.value - l.value), m.est_error + l.est_error))
     worst = max(d for d, _ in diffs)
     tol = min(t for _, t in diffs)
     records.append(CheckRecord("master-vs-laplacian", worst, tol, worst <= tol))
     rows.extend(("master-vs-laplacian", d, t) for d, t in diffs)
 
-    def time_case(case):
-        h, t0 = case
+    diffs = []
+    for _ in range(3):
+        h, t0 = random_time_field(rng), float(rng.uniform(-0.5, 0.5))
         m = master_operator_pointwise(h.as_spacetime(cfg.n), SpaceTimePoint([0.0] * cfg.n, t0),
                                       p, sch)
         ml = marchaud_left(h, t0, cfg.s, sch)
-        return abs(m.value - ml.value), m.est_error + ml.est_error
-
-    diffs = _pmap(time_case, time_cases)
+        diffs.append((abs(m.value - ml.value), m.est_error + ml.est_error))
     worst = max(d for d, _ in diffs)
     tol = min(t for _, t in diffs)
     records.append(CheckRecord("master-vs-marchaud", worst, tol, worst <= tol))
@@ -480,10 +464,8 @@ def _scenario_moving_planes(cfg: ScenarioConfig, rng):
 
     # sweep every axis orientation; the primary (+x1) run feeds the CSV
     directions = [sgn * e for e in np.eye(problem.p.n) for sgn in (1.0, -1.0)]
-    reports = _pmap(
-        lambda e: narrow_region_check(problem, full, lams, direction=e, tol_geom=tol_geom),
-        directions,
-    )
+    reports = [narrow_region_check(problem, full, lams, direction=e, tol_geom=tol_geom)
+               for e in directions]
     all_pass = all(rep.passed for rep in reports)
     primary = reports[0]
     lambda_star = min(rep.lambda_star for rep in reports)
@@ -596,7 +578,6 @@ def main(argv=None) -> int:
     }
     try:
         cfg = parse_config(args.config, overrides)
-        _thread_count()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

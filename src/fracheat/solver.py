@@ -32,9 +32,10 @@ gather ``table[node_b - node_a]`` over the interior nodes:
 Both tables are invariant under every signed axis permutation of the
 lattice, and so is the ball, so the matrix commutes with that group and
 Picard, started from zero, never leaves its fully symmetric vectors.
-``solve_steady`` therefore solves on that one class: its unknowns are the
-orbit representatives of ``BallProblem.orbits()`` (about N / 8 at n = 2),
-factored once.  Its Picard residual still uses the full matrix.
+``solve_steady`` therefore iterates on one value per orbit of
+``BallProblem.orbits()`` (M of them, about N / 8 at n = 2) with the N x M
+operator whose column b sums the matrix columns of orbit b, gathered from
+the offset table a few rows at a time: the dense matrix is never formed.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .fields import SpaceField, ZERO_BALL
 from .quadrature import QuadratureScheme, fractional_laplacian_pointwise
 
 _GL12 = np.polynomial.legendre.leggauss(12)
-_ROW_BLOCK = 16  # rows per gather of the matrix and its class block; small blocks stay in cache
+_ROW_BLOCK = 16  # rows per gather of the matrix and its class operator; small blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -325,12 +326,12 @@ def _offset_table_2d(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
     return table
 
 
-def assemble_dirichlet_matrix(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
-    """Dense collocation matrix of (-Laplacian)^s over the interior nodes.
+def _table_rows(problem: BallProblem, sch: QuadratureScheme):
+    """The collocation matrix over the interior nodes, as ``(lo, rows)`` blocks.
 
     Entry (a, b) is ``table[node_b - node_a]`` of the dimension's offset
-    table; the gather runs in blocks of rows so no index array grows to
-    the size of the matrix.
+    table; each block holds ``_ROW_BLOCK`` rows starting at row ``lo``, so
+    no index array grows to the size of the matrix.
     """
     table = (_offset_table_1d if problem.p.n == 1 else _offset_table_2d)(problem, sch)
     grid_idx = np.unravel_index(np.flatnonzero(problem.interior_mask()), problem.shape)
@@ -339,38 +340,44 @@ def assemble_dirichlet_matrix(problem: BallProblem, sch: QuadratureScheme) -> np
     pos = np.ravel_multi_index(grid_idx, table.shape)
     centre = np.ravel_multi_index(tuple(d // 2 for d in table.shape), table.shape)
     flat_table = table.ravel()
-    mat = np.empty((pos.size, pos.size))
     for lo in range(0, pos.size, _ROW_BLOCK):
-        rows = pos[lo:lo + _ROW_BLOCK]
-        mat[lo:lo + _ROW_BLOCK] = flat_table[pos[None, :] - rows[:, None] + centre]
+        yield lo, flat_table[pos[None, :] - pos[lo:lo + _ROW_BLOCK, None] + centre]
+
+
+def assemble_dirichlet_matrix(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
+    """Dense collocation matrix of (-Laplacian)^s over the interior nodes.
+
+    The blocks of ``_table_rows`` stacked; ``solve_steady`` does not need it.
+    """
+    n_int = int(np.count_nonzero(problem.interior_mask()))
+    mat = np.empty((n_int, n_int))
+    for lo, rows in _table_rows(problem, sch):
+        mat[lo:lo + len(rows)] = rows
     return mat
 
 
-def _class_factor(problem: BallProblem, A: np.ndarray) -> tuple:
-    """LU of A on the fully symmetric vectors, as ``(cols, sizes, lu)``.
+def _reduced_operator(problem: BallProblem, sch: QuadratureScheme,
+                      matrix: Optional[np.ndarray] = None) -> tuple:
+    """The operator on fully symmetric vectors, as ``(C, cols, rows)``.
 
-    Such a vector takes one value per orbit of ``BallProblem.orbits()``;
-    ``cols[a]`` is the orbit of interior node a and ``sizes`` the orbit
-    sizes.  The block is B[a, b] = sum of A[a, b'] over the nodes b' of
-    orbit b, for the representative rows a, gathered a few rows at a time.
+    Such a vector is v[cols], one value v[b] per orbit b of
+    ``BallProblem.orbits()``.  C[a, b] sums the matrix entries (a, b') over
+    the nodes b' of orbit b, so C @ v is the matrix times v[cols];
+    ``rows`` are the representatives' rows, where C is square.  The matrix
+    rows come from ``matrix`` when given, else from the offset table.
     """
     mask = problem.interior_mask()
-    reps, cols, sizes = np.unique(problem.orbits()[mask], return_inverse=True, return_counts=True)
-    interior_of = np.cumsum(mask) - 1
-    rows = interior_of[reps]
+    reps, cols = np.unique(problem.orbits()[mask], return_inverse=True)
     order = np.argsort(cols, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    block = np.empty((reps.size, reps.size), order="F")  # factored in place
-    for lo in range(0, reps.size, _ROW_BLOCK):
-        block[lo:lo + _ROW_BLOCK] = np.add.reduceat(
-            A[np.ix_(rows[lo:lo + _ROW_BLOCK], order)], starts, axis=1)
-    try:
-        lu = scipy.linalg.lu_factor(block, overwrite_a=True)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularMatrixError(f"collocation matrix factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(lu[0])):
-        raise SingularMatrixError("class block factorization produced non-finite factors")
-    return cols, sizes, lu
+    starts = np.searchsorted(cols[order], np.arange(reps.size))
+    if matrix is None:
+        blocks = _table_rows(problem, sch)
+    else:
+        blocks = ((lo, matrix[lo:lo + _ROW_BLOCK]) for lo in range(0, len(matrix), _ROW_BLOCK))
+    C = np.empty((cols.size, reps.size))
+    for lo, rows in blocks:
+        C[lo:lo + len(rows)] = np.add.reduceat(rows[:, order], starts, axis=1)
+    return C, cols, (np.cumsum(mask) - 1)[reps]
 
 
 def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
@@ -379,60 +386,56 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
     """Damped Picard iteration u <- u + theta A^{-1} (f(u) - A u) on the symmetric class.
 
     The ball and the operator are invariant under every signed axis
-    permutation, and f acts pointwise, so from u = 0 every iterate is fully
-    symmetric.  A^{-1} is applied on that class alone: the residual's
-    orbit means go through one LU of the class block (the representatives
-    of ``BallProblem.orbits()``, factored once) and the result is copied
-    back to every orbit member, so the returned values are exactly
-    symmetric.  The block is gathered from ``matrix`` when given, which
-    must be square over the problem's interior nodes.  The residual
-    f(u) - A u is always taken with the full matrix, so a matrix without
-    the symmetry reports converged=False, never a wrong converged answer.
-    With theta = 1 and a constant right-hand side the first iterate is
+    permutation, and f acts pointwise, so from u = 0 every iterate is
+    v[cols] for a class vector v.  Each step takes the residual
+    f(v[cols]) - C v of ``_reduced_operator`` on all interior rows and
+    solves its representatives' rows by the LU of C there, so the values
+    are exactly symmetric.  C comes from ``matrix`` when given (square over
+    the interior nodes), else from the offset table.  The residual covers
+    every row, so a matrix without the symmetry reports converged=False,
+    never a wrong converged answer.  With theta = 1 and a constant right-hand side the first iterate is
     already the solution.  Non-convergence, including a residual that
     overflows to a non-finite value, returns the best iterate with
     converged=False; positivity_ok refers to that returned iterate.
     """
     if not 0.0 < theta <= 1.0:
         raise DomainValidationError("damping theta must lie in (0, 1]")
-    n_int = int(np.count_nonzero(problem.interior_mask()))
-    if matrix is None:
-        A = assemble_dirichlet_matrix(problem, sch or QuadratureScheme())
-    else:
-        A = np.asarray(matrix, dtype=float)
-        if A.shape != (n_int, n_int):
+    if matrix is not None:
+        matrix = np.asarray(matrix, dtype=float)
+        n_int = int(np.count_nonzero(problem.interior_mask()))
+        if matrix.shape != (n_int, n_int):
             raise DomainValidationError(
-                f"matrix of shape {A.shape} does not match the {n_int} interior nodes")
-        # the block reads only the representatives' rows; the sum reaches every entry
-        if not math.isfinite(float(A.sum())):
-            raise SingularMatrixError("collocation matrix has non-finite entries")
-    cols, sizes, lu = _class_factor(problem, A)
+                f"matrix of shape {matrix.shape} does not match the {n_int} interior nodes")
+    C, cols, rows = _reduced_operator(problem, sch or QuadratureScheme(), matrix)
+    # each entry of the matrix enters one entry of C, so a non-finite one shows here
+    if not np.all(np.isfinite(C)):
+        raise SingularMatrixError("collocation matrix has non-finite entries")
+    lu = scipy.linalg.lu_factor(C[rows], overwrite_a=True)
+    if not np.all(np.isfinite(lu[0])):
+        raise SingularMatrixError("class block factorization produced non-finite factors")
 
-    u = np.zeros(n_int)
-    best_u, best_res = u.copy(), math.inf
+    v = np.zeros(rows.size)
+    best_v, best_res = v, math.inf
     iterations = 0
     # a diverging iteration overflows; the non-finite residual ends it quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
-            rhs = problem.f.eval_extended(u)
-            residual = rhs - A @ u
-            res_inf = float(np.max(np.abs(residual))) if n_int else 0.0
+            residual = problem.f.eval_extended(v[cols]) - C @ v
+            res_inf = float(np.max(np.abs(residual)))
             if res_inf < best_res:
-                best_res, best_u = res_inf, u.copy()
+                best_res, best_v = res_inf, v
             if res_inf <= tol or not math.isfinite(res_inf):
                 break
-            r_class = np.bincount(cols, weights=residual) / sizes
-            u = u + theta * scipy.linalg.lu_solve(lu, r_class)[cols]
-        rhs = problem.f.eval_extended(u)
-        res_inf = float(np.max(np.abs(rhs - A @ u))) if n_int else 0.0
+            v = v + theta * scipy.linalg.lu_solve(lu, residual[rows])
+        res_inf = float(np.max(np.abs(problem.f.eval_extended(v[cols]) - C @ v)))
     if res_inf < best_res:
-        best_res, best_u = res_inf, u
-    converged = best_res <= tol
+        best_res, best_v = res_inf, v
+    best_u = best_v[cols]
     return Solution(
         values=best_u,
         residual_inf=best_res,
         iterations=iterations,
-        converged=converged,
+        converged=best_res <= tol,
         positivity_ok=bool(np.all(best_u >= 0.0)),
         hypothesis_ok=problem.f.hypothesis_ok,
     )

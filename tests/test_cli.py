@@ -221,6 +221,24 @@ class TestMainExitCodes:
         ({"scenario": "solve-ball", "problem": {"tol": "q"}}, "problem.tol"),
         ({"scenario": "solve-ball", "problem": {"tol": -1e-8}}, "problem.tol"),
         ({"scenario": "solve-ball", "problem": {"tol": float("inf")}}, "problem.tol"),
+        ({"scenario": "liouville", "n": "x"}, "n must"),
+        ({"scenario": "liouville", "n": 2.5}, "n must"),
+        ({"scenario": "liouville", "n": True}, "n must"),
+        ({"scenario": "liouville", "n": 0}, "n must"),
+        ({"scenario": "liouville", "s": "a"}, "s must"),
+        ({"scenario": "liouville", "s": float("nan")}, "s must"),
+        ({"scenario": "liouville", "seed": "q"}, "seed"),
+        ({"scenario": "liouville", "seed": -1}, "seed"),
+        ({"scenario": "liouville", "torus": {"N_x": "a"}}, "torus.N_x"),
+        ({"scenario": "liouville", "torus": {"N_t": 16.5}}, "torus.N_t"),
+        ({"scenario": "liouville", "torus": {"L_x": 0}}, "torus.L_x"),
+        ({"scenario": "eval", "field": "gaussian-bump", "scheme": {"nodes_per_decade": "x"}},
+         "scheme.nodes_per_decade"),
+        ({"scenario": "eval", "field": "gaussian-bump", "scheme": {"hermite_order": 20.5}},
+         "scheme.hermite_order"),
+        ({"scenario": "eval", "field": "gaussian-bump", "scheme": {"r_max": "x"}}, "scheme.r_max"),
+        ({"scenario": "eval", "field": "gaussian-bump", "point": {"x": ["a"], "t": 0.0}}, "point"),
+        ({"scenario": "eval", "field": "gaussian-bump", "point": {"x": [0.0], "t": "z"}}, "point"),
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.json"
@@ -241,12 +259,6 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "d")])
         assert code == 3
         assert "error" in capsys.readouterr().err
-
-    def test_malformed_thread_count_is_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FRACHEAT_THREADS", "two")
-        assert main(["liouville", "--out", str(tmp_path / "e")]) == 2
-        assert "FRACHEAT_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "e").exists()
 
 
 def test_report_json_lists_the_returned_artifacts(tmp_path):
@@ -275,11 +287,3 @@ class TestDeterminism:
     def test_liouville_byte_identical(self, tmp_path):
         a, b = self._run_twice({"scenario": "liouville", "seed": 99}, tmp_path)
         assert a == b and a
-
-    def test_thread_cap_preserves_results(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "serial"
-        run_scenario(ScenarioConfig(scenario="reduce-check", seed=3, output_dir=str(out1)))
-        monkeypatch.setenv("FRACHEAT_THREADS", "4")
-        out2 = tmp_path / "threaded"
-        run_scenario(ScenarioConfig(scenario="reduce-check", seed=3, output_dir=str(out2)))
-        assert (out1 / "reduce_check.csv").read_bytes() == (out2 / "reduce_check.csv").read_bytes()

@@ -15,9 +15,9 @@ from fracheat.quadrature import QuadratureScheme
 from fracheat.solver import (
     BallProblem,
     Solution,
-    _class_factor,
     _offset_table_1d,
     _offset_table_2d,
+    _reduced_operator,
     assemble_dirichlet_matrix,
     nonlinearity_by_name,
     residual_field,
@@ -124,6 +124,8 @@ class TestAssembly1D:
         with pytest.raises(GridCoarseError):
             assemble_dirichlet_matrix(make_problem(K=5),
                                       QuadratureScheme(target_tol=1e-9))
+        with pytest.raises(GridCoarseError):
+            solve_steady(make_problem(K=5), QuadratureScheme(target_tol=1e-9))
 
 
 @pytest.mark.parametrize("n, K", [(1, 17), (2, 9)])
@@ -202,14 +204,14 @@ class TestParitySolve:
         # fully symmetric right-hand sides: one random value per orbit, on-axis nodes included
         prob = make_problem(K=K, n=n)
         A = assemble_dirichlet_matrix(prob, SCH)
-        cols, sizes, lu_class = _class_factor(prob, A)
+        C, cols, rows = _reduced_operator(prob, SCH)
+        lu_class = scipy.linalg.lu_factor(C[rows])
         lu = scipy.linalg.lu_factor(A)
         rng = np.random.default_rng(K)
         for _ in range(3):
-            r = rng.standard_normal(sizes.size)[cols]
+            r = rng.standard_normal(rows.size)[cols]
             dense = scipy.linalg.lu_solve(lu, r)
-            r_class = np.bincount(cols, weights=r) / sizes
-            one_class = scipy.linalg.lu_solve(lu_class, r_class)[cols]
+            one_class = scipy.linalg.lu_solve(lu_class, r[rows])[cols]
             assert np.max(np.abs(one_class - dense)) / np.max(np.abs(dense)) <= 1e-13
 
     @pytest.mark.parametrize("n, K", [(1, 17), (2, 9), (2, 17)])
@@ -228,9 +230,31 @@ class TestParitySolve:
             moved = np.ravel_multi_index(tuple((signs * off[:, perm] + K // 2).T), prob.shape)
             assert np.array_equal(rep[moved], rep)
         assert np.all(mask[rep[mask]])
-        cols, sizes, _ = _class_factor(prob, assemble_dirichlet_matrix(prob, SCH))
-        assert sizes.sum() == np.count_nonzero(mask)
-        assert np.array_equal(np.bincount(cols), sizes)
+        # the reduced operator has one column per orbit, and its square rows are the representatives'
+        C, cols, rows = _reduced_operator(prob, SCH)
+        interior = np.flatnonzero(mask)
+        assert C.shape == (interior.size, np.unique(rep[mask]).size)
+        assert np.array_equal(interior[rows][cols], rep[mask])
+        assert np.array_equal(cols[rows], np.arange(rows.size))
+
+    @pytest.mark.parametrize("n, K", [(1, 17), (2, 9), (2, 17), (2, 33)])
+    def test_reduced_operator_from_table_is_the_matrix_reduced(self, n, K):
+        prob = make_problem(K=K, n=n)
+        from_table = _reduced_operator(prob, SCH)
+        from_matrix = _reduced_operator(prob, SCH, assemble_dirichlet_matrix(prob, SCH))
+        for a, b in zip(from_table, from_matrix):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n, K", [(1, 17), (1, 65), (2, 9), (2, 17), (2, 33)])
+    def test_reduced_operator_applies_the_matrix(self, n, K):
+        prob = make_problem(K=K, n=n)
+        A = assemble_dirichlet_matrix(prob, SCH)
+        C, cols, rows = _reduced_operator(prob, SCH)
+        rng = np.random.default_rng(K)
+        for _ in range(3):
+            v = rng.standard_normal(rows.size)
+            dense = A @ v[cols]
+            assert np.max(np.abs(C @ v - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_blocks_come_from_the_supplied_matrix(self):
         prob = make_problem(K=17, n=2, f="one")
@@ -239,6 +263,14 @@ class TestParitySolve:
         b = solve_steady(prob, SCH, theta=1.0, matrix=2.0 * A)
         assert a.converged and b.converged
         assert np.max(np.abs(2.0 * b.values - a.values)) <= 1e-13 * np.max(a.values)
+
+    @pytest.mark.parametrize("n, K, f", [(1, 33, "one"), (2, 17, "one-minus-half-u")])
+    def test_supplied_matrix_gives_the_same_bits(self, n, K, f):
+        prob = make_problem(K=K, n=n, f=f)
+        a = solve_steady(prob, SCH)
+        b = solve_steady(prob, SCH, matrix=assemble_dirichlet_matrix(prob, SCH))
+        assert np.array_equal(a.values, b.values)
+        assert (a.residual_inf, a.iterations) == (b.residual_inf, b.iterations)
 
     @pytest.mark.parametrize("n, K, breaks", [
         pytest.param(1, 33, "reflections", id="1-33"),
@@ -280,10 +312,22 @@ class TestParitySolve:
         assert sol.converged
         assert peak < 0.5 * A.nbytes
 
+    def test_no_matrix_is_formed_without_one(self):
+        prob = make_problem(K=65, n=2, f="one")
+        n_int = int(np.count_nonzero(prob.interior_mask()))
+        tracemalloc.start()
+        try:
+            sol = solve_steady(prob, SCH)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 0.25 * n_int * n_int * 8
+
     def test_non_finite_matrix_rejected(self):
         prob = make_problem(K=17, n=2)
         A = assemble_dirichlet_matrix(prob, SCH)
-        A[0, -1] = np.nan  # in a row the class block does not read
+        A[0, -1] = np.nan  # in a row that is not a representative's
         with pytest.raises(SingularMatrixError):
             solve_steady(prob, SCH, matrix=A)
 
