@@ -410,17 +410,15 @@ def _ball_problem(cfg: ScenarioConfig) -> BallProblem:
 def _scenario_solve_ball(cfg: ScenarioConfig, rng):
     sch = cfg.quadrature_scheme()
     problem = _ball_problem(cfg)
-    sol = solve_steady(problem, sch,
-                       theta=float(cfg.problem.get("theta", 0.8)),
-                       max_iter=int(cfg.problem.get("max_iter", 200)),
-                       tol=float(cfg.problem.get("tol", 1e-8)))
+    tol = float(cfg.problem.get("tol", 1e-8))
+    sol = solve_steady(problem, sch, theta=float(cfg.problem.get("theta", 0.8)),
+                       max_iter=int(cfg.problem.get("max_iter", 200)), tol=tol)
     full = sol.full_values(problem)
     sym = symmetry_and_monotonicity_report(problem, full)
     records = [
         CheckRecord("converged", float(sol.converged), 1.0, sol.converged),
         CheckRecord("iterations", float(sol.iterations), math.inf, True),
-        CheckRecord("residual-inf", sol.residual_inf, float(cfg.problem.get("tol", 1e-8)),
-                    sol.residual_inf <= float(cfg.problem.get("tol", 1e-8))),
+        CheckRecord("residual-inf", sol.residual_inf, tol, sol.residual_inf <= tol),
         CheckRecord("symmetry-defect", sym.symmetry_defect, 1e-12,
                     sym.symmetry_defect <= 1e-12),
         CheckRecord("monotonicity-violations", float(sym.monotonicity_violations), 0.0,
@@ -441,6 +439,7 @@ def _scenario_moving_planes(cfg: ScenarioConfig, rng):
     sch = cfg.quadrature_scheme()
     problem = _ball_problem(cfg)
     field_name = cfg.field.get("name", "")
+    solved = []
     if field_name:
         fld = build_field(field_name, problem.p.n, cfg.s, cfg.field.get("params"), rng)
         # a generator of its own, as in eval, so the CSV bytes stay as they were
@@ -450,11 +449,10 @@ def _scenario_moving_planes(cfg: ScenarioConfig, rng):
         disc_est = 1e-3
     else:
         sol = solve_steady(problem, sch, theta=1.0)
+        solved = [CheckRecord("converged", float(sol.converged), 1.0, sol.converged)]
         full = sol.full_values(problem)
         n_int = len(sol.values)
-        subset = None
-        if n_int > 64:
-            subset = np.linspace(0, n_int - 1, 64).astype(int)
+        subset = np.linspace(0, n_int - 1, 64).astype(int) if n_int > 64 else None
         res = residual_field(problem, sol, sch, node_subset=subset)
         disc_est = float(np.median(res))
     h = problem.h
@@ -471,7 +469,7 @@ def _scenario_moving_planes(cfg: ScenarioConfig, rng):
     lambda_star = min(rep.lambda_star for rep in reports)
     rows = [(r.lam, r.min_w) for r in primary.records]
     sym = symmetry_and_monotonicity_report(problem, full, tol_geom=tol_geom)
-    records = [
+    records = solved + [
         CheckRecord("all-lambdas-pass", float(all_pass), 1.0, all_pass),
         CheckRecord("lambda-star", lambda_star, -h, lambda_star >= -h - 1e-12),
         CheckRecord("symmetry-defect", sym.symmetry_defect, tol_geom,

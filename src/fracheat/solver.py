@@ -33,9 +33,9 @@ Both tables are invariant under every signed axis permutation of the
 lattice, and so is the ball, so the matrix commutes with that group and
 Picard, started from zero, never leaves its fully symmetric vectors.
 ``solve_steady`` therefore iterates on one value per orbit of
-``BallProblem.orbits()`` (M of them, about N / 8 at n = 2) with the N x M
-operator whose column b sums the matrix columns of orbit b, gathered from
-the offset table a few rows at a time: the dense matrix is never formed.
+``BallProblem.orbits()`` (M of them, about N / 8 at n = 2) with the M x M
+class block summed from the representatives' rows of the offset table,
+then checks every row in one streamed pass: no N x N or N x M array forms.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .fields import SpaceField, ZERO_BALL
 from .quadrature import QuadratureScheme, fractional_laplacian_pointwise
 
 _GL12 = np.polynomial.legendre.leggauss(12)
-_ROW_BLOCK = 16  # rows per gather of the matrix and its class operator; small blocks stay in cache
+_ROW_BLOCK = 16  # rows per gather of the matrix; small blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -326,12 +326,11 @@ def _offset_table_2d(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
     return table
 
 
-def _table_rows(problem: BallProblem, sch: QuadratureScheme):
-    """The collocation matrix over the interior nodes, as ``(lo, rows)`` blocks.
+def _table_rows(problem: BallProblem, sch: QuadratureScheme) -> Callable:
+    """The collocation matrix over the interior nodes, as a function ``rows -> block``.
 
-    Entry (a, b) is ``table[node_b - node_a]`` of the dimension's offset
-    table; each block holds ``_ROW_BLOCK`` rows starting at row ``lo``, so
-    no index array grows to the size of the matrix.
+    ``rows`` (index array or slice) picks the interior rows gathered; entry
+    (a, b) is ``table[node_b - node_a]`` of the dimension's offset table.
     """
     table = (_offset_table_1d if problem.p.n == 1 else _offset_table_2d)(problem, sch)
     grid_idx = np.unravel_index(np.flatnonzero(problem.interior_mask()), problem.shape)
@@ -340,44 +339,40 @@ def _table_rows(problem: BallProblem, sch: QuadratureScheme):
     pos = np.ravel_multi_index(grid_idx, table.shape)
     centre = np.ravel_multi_index(tuple(d // 2 for d in table.shape), table.shape)
     flat_table = table.ravel()
-    for lo in range(0, pos.size, _ROW_BLOCK):
-        yield lo, flat_table[pos[None, :] - pos[lo:lo + _ROW_BLOCK, None] + centre]
+    return lambda rows: flat_table[pos[None, :] - pos[rows, None] + centre]
 
 
 def assemble_dirichlet_matrix(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
     """Dense collocation matrix of (-Laplacian)^s over the interior nodes.
 
-    The blocks of ``_table_rows`` stacked; ``solve_steady`` does not need it.
+    The rows of ``_table_rows`` stacked; ``solve_steady`` does not need it.
     """
     n_int = int(np.count_nonzero(problem.interior_mask()))
+    rows_of = _table_rows(problem, sch)
     mat = np.empty((n_int, n_int))
-    for lo, rows in _table_rows(problem, sch):
-        mat[lo:lo + len(rows)] = rows
+    for lo in range(0, n_int, _ROW_BLOCK):
+        mat[lo:lo + _ROW_BLOCK] = rows_of(slice(lo, lo + _ROW_BLOCK))
     return mat
 
 
-def _reduced_operator(problem: BallProblem, sch: QuadratureScheme,
-                      matrix: Optional[np.ndarray] = None) -> tuple:
-    """The operator on fully symmetric vectors, as ``(C, cols, rows)``.
+def _class_block(problem: BallProblem, rows_of: Callable) -> tuple:
+    """The operator reduced to fully symmetric vectors: the class block, as ``(B, cols, rows)``.
 
-    Such a vector is v[cols], one value v[b] per orbit b of
-    ``BallProblem.orbits()``.  C[a, b] sums the matrix entries (a, b') over
-    the nodes b' of orbit b, so C @ v is the matrix times v[cols];
-    ``rows`` are the representatives' rows, where C is square.  The matrix
-    rows come from ``matrix`` when given, else from the offset table.
+    Such a vector is v[cols], one value per orbit of ``BallProblem.orbits()``;
+    ``rows`` are the representatives' interior rows.  B[a, b] sums row
+    rows[a] of the matrix A, read through ``rows_of``, over the nodes of
+    orbit b, so B @ v = (A @ v[cols])[rows] when A has the symmetry.
     """
     mask = problem.interior_mask()
     reps, cols = np.unique(problem.orbits()[mask], return_inverse=True)
+    rows = (np.cumsum(mask) - 1)[reps]
     order = np.argsort(cols, kind="stable")
     starts = np.searchsorted(cols[order], np.arange(reps.size))
-    if matrix is None:
-        blocks = _table_rows(problem, sch)
-    else:
-        blocks = ((lo, matrix[lo:lo + _ROW_BLOCK]) for lo in range(0, len(matrix), _ROW_BLOCK))
-    C = np.empty((cols.size, reps.size))
-    for lo, rows in blocks:
-        C[lo:lo + len(rows)] = np.add.reduceat(rows[:, order], starts, axis=1)
-    return C, cols, (np.cumsum(mask) - 1)[reps]
+    B = np.empty((reps.size, reps.size))
+    for lo in range(0, reps.size, _ROW_BLOCK):
+        B[lo:lo + _ROW_BLOCK] = np.add.reduceat(
+            rows_of(rows[lo:lo + _ROW_BLOCK])[:, order], starts, axis=1)
+    return B, cols, rows
 
 
 def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
@@ -387,32 +382,31 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
 
     The ball and the operator are invariant under every signed axis
     permutation, and f acts pointwise, so from u = 0 every iterate is
-    v[cols] for a class vector v.  Each step takes the residual
-    f(v[cols]) - C v of ``_reduced_operator`` on all interior rows and
-    solves its representatives' rows by the LU of C there, so the values
-    are exactly symmetric.  C comes from ``matrix`` when given (square over
-    the interior nodes), else from the offset table.  The residual covers
-    every row, so a matrix without the symmetry reports converged=False,
-    never a wrong converged answer.  With theta = 1 and a constant right-hand side the first iterate is
-    already the solution.  Non-convergence, including a residual that
-    overflows to a non-finite value, returns the best iterate with
-    converged=False; positivity_ok refers to that returned iterate.
+    u = v[cols] for a class vector v.  The iteration runs on v alone with
+    the LU of the M x M class block B of ``_class_block``, so the values
+    are exactly symmetric.  The matrix rows come from ``matrix`` when given
+    (square over the interior nodes), else from the offset table.  One
+    pass over every interior row then gives ``residual_inf`` =
+    max |f(u) - A u| and raises ``SingularMatrixError`` on a non-finite
+    entry, so a matrix without the symmetry reports converged=False, never
+    a wrong converged answer.  With theta = 1 and a constant right-hand
+    side the first iterate is already the solution.  Non-convergence,
+    including a residual that overflows, returns the iterate of least class
+    residual with converged=False; positivity_ok refers to that iterate.
     """
     if not 0.0 < theta <= 1.0:
         raise DomainValidationError("damping theta must lie in (0, 1]")
-    if matrix is not None:
-        matrix = np.asarray(matrix, dtype=float)
-        n_int = int(np.count_nonzero(problem.interior_mask()))
-        if matrix.shape != (n_int, n_int):
-            raise DomainValidationError(
-                f"matrix of shape {matrix.shape} does not match the {n_int} interior nodes")
-    C, cols, rows = _reduced_operator(problem, sch or QuadratureScheme(), matrix)
-    # each entry of the matrix enters one entry of C, so a non-finite one shows here
-    if not np.all(np.isfinite(C)):
-        raise SingularMatrixError("collocation matrix has non-finite entries")
-    lu = scipy.linalg.lu_factor(C[rows], overwrite_a=True)
+    n_int = int(np.count_nonzero(problem.interior_mask()))
+    if matrix is not None and np.shape(matrix) != (n_int, n_int):
+        raise DomainValidationError(
+            f"matrix of shape {np.shape(matrix)} does not match the {n_int} interior nodes")
+    rows_of = (_table_rows(problem, sch or QuadratureScheme()) if matrix is None
+               else np.asarray(matrix, dtype=float).__getitem__)
+    B, cols, rows = _class_block(problem, rows_of)
+    # a non-finite entry of B carries into its factors
+    lu = scipy.linalg.lu_factor(B, overwrite_a=True, check_finite=False)
     if not np.all(np.isfinite(lu[0])):
-        raise SingularMatrixError("class block factorization produced non-finite factors")
+        raise SingularMatrixError("class block or its factors have non-finite entries")
 
     v = np.zeros(rows.size)
     best_v, best_res = v, math.inf
@@ -420,23 +414,30 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
     # a diverging iteration overflows; the non-finite residual ends it quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
-            residual = problem.f.eval_extended(v[cols]) - C @ v
+            residual = problem.f.eval_extended(v) - B @ v
             res_inf = float(np.max(np.abs(residual)))
             if res_inf < best_res:
                 best_res, best_v = res_inf, v
             if res_inf <= tol or not math.isfinite(res_inf):
                 break
-            v = v + theta * scipy.linalg.lu_solve(lu, residual[rows])
-        res_inf = float(np.max(np.abs(problem.f.eval_extended(v[cols]) - C @ v)))
-    if res_inf < best_res:
-        best_res, best_v = res_inf, v
-    best_u = best_v[cols]
+            v = v + theta * scipy.linalg.lu_solve(lu, residual)
+        if float(np.max(np.abs(problem.f.eval_extended(v) - B @ v))) < best_res:
+            best_v = v
+        u = best_v[cols]
+        # every row once: a row outside the class block shows an asymmetric or non-finite matrix
+        Au = np.empty(n_int)
+        for lo in range(0, n_int, _ROW_BLOCK):
+            block = rows_of(slice(lo, lo + _ROW_BLOCK))
+            Au[lo:lo + _ROW_BLOCK] = block @ u
+            if not np.all(np.isfinite(Au[lo:lo + _ROW_BLOCK])) and not np.all(np.isfinite(block)):
+                raise SingularMatrixError("collocation matrix has non-finite entries")
+        residual_inf = float(np.max(np.abs(problem.f.eval_extended(u) - Au)))
     return Solution(
-        values=best_u,
-        residual_inf=best_res,
+        values=u,
+        residual_inf=residual_inf,
         iterations=iterations,
-        converged=best_res <= tol,
-        positivity_ok=bool(np.all(best_u >= 0.0)),
+        converged=residual_inf <= tol,
+        positivity_ok=bool(np.all(u >= 0.0)),
         hypothesis_ok=problem.f.hypothesis_ok,
     )
 

@@ -200,6 +200,15 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "c")])
         assert code == 1
 
+    def test_moving_planes_fails_when_its_solve_diverges(self, tmp_path, capsys):
+        # f(u) = 1 + 5u has no bounded fixed point the undamped iteration reaches
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"scenario": "moving-planes", "problem": {
+            "h": 0.0625, "f": "custom-polynomial", "coeffs": [1, 5]}}))
+        code = main(["moving-planes", "--config", str(cfg_file), "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert "[FAIL] converged" in capsys.readouterr().out
+
     @pytest.mark.parametrize("config, message", [
         ({"scenario": "moving-planes", "lambdas": [float("nan")]}, "lambdas"),
         ({"scenario": "moving-planes", "lambdas": ["a"]}, "lambdas"),

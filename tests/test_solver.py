@@ -15,9 +15,10 @@ from fracheat.quadrature import QuadratureScheme
 from fracheat.solver import (
     BallProblem,
     Solution,
+    _class_block,
     _offset_table_1d,
     _offset_table_2d,
-    _reduced_operator,
+    _table_rows,
     assemble_dirichlet_matrix,
     nonlinearity_by_name,
     residual_field,
@@ -204,8 +205,8 @@ class TestParitySolve:
         # fully symmetric right-hand sides: one random value per orbit, on-axis nodes included
         prob = make_problem(K=K, n=n)
         A = assemble_dirichlet_matrix(prob, SCH)
-        C, cols, rows = _reduced_operator(prob, SCH)
-        lu_class = scipy.linalg.lu_factor(C[rows])
+        B, cols, rows = _class_block(prob, _table_rows(prob, SCH))
+        lu_class = scipy.linalg.lu_factor(B)
         lu = scipy.linalg.lu_factor(A)
         rng = np.random.default_rng(K)
         for _ in range(3):
@@ -230,18 +231,19 @@ class TestParitySolve:
             moved = np.ravel_multi_index(tuple((signs * off[:, perm] + K // 2).T), prob.shape)
             assert np.array_equal(rep[moved], rep)
         assert np.all(mask[rep[mask]])
-        # the reduced operator has one column per orbit, and its square rows are the representatives'
-        C, cols, rows = _reduced_operator(prob, SCH)
+        # the class block is square, one row and one column per orbit, its rows the representatives'
+        B, cols, rows = _class_block(prob, _table_rows(prob, SCH))
         interior = np.flatnonzero(mask)
-        assert C.shape == (interior.size, np.unique(rep[mask]).size)
+        M = np.unique(rep[mask]).size
+        assert B.shape == (M, M) and rows.shape == (M,) and cols.shape == (interior.size,)
         assert np.array_equal(interior[rows][cols], rep[mask])
         assert np.array_equal(cols[rows], np.arange(rows.size))
 
     @pytest.mark.parametrize("n, K", [(1, 17), (2, 9), (2, 17), (2, 33)])
     def test_reduced_operator_from_table_is_the_matrix_reduced(self, n, K):
         prob = make_problem(K=K, n=n)
-        from_table = _reduced_operator(prob, SCH)
-        from_matrix = _reduced_operator(prob, SCH, assemble_dirichlet_matrix(prob, SCH))
+        from_table = _class_block(prob, _table_rows(prob, SCH))
+        from_matrix = _class_block(prob, assemble_dirichlet_matrix(prob, SCH).__getitem__)
         for a, b in zip(from_table, from_matrix):
             assert np.array_equal(a, b)
 
@@ -249,12 +251,12 @@ class TestParitySolve:
     def test_reduced_operator_applies_the_matrix(self, n, K):
         prob = make_problem(K=K, n=n)
         A = assemble_dirichlet_matrix(prob, SCH)
-        C, cols, rows = _reduced_operator(prob, SCH)
+        B, cols, rows = _class_block(prob, _table_rows(prob, SCH))
         rng = np.random.default_rng(K)
         for _ in range(3):
             v = rng.standard_normal(rows.size)
-            dense = A @ v[cols]
-            assert np.max(np.abs(C @ v - dense)) <= 1e-13 * np.max(np.abs(dense))
+            dense = (A @ v[cols])[rows]
+            assert np.max(np.abs(B @ v - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_blocks_come_from_the_supplied_matrix(self):
         prob = make_problem(K=17, n=2, f="one")
@@ -299,10 +301,20 @@ class TestParitySolve:
         true_res = np.max(np.abs(prob.f.eval_extended(sol.values) - B @ sol.values))
         assert sol.residual_inf == true_res
         assert not sol.converged and true_res > 1e-8
+        # the class block converges on its own; only the every-row pass sees the asymmetry
+        assert sol.iterations <= 30
+
+    @pytest.mark.parametrize("n, K", [(1, 33), (2, 17)])
+    def test_residual_covers_every_row(self, n, K):
+        prob = make_problem(K=K, n=n, f="one-minus-half-u")
+        sol = solve_steady(prob, SCH)
+        A = assemble_dirichlet_matrix(prob, SCH)
+        assert sol.residual_inf == np.max(np.abs(prob.f.eval_extended(sol.values) - A @ sol.values))
 
     def test_peak_memory_below_half_the_matrix(self):
         prob = make_problem(K=65, n=2, f="one")
         A = assemble_dirichlet_matrix(prob, SCH)
+        n_orbits = np.unique(prob.orbits()[prob.interior_mask()]).size
         tracemalloc.start()
         try:
             sol = solve_steady(prob, SCH, theta=1.0, matrix=A)
@@ -310,11 +322,13 @@ class TestParitySolve:
         finally:
             tracemalloc.stop()
         assert sol.converged
-        assert peak < 0.5 * A.nbytes
+        # below an N x M array of orbit columns, let alone half the matrix
+        assert peak < n_orbits * len(A) * 8 < 0.5 * A.nbytes
 
     def test_no_matrix_is_formed_without_one(self):
         prob = make_problem(K=65, n=2, f="one")
         n_int = int(np.count_nonzero(prob.interior_mask()))
+        n_orbits = np.unique(prob.orbits()[prob.interior_mask()]).size
         tracemalloc.start()
         try:
             sol = solve_steady(prob, SCH)
@@ -322,12 +336,16 @@ class TestParitySolve:
         finally:
             tracemalloc.stop()
         assert sol.converged
-        assert peak < 0.25 * n_int * n_int * 8
+        assert peak < n_orbits * n_int * 8 < 0.25 * n_int * n_int * 8
 
     def test_non_finite_matrix_rejected(self):
         prob = make_problem(K=17, n=2)
         A = assemble_dirichlet_matrix(prob, SCH)
         A[0, -1] = np.nan  # in a row that is not a representative's
+        with pytest.raises(SingularMatrixError):
+            solve_steady(prob, SCH, matrix=A)
+        A = assemble_dirichlet_matrix(prob, SCH)
+        A[len(A) // 2, 3] = np.inf  # in the centre node's row, which the class block holds
         with pytest.raises(SingularMatrixError):
             solve_steady(prob, SCH, matrix=A)
 

@@ -6,9 +6,10 @@ Prints one line per output: the hex of value and est_error of pointwise
 operator values (master, fractional Laplacian and Marchaud at n = 1 and
 n = 2), fold residuals of time-dependent and time-independent fields,
 `solve_steady` results (SHA-256 prefix of the values, hex of the residual,
-iteration count), the ball-grid symmetry report (defect hex, violation
-count) and every narrow-region record (lambda, min_w hex, argmin, strict
-flag, passed) on solved, noisy and shifted-torsion grid data, SHA-256
+iteration count), from the offset table and from a supplied matrix, the
+ball-grid symmetry report (defect hex, violation count) and every
+narrow-region record (lambda, min_w hex, argmin, strict flag, passed) on
+solved, noisy and shifted-torsion grid data, SHA-256
 prefixes of `residual_field` arrays, of a few kernel, field and
 reflection arrays, and of the CSV files of the six determinism configs
 plus n = 2 `eval`, `reduce-check` and `moving-planes` (solved and
@@ -55,7 +56,13 @@ from fracheat.quadrature import (  # noqa: E402
     marchaud_right,
     master_operator_pointwise,
 )
-from fracheat.solver import BallProblem, nonlinearity_by_name, residual_field, solve_steady  # noqa: E402
+from fracheat.solver import (  # noqa: E402
+    BallProblem,
+    assemble_dirichlet_matrix,
+    nonlinearity_by_name,
+    residual_field,
+    solve_steady,
+)
 
 SCH = QuadratureScheme()
 
@@ -145,6 +152,10 @@ def solves() -> None:
             sol = solve_steady(problem, SCH)
             print(f"solve_steady n={n} K={points} f={f} {_digest(sol.values.tobytes())} "
                   f"{sol.residual_inf.hex()} {sol.iterations}")
+        # the rows of a supplied matrix instead of the offset table: same line after "matrix="
+        sol = solve_steady(problem, SCH, matrix=assemble_dirichlet_matrix(problem, SCH))
+        print(f"solve_steady n={n} K={points} f={f} matrix= {_digest(sol.values.tobytes())} "
+              f"{sol.residual_inf.hex()} {sol.iterations}")
 
 
 def residuals() -> None:
