@@ -37,6 +37,7 @@ from .quadrature import (
     _master_single_pass,
     _panel_axes,
     _refine_toward,
+    _runs,
     _tensor_rule,
     _two_pass,
     marchaud_left,
@@ -257,24 +258,6 @@ def _check_antisymmetry(w: SpaceTimeField, cfg: PlaneConfig) -> None:
     total = w.eval(pts, ts) + w.eval(reflect(pts, cfg), ts)
     if float(np.max(np.abs(total))) > 1e-10:
         raise AntisymmetryError("field is not antisymmetric about the plane")
-
-
-def _runs(rules, limit: int):
-    """Consecutive lag rules grouped into lists of at most ``limit`` points.
-
-    Each rule is a tuple whose last entry is its weight array; a rule
-    larger than ``limit`` forms a list of its own.
-    """
-    run, size = [], 0
-    for rule in rules:
-        m = len(rule[-1])
-        if run and size + m > limit:
-            yield run
-            run, size = [], 0
-        run.append(rule)
-        size += m
-    if run:
-        yield run
 
 
 def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,

@@ -28,7 +28,11 @@ antisymmetric fold of ``planes`` (the average folded onto a half-space).
   the two passes is the grid part of ``est_error``,
 * each pass evaluates a field once per distinct point: the panel values of
   a time-independent field serve every lag, and the fractional-Laplacian
-  sweep gathers the points of all directions into one field call.
+  sweep builds the cells of all directions at a point in one sort and
+  gathers the points of all directions, and in ``residual_field`` of all
+  nodes of a run, into one field call of at most ``_SWEEP_CHUNK`` (62,500)
+  points; each (point, direction) row is summed on its own, so the runs
+  leave the bits alone.
 
 The Gaussian average switches representation at large lag: Gauss-Hermite
 nodes ride the kernel scale 2 sqrt(r) and lose the field once that scale
@@ -57,6 +61,8 @@ _CAP_FACTOR = 0.8
 # batch size for vectorized field evaluations, and the most panel points per
 # lag that master_operator_pointwise accepts
 _EVAL_CHUNK = 2_000_000
+# most field points per call of the fractional-Laplacian sweep; bounds its memory
+_SWEEP_CHUNK = _EVAL_CHUNK // 32
 
 
 def _gh_trust(order: int) -> float:
@@ -123,21 +129,30 @@ def _two_pass(single_pass, sch: QuadratureScheme, sup_bound: float, s: float) ->
     it sweeps ``sch`` first, then ``sch.refine()``.
     The estimate adds the pass difference, the lag-truncation bound and the
     refined pass's remainders; a non-finite value or estimate, or an
-    estimate above ``sch.target_tol``, raises ToleranceError.
+    estimate above ``sch.target_tol``, raises ToleranceError.  Passes may
+    return arrays, one entry per point: everything then works elementwise,
+    the gate raises if any point fails it, and the OperatorValue holds
+    arrays.
     """
     coarse = single_pass(sch)[0]
     fine, inner_rem, discard = single_pass(sch.refine())
     tail = truncation_tail_bound(sup_bound, sch.r_max, s)
-    est = abs(fine - coarse) + tail + inner_rem + discard
+    est = np.abs(fine - coarse) + tail + inner_rem + discard
     # midpoint sums are second order in the cell width, so the two passes
     # extrapolate; the pass difference stays in the error estimate
     value = (4.0 * fine - coarse) / 3.0
-    if not (math.isfinite(value) and math.isfinite(est)):
-        raise ToleranceError(f"non-finite result: value {value!r}, est_error {est!r}")
-    if est > sch.target_tol:
+    finite = np.isfinite(value) & np.isfinite(est)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise ToleranceError(f"non-finite result: value {float(np.ravel(value)[k])!r}, "
+                             f"est_error {float(np.ravel(est)[k])!r}")
+    worst = float(np.max(est))
+    if worst > sch.target_tol:
         raise ToleranceError(
-            f"est_error {est:.3e} exceeds target_tol {sch.target_tol:.3e} after refinement"
+            f"est_error {worst:.3e} exceeds target_tol {sch.target_tol:.3e} after refinement"
         )
+    if np.ndim(value) == 0:
+        value, est = float(value), float(est)
     return OperatorValue(value, est)
 
 
@@ -188,6 +203,24 @@ def _refine_toward(edges: np.ndarray, lo: float, hi: float, centres: Sequence[fl
     if extra.size == 0:
         return edges
     return np.unique(np.concatenate([edges, extra]))
+
+
+def _runs(items, limit: int, size=lambda item: len(item[-1])):
+    """Consecutive items grouped into lists of at most ``limit`` total ``size``.
+
+    The size of an item is the length of its last entry unless ``size``
+    says otherwise; an item larger than ``limit`` forms a list of its own.
+    """
+    run, total = [], 0
+    for item in items:
+        m = size(item)
+        if run and total + m > limit:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += m
+    if run:
+        yield run
 
 
 def _tensor_rule(axes_nodes: Sequence[np.ndarray], axes_weights: Sequence[np.ndarray]):
@@ -428,80 +461,154 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
 # reductions: fractional Laplacian and Marchaud derivatives
 
 
-def _laplacian_single_pass(g: SpaceField, x: np.ndarray, p: FracParams,
-                           sch: QuadratureScheme,
-                           breakpoints: Optional[Sequence[float]],
-                           curvature: Optional[float]) -> tuple[float, float, float]:
+def _sweep_directions(n: int, sch: QuadratureScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Directions theta of the paired sweep, with weights summing to |S^{n-1}| / 2."""
+    if n == 1:
+        return np.array([[1.0]]), np.array([1.0])
+    if n == 2:
+        m_ang = 2 * sch.hermite_order
+        ang = (np.arange(m_ang) + 0.5) * math.pi / m_ang
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.full(m_ang, math.pi / m_ang)
+    raise DomainValidationError("fractional Laplacian quadrature supports n in {1, 2}")
+
+
+def _support_cusps(g: SpaceField, x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Radii z where x + z theta or x - z theta crosses the support sphere, shape (directions, 4).
+
+    NaN where the line through x misses the sphere.
+    """
+    # np.dot per direction, as the sweep has always computed b: a matrix
+    # product may round b differently and move the cusps
+    b = np.array([float(np.dot(x, theta)) for theta in thetas])
+    disc = g.ball_radius**2 - (float(np.dot(x, x)) - b * b)
+    root = np.sqrt(np.where(disc > 0, disc, np.nan))
+    return np.abs(np.stack([-b + root, -b - root, b + root, b - root], axis=-1))
+
+
+def _direction_cells(base: np.ndarray, lo: float, hi: float, centres: np.ndarray,
+                     shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell midpoints and widths of every row of ``centres``, rows in order, and cells per row.
+
+    Row d's edges are ``base`` (increasing from lo to hi) with each centre
+    c of row d inside (lo, hi) adding every c + shift inside, as
+    ``_insert_breakpoints`` adds c and c +- its steps: the same sorted
+    set, from one row-wise sort for all rows.  NaN centres add nothing.
+    """
+    rows_n = len(centres)
+    extra = centres[:, :, None] + shifts
+    keep = ((centres > lo) & (centres < hi))[:, :, None] & (extra > lo) & (extra < hi)
+    if not keep.any():
+        cell_mid, cell_width = 0.5 * (base[:-1] + base[1:]), np.diff(base)
+        return (np.tile(cell_mid, rows_n), np.tile(cell_width, rows_n),
+                np.full(rows_n, len(cell_mid)))
+    rows = np.concatenate([np.repeat(base[None, :], rows_n, axis=0),
+                           np.where(keep, extra, np.inf).reshape(rows_n, -1)], axis=1)
+    rows.sort(axis=1)
+    # each row's distinct finite entries, rows one after another
+    fresh = rows < np.inf
+    fresh[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    edges = rows[fresh]
+    counts = fresh.sum(axis=1) - 1
+    within = np.ones(len(edges) - 1, dtype=bool)
+    within[np.cumsum(counts + 1)[:-1] - 1] = False  # pairs that straddle two rows
+    return (0.5 * (edges[:-1] + edges[1:]))[within], np.diff(edges)[within], counts
+
+
+def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.ndarray],
+                           p: FracParams, sch: QuadratureScheme,
+                           curvature: Optional[np.ndarray]) -> tuple:
+    """One paired sweep at every row of X: (values, inner_remainder, discard_bound).
+
+    ``centres[i]`` holds the kink radii of each direction at X[i], one row
+    per direction (NaN for none).  ``curvature``, when given, holds one
+    Laplacian per row of X for the inner Taylor cell.  Field calls take
+    runs of consecutive points holding at most ``_SWEEP_CHUNK`` field
+    points, and every (point, direction) row is summed on its own, so the
+    values do not depend on the runs.
+    """
     n, s = p.n, p.s
     a_ns = integrated_kernel_constant(p)
     z_min = math.sqrt(sch.r_min)
-
-    if g.exterior == ZERO_BALL:
-        z_star = g.ball_radius + float(np.linalg.norm(x))
-        exact_tail = True
-    else:
-        z_star = 2.0 * math.sqrt(sch.r_max)
-        exact_tail = False
-
-    # directions theta with weights summing to |S^{n-1}| / 2
-    if n == 1:
-        thetas = np.array([[1.0]])
-        th_w = np.array([1.0])
-    elif n == 2:
-        m_ang = 2 * sch.hermite_order
-        ang = (np.arange(m_ang) + 0.5) * math.pi / m_ang
-        thetas = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        th_w = np.full(m_ang, math.pi / m_ang)
-    else:
-        raise DomainValidationError("fractional Laplacian quadrature supports n in {1, 2}")
-
-    # the radial edges depend on x alone; each direction adds only the radii
-    # where x + z theta and x - z theta cross the support sphere
     npd = sch.nodes_per_decade
-    base = _capped_edges(z_min, z_star, npd, breakpoints=breakpoints)
-    radial = []
-    for theta in thetas:
-        edges = base
-        if g.exterior == ZERO_BALL:
-            b = float(np.dot(x, theta))
-            disc = g.ball_radius**2 - (float(np.dot(x, x)) - b * b)
-            if disc > 0:
-                root = math.sqrt(disc)
-                cusps = [abs(-b + root), abs(-b - root), abs(b + root), abs(b - root)]
-                edges = _insert_breakpoints(base, z_min, z_star, npd, cusps)
-        radial.append((0.5 * (edges[:-1] + edges[1:]), np.diff(edges)))
+    thetas, th_w = _sweep_directions(n, sch)
+    steps = _CAP_FACTOR / npd / 2.0 ** np.arange(1, 9)
+    shifts = np.concatenate([[0.0], -steps, steps])  # c + (-step) rounds as c - step
 
-    # one field call per pass: x, then x + z theta and x - z theta of every direction
-    offsets = np.concatenate([zm[:, None] * theta[None, :]
-                              for (zm, _), theta in zip(radial, thetas)])
-    vals = g.eval(np.concatenate([x[None, :], x[None, :] + offsets, x[None, :] - offsets]))
-    g_x = float(vals[0])
-    plus, minus = np.split(vals[1:], 2)
-    s_pairs = np.split(2.0 * g_x - plus - minus, np.cumsum([len(zm) for zm, _ in radial])[:-1])
+    exact_tail = g.exterior == ZERO_BALL
+    if exact_tail:
+        z_star = [g.ball_radius + float(np.linalg.norm(x)) for x in X]
+    else:
+        z_star = [2.0 * math.sqrt(sch.r_max)] * len(X)
 
-    total = 0.0
-    pair_peak = 0.0
-    for (zm, zw), tw, s_pair in zip(radial, th_w, s_pairs):
-        pair_peak = max(pair_peak, float(np.max(np.abs(s_pair))))
-        total += tw * float(np.dot(zw, s_pair * zm ** (-1.0 - 2.0 * s)))
+    def point_cells():
+        # the radial edges depend on x alone; each direction adds its kinks
+        for i, hi in enumerate(z_star):
+            yield (i,) + _direction_cells(_capped_edges(z_min, hi, npd), z_min, hi, centres[i],
+                                          shifts)
+
+    g_x = np.empty(len(X))
+    pair_peak = np.empty(len(X))
+    total = np.zeros(len(X))
+    for run in _runs(point_cells(), _SWEEP_CHUNK, lambda cells: 1 + 2 * len(cells[1])):
+        idx, mids, widths, counts = zip(*run)
+        idx, k = list(idx), len(idx)
+        zm, zw, counts = np.concatenate(mids), np.concatenate(widths), np.concatenate(counts)
+        per_point = [len(m) for m in mids]
+        x_run = X[idx]
+        # one field call per run: its points, then x + z theta and x - z theta of every cell
+        offsets = zm[:, None] * np.repeat(np.tile(thetas, (k, 1)), counts, axis=0)
+        at = np.repeat(x_run, per_point, axis=0)
+        vals = g.eval(np.concatenate([x_run, at + offsets, at - offsets]))
+        g_x[idx] = vals[:k]
+        s_pair = 2.0 * np.repeat(vals[:k], per_point) - vals[k:k + len(zm)] - vals[k + len(zm):]
+        pair_peak[idx] = np.maximum.reduceat(np.abs(s_pair), np.cumsum(per_point) - per_point)
+        integrand = s_pair * zm ** (-1.0 - 2.0 * s)
+        ends = np.cumsum(counts).tolist()
+        row_sums = np.array([np.dot(zw[a:b], integrand[a:b])
+                             for a, b in zip([0] + ends[:-1], ends)]).reshape(k, -1)
+        run_total = np.zeros(k)
+        for tw, row_sum in zip(th_w, row_sums.T):
+            run_total += tw * row_sum
+        total[idx] = run_total
     val = a_ns * total
 
     # inner Taylor piece over |z| < z_min (paired, so odd parts vanish)
     if curvature is None:
-        lap = _fd_laplacian(g.eval, x, max(1e-4, 0.5 * z_min))
+        lap = np.array([_fd_laplacian(g.eval, x, max(1e-4, 0.5 * z_min)) for x in X])
     else:
-        lap = float(curvature)
+        lap = np.asarray(curvature, dtype=float)
     omega_half = math.pi ** (n / 2.0) / math.gamma(n / 2.0)  # |S^{n-1}| / 2
     val -= a_ns * omega_half * (lap / n) * z_min ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
 
     # far field; a globally constant field has no far contribution at all
-    if pair_peak > 1e-14 * max(1.0, abs(g_x)):
-        val += 2.0 * g_x * a_ns * omega_half * z_star ** (-2.0 * s) / (2.0 * s)
+    far_pow = np.array([z ** (-2.0 * s) for z in z_star])
+    far = pair_peak > 1e-14 * np.maximum(1.0, np.abs(g_x))
+    val[far] += (2.0 * g_x * a_ns * omega_half * far_pow / (2.0 * s))[far]
     if exact_tail:
         discard = 0.0
     else:
-        discard = 2.0 * g.sup_bound * a_ns * omega_half * z_star ** (-2.0 * s) / (2.0 * s)
+        discard = 2.0 * g.sup_bound * a_ns * omega_half * far_pow / (2.0 * s)
     return val, 0.0, discard
+
+
+def _fractional_laplacian(g: SpaceField, X: np.ndarray, p: FracParams, sch: QuadratureScheme,
+                          breakpoints: Optional[Sequence[float]] = None,
+                          curvature: Optional[np.ndarray] = None) -> OperatorValue:
+    """``fractional_laplacian_pointwise`` at every row of X: value and est_error arrays.
+
+    ``curvature`` holds one value per row when given; the input checks are
+    the caller's.  The kinks of each direction, the breakpoints and where
+    its line crosses the support sphere, serve both passes.
+    """
+    thetas = _sweep_directions(p.n, sch)[0]
+    shared = np.tile(np.asarray(breakpoints if breakpoints is not None else [], dtype=float),
+                     (len(thetas), 1))
+    if g.exterior == ZERO_BALL:
+        centres = [np.concatenate([shared, _support_cusps(g, x, thetas)], axis=1) for x in X]
+    else:
+        centres = [shared] * len(X)
+    return _two_pass(lambda sc: _laplacian_single_pass(g, X, centres, p, sc, curvature),
+                     sch, g.sup_bound, p.s)
 
 
 def fractional_laplacian_pointwise(g: SpaceField, x, p: FracParams, sch: QuadratureScheme,
@@ -520,8 +627,9 @@ def fractional_laplacian_pointwise(g: SpaceField, x, p: FracParams, sch: Quadrat
         raise DomainValidationError(f"evaluation point must have shape ({p.n},)")
     if not math.isfinite(g.sup_bound):
         raise AdmissibilityError("field has no finite sup_bound; tail cannot be bounded")
-    return _two_pass(lambda sc: _laplacian_single_pass(g, x, p, sc, breakpoints, curvature),
-                     sch, g.sup_bound, p.s)
+    ov = _fractional_laplacian(g, x[None, :], p, sch, breakpoints,
+                               None if curvature is None else [curvature])
+    return OperatorValue(float(ov.value[0]), float(ov.est_error[0]))
 
 
 def _marchaud(h: TimeField, t: float, s: float, sch: QuadratureScheme, side: int) -> OperatorValue:

@@ -50,7 +50,7 @@ import scipy.linalg
 from .core import FracParams, integrated_kernel_constant
 from .errors import DomainValidationError, GridCoarseError, SingularMatrixError
 from .fields import SpaceField, ZERO_BALL
-from .quadrature import QuadratureScheme, fractional_laplacian_pointwise
+from .quadrature import QuadratureScheme, _fractional_laplacian
 
 _GL12 = np.polynomial.legendre.leggauss(12)
 _ROW_BLOCK = 16  # rows per gather of the matrix; small blocks stay in cache
@@ -167,8 +167,15 @@ class BallProblem:
         return self.nodes()[self.interior_mask()]
 
     def full_values(self, interior_values: np.ndarray) -> np.ndarray:
-        """Interior-node values scattered onto the whole grid (exterior zero), shaped ``shape``."""
+        """Interior-node values scattered onto the whole grid (exterior zero), shaped ``shape``.
+
+        Raises DomainValidationError unless there is one value per interior node.
+        """
         mask = self.interior_mask()
+        n_int = int(np.count_nonzero(mask))
+        if np.shape(interior_values) != (n_int,):
+            raise DomainValidationError(
+                f"values of shape {np.shape(interior_values)} do not match the {n_int} interior nodes")
         flat = np.zeros(mask.size)
         flat[mask] = interior_values
         return flat.reshape(self.shape)
@@ -470,7 +477,13 @@ def residual_field(problem: BallProblem, solution: Solution, sch: QuadratureSche
     difference, since the interpolant itself is only Lipschitz at nodes.
     ``node_subset`` restricts evaluation to those interior-node positions
     (useful as a cheap discretization-error estimate on large grids); they
-    must be integers in [0, N) for the N interior nodes.
+    must be integers in [0, N) for the N interior nodes.  The solution
+    must hold N finite values.  The nodes go through one batched sweep
+    that calls the interpolant once per run of nodes in each pass; an
+    empty subset evaluates nothing.  Each value is the one
+    ``fractional_laplacian_pointwise`` gives at its node with r_min =
+    (h/2)^2, the grid radii as breakpoints at n = 1 and the nodal second
+    difference as curvature.
     """
     interior = np.flatnonzero(problem.interior_mask())
     rows = np.arange(len(interior)) if node_subset is None else np.asarray(node_subset)
@@ -478,10 +491,13 @@ def residual_field(problem: BallProblem, solution: Solution, sch: QuadratureSche
                                         or rows.max() >= len(interior)):
         raise DomainValidationError(f"node_subset must be integer indices in [0, {len(interior)})")
     full = solution.full_values(problem)
+    if not np.all(np.isfinite(full)):
+        raise DomainValidationError("solution values must be finite")
+    if rows.size == 0:
+        return np.zeros(0)
     g = interpolant_field(problem, full)
     h = problem.h
     n = problem.p.n
-    nodes = problem.nodes()
     rhs = problem.f.eval_extended(solution.values)
     breaks = (np.arange(1, problem.points_per_axis) * h).tolist() if n == 1 else None
 
@@ -496,11 +512,7 @@ def residual_field(problem: BallProblem, solution: Solution, sch: QuadratureSche
             curv += padded[tuple(window)]
     curv = ((curv - 2.0 * n * full) / (h * h)).ravel()
 
-    sch_local = replace(sch, r_min=(0.5 * h) ** 2)
-    out = np.zeros(len(rows))
-    for pos, row in enumerate(rows):
-        flat_idx = interior[row]
-        ov = fractional_laplacian_pointwise(g, nodes[flat_idx], problem.p, sch_local,
-                                            breakpoints=breaks, curvature=float(curv[flat_idx]))
-        out[pos] = abs(ov.value - rhs[row])
-    return out
+    flat_idx = interior[rows]
+    ov = _fractional_laplacian(g, problem.nodes()[flat_idx], problem.p,
+                               replace(sch, r_min=(0.5 * h) ** 2), breaks, curv[flat_idx])
+    return np.abs(ov.value - rhs[rows])

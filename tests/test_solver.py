@@ -1,5 +1,7 @@
 """Unit-ball Dirichlet solver against the closed-form torsion benchmark."""
 
+import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -8,10 +10,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fracheat import quadrature, solver
 from fracheat.core import FracParams
-from fracheat.errors import DomainValidationError, GridCoarseError, SingularMatrixError
-from fracheat.fields import torsion_profile, torsion_rhs_constant
-from fracheat.quadrature import QuadratureScheme
+from fracheat.errors import (
+    DomainValidationError,
+    GridCoarseError,
+    SingularMatrixError,
+    ToleranceError,
+)
+from fracheat.fields import SpaceField, torsion_profile, torsion_rhs_constant
+from fracheat.quadrature import QuadratureScheme, fractional_laplacian_pointwise
 from fracheat.solver import (
     BallProblem,
     Solution,
@@ -93,6 +101,21 @@ class TestProblemValidation:
             assert full.shape == prob.shape
             assert np.array_equal(full.ravel()[mask], vals)
             assert not np.any(full.ravel()[~mask])
+
+    @pytest.mark.parametrize("count", [44, 46])
+    def test_full_values_needs_one_value_per_interior_node(self, count):
+        prob = make_problem(K=9, n=2)  # 45 interior nodes
+        vals = np.ones(count)
+        sol = Solution(values=vals, residual_inf=0.0, iterations=0, converged=True,
+                       positivity_ok=True, hypothesis_ok=True)
+        with pytest.raises(DomainValidationError, match="45 interior nodes"):
+            prob.full_values(vals)
+        with pytest.raises(DomainValidationError, match="45 interior nodes"):
+            sol.full_values(prob)
+        with pytest.raises(DomainValidationError, match="45 interior nodes"):
+            residual_field(prob, sol, SCH)
+        with pytest.raises(DomainValidationError):
+            prob.full_values(np.ones((45, 1)))
 
 
 class TestAssembly1D:
@@ -389,6 +412,109 @@ class TestResidualField:
                            positivity_ok=True, hypothesis_ok=True)
             medians.append(float(np.median(residual_field(prob, sol, SCH))))
         assert medians[1] <= medians[0]
+
+
+def _residual_case(n, K, subset):
+    prob = make_problem(K=K, n=n)
+    sol = solve_steady(prob, SCH, theta=1.0)
+    nodes = np.linspace(0, len(sol.values) - 1, 64).astype(int) if subset else None
+    return prob, sol, nodes
+
+
+@functools.lru_cache(maxsize=None)
+def _per_node_residual(n, K, subset):
+    """residual_field node by node through fractional_laplacian_pointwise."""
+    prob, sol, nodes = _residual_case(n, K, subset)
+    h = prob.h
+    full = sol.full_values(prob)
+    grid = np.pad(full, 1)
+    interior = np.flatnonzero(prob.interior_mask())
+    rows = np.arange(len(interior)) if nodes is None else nodes
+    g = solver.interpolant_field(prob, full)
+    sch = dataclasses.replace(SCH, r_min=(0.5 * h) ** 2)
+    breaks = (np.arange(1, K) * h).tolist() if n == 1 else None
+    rhs = prob.f.eval_extended(sol.values)
+    out = []
+    for row in rows:
+        at = tuple(prob.offsets()[interior[row]] + K // 2 + 1)
+        # nodal second difference, neighbours summed in the order +e1, -e1, +e2, -e2
+        curv = 0.0
+        for axis in range(n):
+            for step in (1, -1):
+                curv += grid[tuple(i + step * (a == axis) for a, i in enumerate(at))]
+        curv = (curv - 2.0 * n * grid[at]) / (h * h)
+        ov = fractional_laplacian_pointwise(g, prob.nodes()[interior[row]], prob.p, sch,
+                                            breakpoints=breaks, curvature=curv)
+        out.append(abs(ov.value - rhs[row]))
+    return np.array(out)
+
+
+def _counting_interpolant(monkeypatch, sizes):
+    """Make residual_field's interpolant record the point count of every evaluation."""
+    class Counted(SpaceField):
+        def eval(self, x):
+            sizes.append(len(x))
+            return super().eval(x)
+
+    build = solver.interpolant_field
+
+    def counted(*args):
+        g = build(*args)
+        return Counted(*(getattr(g, f.name) for f in dataclasses.fields(SpaceField)))
+
+    monkeypatch.setattr(solver, "interpolant_field", counted)
+
+
+class TestBatchedResidual:
+    """residual_field sweeps all its nodes at once, with the bits of the node-by-node loop."""
+
+    @pytest.mark.parametrize("small_runs", [False, True], ids=["default-runs", "small-runs"])
+    @pytest.mark.parametrize("n, K, subset", [(1, 33, False), (2, 17, False), (2, 33, True)],
+                             ids=["n1-K33", "n2-K17", "n2-K33-64-nodes"])
+    def test_matches_per_node_loop(self, monkeypatch, n, K, subset, small_runs):
+        prob, sol, nodes = _residual_case(n, K, subset)
+        want = _per_node_residual(n, K, subset)
+        sizes = []
+        _counting_interpolant(monkeypatch, sizes)
+        if small_runs:
+            # at most 2,000 points per field call, where one n = 2 node needs more
+            monkeypatch.setattr(quadrature, "_SWEEP_CHUNK", 2_000)
+        got = residual_field(prob, sol, SCH, node_subset=nodes)
+        assert got.tobytes() == want.tobytes()
+        if small_runs:
+            assert len(sizes) > 20
+            # a call over the cap holds one node alone: its point and two per cell
+            assert all(m <= 2_000 or m % 2 == 1 for m in sizes)
+
+    def test_few_field_calls(self, monkeypatch):
+        prob, sol, nodes = _residual_case(2, 33, True)
+        sizes = []
+        _counting_interpolant(monkeypatch, sizes)
+        residual_field(prob, sol, SCH, node_subset=nodes)
+        # one field call per node and pass before: 128
+        cap = quadrature._SWEEP_CHUNK
+        assert max(sizes) <= cap
+        assert len(sizes) <= 2 * math.ceil(sum(sizes) / cap)
+
+    def test_empty_subset_evaluates_nothing(self, monkeypatch):
+        prob, sol, _ = _residual_case(2, 17, False)
+        sizes = []
+        _counting_interpolant(monkeypatch, sizes)
+        res = residual_field(prob, sol, SCH, node_subset=np.array([], dtype=int))
+        assert res.shape == (0,) and sizes == []
+
+    def test_tolerance_gate(self):
+        prob, sol, _ = _residual_case(2, 17, False)
+        with pytest.raises(ToleranceError, match="exceeds target_tol"):
+            residual_field(prob, sol, QuadratureScheme(target_tol=1e-12),
+                           node_subset=np.array([0, 5]))
+
+    def test_non_finite_values_rejected(self):
+        prob, sol, _ = _residual_case(2, 17, False)
+        values = sol.values.copy()
+        values[3] = np.nan
+        with pytest.raises(DomainValidationError, match="finite"):
+            residual_field(prob, dataclasses.replace(sol, values=values), SCH)
 
 
 class TestTwoDimensions:

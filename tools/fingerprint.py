@@ -10,7 +10,8 @@ iteration count), from the offset table and from a supplied matrix, the
 ball-grid symmetry report (defect hex, violation count) and every
 narrow-region record (lambda, min_w hex, argmin, strict flag, passed) on
 solved, noisy and shifted-torsion grid data, SHA-256
-prefixes of `residual_field` arrays, of a few kernel, field and
+prefixes of `residual_field` arrays (all nodes, and the 64 nodes that
+`moving-planes` samples at n = 2 K = 33), of a few kernel, field and
 reflection arrays, and of the CSV files of the six determinism configs
 plus n = 2 `eval`, `reduce-check` and `moving-planes` (solved and
 named-field).  A change meant to leave the numbers alone shows an empty
@@ -159,10 +160,13 @@ def solves() -> None:
 
 
 def residuals() -> None:
-    for n, points in ((1, 33), (2, 17)):
+    # n=2 K=33 on the 64 nodes that moving-planes samples; n=1 K=129 spans several field calls
+    for n, points, subset in ((1, 33, False), (2, 17, False), (2, 33, True), (1, 129, False)):
         problem = BallProblem(FracParams(n, 0.5), points, nonlinearity_by_name("one"))
         sol = solve_steady(problem, SCH, theta=1.0)
-        _array(f"residual_field n={n} K={points}", residual_field(problem, sol, SCH))
+        nodes = np.linspace(0, len(sol.values) - 1, 64).astype(int) if subset else None
+        label = f"residual_field n={n} K={points}" + (" nodes=64" if subset else "")
+        _array(label, residual_field(problem, sol, SCH, node_subset=nodes))
 
 
 def grid_diagnostics() -> None:
