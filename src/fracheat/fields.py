@@ -14,11 +14,13 @@ Conventions for the callables:
 
 each returning a float array of shape (m,).
 
-The quadratures call them on millions of points of small dimension, so the
-library fields work column by column: ``core.sq_dist(X, c)`` accumulates
-(X[:, k] - c[k])^2 over the n columns.  Broadcasting X against a length-n
-row (``d = X - c; np.sum(d * d, axis=-1)``) gives the same bits but is the
-slow pattern: NumPy then loops over a length-n inner axis for every point.
+The quadratures call them on blocks of up to 62,500 points of small
+dimension (more only when one lag's panel rule alone holds more), millions
+per operator value, so the library fields work column by column:
+``core.sq_dist(X, c)`` accumulates (X[:, k] - c[k])^2 over the n columns.
+Broadcasting X against a length-n row (``d = X - c; np.sum(d * d,
+axis=-1)``) gives the same bits but is the slow pattern: NumPy then loops
+over a length-n inner axis for every point.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ def spot_check(field: SpaceTimeField, rng: np.random.Generator, samples: int = 2
                half_width: float = 3.0) -> None:
     """Spot-check the declared invariants on random sample points.
 
-    Exterior points of a zero-ball field must evaluate to exactly zero,
+    No sample may be NaN, nor infinite when the sup bound is finite;
+    exterior points of a zero-ball field must evaluate to exactly zero,
     no sampled magnitude may exceed the declared sup bound, and a field
     declared time-independent must return bit-identical values one time
     unit later.
@@ -191,6 +194,11 @@ def spot_check(field: SpaceTimeField, rng: np.random.Generator, samples: int = 2
     pts = rng.uniform(-half_width, half_width, size=(samples, field.n))
     ts = rng.uniform(-half_width, half_width, size=samples)
     vals = field.eval(pts, ts)
+    # NaN compares false against every bound, so it needs its own check
+    if np.any(np.isnan(vals)):
+        raise DomainValidationError("field returned NaN on sampled points")
+    if math.isfinite(field.sup_bound) and np.any(np.isinf(vals)):
+        raise DomainValidationError("field returned an infinite value despite a finite sup_bound")
     if field.time_independent and not np.array_equal(vals, field.eval(pts, ts + 1.0),
                                                      equal_nan=True):
         raise DomainValidationError("field declared time_independent depends on t")

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fields import SpaceField, SpaceTimeField, TimeField, mollifier, plateau_bump
 from .quadrature import (
-    _EVAL_CHUNK,
+    _FIELD_BLOCK,
     QuadratureScheme,
     _checked_bound,
     _master_single_pass,
@@ -272,7 +272,7 @@ def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
     Hermite nodes up to the lag where the kernel scale reaches the feature
     size and the support panel axis of ``_panel_axes`` beyond, as the
     Gaussian average does.  One field call per run of consecutive lags
-    holding at most ``_EVAL_CHUNK // 8`` (250,000) points; each lag's sum is
+    holding at most ``_FIELD_BLOCK`` (62,500) points; each lag's sum is
     taken on its own, so the result does not depend on the grouping.
     """
     axis_idx, sign = cfg.axis()
@@ -316,7 +316,7 @@ def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
             yield i, pts, sign * pts[:, axis_idx], wts
 
     out = np.zeros_like(r_mid)
-    for run in _runs(lag_rules(), _EVAL_CHUNK // 8):
+    for run in _runs(lag_rules(), _FIELD_BLOCK):
         idx, pts, y_pars, wtss = zip(*run)
         sizes = [len(wts) for wts in wtss]
         vals = np.split(w.eval(np.concatenate(pts), np.repeat(t - r_mid[list(idx)], sizes)),

@@ -30,9 +30,17 @@ antisymmetric fold of ``planes`` (the average folded onto a half-space).
   a time-independent field serve every lag, and the fractional-Laplacian
   sweep builds the cells of all directions at a point in one sort and
   gathers the points of all directions, and in ``residual_field`` of all
-  nodes of a run, into one field call of at most ``_SWEEP_CHUNK`` (62,500)
-  points; each (point, direction) row is summed on its own, so the runs
-  leave the bits alone.
+  nodes of a run, into one field call; each (point, direction) row is
+  summed on its own, so the runs leave the bits alone,
+* blocks versus chunks: every field call holds at most ``_FIELD_BLOCK``
+  (62,500) points, so the field's temporaries stay in cache, unless one
+  lag's rule (or one sweep point) alone holds more.  The Gaussian averages
+  split the lags into chunks of at most ``_EVAL_CHUNK`` (2,000,000) kernel
+  entries and fill each chunk's matrix in place, one block of lags and one
+  field call at a time; the chunk then takes one matrix-vector product.
+  That product stays per chunk because its rounding depends on the row
+  count: split into blocks it would move the bits.  The fold sums each
+  lag on its own, so its runs of lags are simply blocks.
 
 The Gaussian average switches representation at large lag: Gauss-Hermite
 nodes ride the kernel scale 2 sqrt(r) and lose the field once that scale
@@ -58,11 +66,13 @@ from .fields import SpaceField, SpaceTimeField, TimeField, ZERO_BALL
 
 # cap factor for lag-cell widths: cells never wider than _CAP_FACTOR / nodes_per_decade
 _CAP_FACTOR = 0.8
-# batch size for vectorized field evaluations, and the most panel points per
-# lag that master_operator_pointwise accepts
+# most points per field call, sized so the field's temporaries stay in cache; a
+# lag (or sweep point) whose rule alone holds more takes a call of its own
+_FIELD_BLOCK = 62_500
+# kernel-matrix entries per lag chunk of the Gaussian averages, each chunk one
+# matrix-vector product; also the most panel points per lag that
+# master_operator_pointwise accepts
 _EVAL_CHUNK = 2_000_000
-# most field points per call of the fractional-Laplacian sweep; bounds its memory
-_SWEEP_CHUNK = _EVAL_CHUNK // 32
 
 
 def _gh_trust(order: int) -> float:
@@ -327,35 +337,48 @@ def _gh_average(u: SpaceTimeField, x: np.ndarray, t: float,
     nz = len(z_w)
     out = np.empty_like(r_mid)
     step = max(1, _EVAL_CHUNK // nz)
+    block = max(1, _FIELD_BLOCK // nz)
+    vals = np.empty((min(step, len(r_mid)), nz))
     for i0 in range(0, len(r_mid), step):
         rs = r_mid[i0:i0 + step]
-        scal = 2.0 * np.sqrt(rs)
-        pts = x[None, None, :] + scal[:, None, None] * z_pts[None, :, :]
-        ts = np.repeat(t - rs, nz)
-        vals = u.eval(pts.reshape(-1, n), ts).reshape(len(rs), nz)
-        out[i0:i0 + step] = vals @ z_w
+        for j0 in range(0, len(rs), block):
+            rb = rs[j0:j0 + block]
+            pts = x[None, None, :] + (2.0 * np.sqrt(rb))[:, None, None] * z_pts[None, :, :]
+            vals[j0:j0 + len(rb)] = u.eval(pts.reshape(-1, n),
+                                           np.repeat(t - rb, nz)).reshape(len(rb), nz)
+        # one product per chunk: the rounding of the matrix-vector product
+        # depends on its row count, so the blocks must not split it
+        out[i0:i0 + step] = vals[:len(rs)] @ z_w
     return out
 
 
 def _panel_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray,
                    pts: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    dist_sq = sq_dist(pts, x)
+    neg_dist_sq = -sq_dist(pts, x)
     out = np.empty_like(r_mid)
     npts = len(w)
     # a time-independent field has the same panel values at every lag: one
-    # row, evaluated once, broadcasts against every lag's kernel row
-    static = u.eval(pts, np.full(npts, t))[None, :] if u.time_independent else None
+    # row, evaluated once, multiplies every lag's kernel row
+    static = u.eval(pts, np.full(npts, t)) if u.time_independent else None
     step = max(1, _EVAL_CHUNK // npts)
+    block = max(1, _FIELD_BLOCK // npts)
+    kern = np.empty((min(step, len(r_mid)), npts))
+    # the panel points once per lag of a full block; a shorter block takes a prefix
+    tiled = None if static is not None else np.tile(pts, (min(block, len(r_mid)), 1))
     for i0 in range(0, len(r_mid), step):
         rs = r_mid[i0:i0 + step]
-        kern = np.exp(-dist_sq[None, :] / (4.0 * rs[:, None]))
-        kern *= (4.0 * math.pi * rs[:, None]) ** (-n / 2.0)
-        vals = static
-        if vals is None:
-            ts = np.repeat(t - rs, npts)
-            vals = u.eval(np.tile(pts, (len(rs), 1)), ts).reshape(len(rs), npts)
-        kern *= vals
-        out[i0:i0 + step] = kern @ w
+        for j0 in range(0, len(rs), block):
+            rb = rs[j0:j0 + block]
+            kb = kern[j0:j0 + len(rb)]
+            np.divide(neg_dist_sq, 4.0 * rb[:, None], out=kb)
+            np.exp(kb, out=kb)
+            kb *= (4.0 * math.pi * rb[:, None]) ** (-n / 2.0)
+            if static is None:
+                kb *= u.eval(tiled[:len(rb) * npts],
+                             np.repeat(t - rb, npts)).reshape(len(rb), npts)
+            else:
+                kb *= static
+        out[i0:i0 + step] = kern[:len(rs)] @ w
     return out
 
 
@@ -438,7 +461,7 @@ def _checked_bound(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
         if points > _EVAL_CHUNK:
             raise DomainValidationError(
                 f"the refined pass's panel rule has {points:,} points per lag, more than "
-                f"the {_EVAL_CHUNK:,} of one field evaluation")
+                f"the {_EVAL_CHUNK:,} that one lag chunk of the panel average holds")
     return sup
 
 
@@ -448,7 +471,8 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
 
     Raises AdmissibilityError when the field carries no finite sup bound,
     DomainValidationError, before any field evaluation, when the refined
-    pass's panel rule would hold more than 2,000,000 points per lag (the
+    pass's panel rule would hold more than 2,000,000 points per lag, the
+    most that one lag chunk of the panel average's kernel matrix holds (the
     default Gaussian at n = 3 has 192^3), and ToleranceError when the value
     or the error estimate is not finite or, after the built-in refinement
     pass, the estimate still exceeds ``sch.target_tol``.
@@ -522,7 +546,7 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.nd
     ``centres[i]`` holds the kink radii of each direction at X[i], one row
     per direction (NaN for none).  ``curvature``, when given, holds one
     Laplacian per row of X for the inner Taylor cell.  Field calls take
-    runs of consecutive points holding at most ``_SWEEP_CHUNK`` field
+    runs of consecutive points holding at most ``_FIELD_BLOCK`` field
     points, and every (point, direction) row is summed on its own, so the
     values do not depend on the runs.
     """
@@ -549,7 +573,7 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.nd
     g_x = np.empty(len(X))
     pair_peak = np.empty(len(X))
     total = np.zeros(len(X))
-    for run in _runs(point_cells(), _SWEEP_CHUNK, lambda cells: 1 + 2 * len(cells[1])):
+    for run in _runs(point_cells(), _FIELD_BLOCK, lambda cells: 1 + 2 * len(cells[1])):
         idx, mids, widths, counts = zip(*run)
         idx, k = list(idx), len(idx)
         zm, zw, counts = np.concatenate(mids), np.concatenate(widths), np.concatenate(counts)

@@ -1,6 +1,8 @@
 """Field metadata, exterior rules, and the named registry."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +40,27 @@ class TestExteriorRule:
         liar = SpaceTimeField(lambda X, t: np.full(X.shape[0], 5.0), n=1, sup_bound=1.0)
         with pytest.raises(DomainValidationError, match="sup_bound"):
             spot_check(liar, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("sup_bound", [1.0, math.inf])
+    def test_spot_check_catches_nan(self, sup_bound):
+        nan_field = SpaceTimeField(lambda X, t: np.full(X.shape[0], np.nan), n=1,
+                                   sup_bound=sup_bound)
+        with pytest.raises(DomainValidationError, match="NaN"):
+            spot_check(nan_field, np.random.default_rng(1))
+        # one NaN among finite samples is caught as well
+        one_nan = SpaceTimeField(lambda X, t: np.where(X[:, 0] > 2.9, np.nan, 0.5), n=1)
+        with pytest.raises(DomainValidationError, match="NaN"):
+            spot_check(one_nan, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_spot_check_catches_inf_under_a_finite_bound(self, sign):
+        # at the largest float the bound check alone overflows to inf > inf and misses it
+        inf_field = SpaceTimeField(lambda X, t: np.where(X[:, 0] > 0.0, sign * np.inf, 0.5), n=1,
+                                   sup_bound=sys.float_info.max)
+        with pytest.raises(DomainValidationError, match="infinite"):
+            spot_check(inf_field, np.random.default_rng(1))
+        # an unbounded field may take infinite values
+        spot_check(dataclasses.replace(inf_field, sup_bound=math.inf), np.random.default_rng(1))
 
     def test_spot_check_catches_time_dependence(self):
         liar = SpaceTimeField(lambda X, t: np.exp(-X[:, 0] ** 2) * np.cos(t), n=1,

@@ -524,7 +524,7 @@ class TestChunkedFold:
         whole, calls = [], []
         whole_space = master_operator_pointwise(_counting(w, whole), q, P1, SCH).value
         # at most 500 points per call, where one lag holds at most 192
-        monkeypatch.setattr(planes, "_EVAL_CHUNK", 8 * 500)
+        monkeypatch.setattr(planes, "_FIELD_BLOCK", 500)
         fr = antisymmetric_fold_residual(_counting(w, calls), cfg, q, P1, SCH)
         assert fr.folded == _reference_folded(w, cfg, q, P1, SCH, whole_space)
         assert len(calls) - len(whole) > 20

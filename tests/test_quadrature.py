@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermgauss
 
-from fracheat.core import FracParams, SpaceTimePoint, integrated_kernel_constant
+from fracheat import quadrature
+from fracheat.core import FracParams, SpaceTimePoint, integrated_kernel_constant, sq_dist
 from fracheat.errors import AdmissibilityError, DomainValidationError, ToleranceError
 from fracheat.fields import (
     ZERO_BALL,
@@ -20,6 +23,7 @@ from fracheat.fields import (
     linear_combination,
     plane_wave,
     random_space_bump,
+    random_spacetime_bump,
     random_time_field,
     torsion_profile,
 )
@@ -28,6 +32,7 @@ from fracheat.quadrature import (
     QuadratureScheme,
     _capped_edges,
     _fd_laplacian,
+    _gh_average,
     _panel_average,
     _panel_axes,
     _tensor_rule,
@@ -298,6 +303,52 @@ def _ball_interpolant():
     return interpolant_field(problem, solve_steady(problem).full_values(problem))
 
 
+def _torsion_in_time(n):
+    """A time-dependent zero-ball field: the torsion profile times a Gaussian in t."""
+    g = torsion_profile(n, 0.5).func
+    return SpaceTimeField(lambda X, t: g(X) * np.exp(-((t - 0.2) ** 2) / 0.64), n=n,
+                          exterior=ZERO_BALL, ball_radius=1.0, space_scale=0.5)
+
+
+def _one_call_panel_average(u, x, t, r_mid, pts, w, n):
+    """The panel average with one field call and one kernel matrix per lag chunk."""
+    dist_sq = sq_dist(pts, x)
+    out = np.empty_like(r_mid)
+    npts = len(w)
+    static = u.eval(pts, np.full(npts, t))[None, :] if u.time_independent else None
+    step = max(1, quadrature._EVAL_CHUNK // npts)
+    for i0 in range(0, len(r_mid), step):
+        rs = r_mid[i0:i0 + step]
+        kern = np.exp(-dist_sq[None, :] / (4.0 * rs[:, None]))
+        kern *= (4.0 * math.pi * rs[:, None]) ** (-n / 2.0)
+        vals = static
+        if vals is None:
+            ts = np.repeat(t - rs, npts)
+            vals = u.eval(np.tile(pts, (len(rs), 1)), ts).reshape(len(rs), npts)
+        kern *= vals
+        out[i0:i0 + step] = kern @ w
+    return out
+
+
+def _one_call_gh_average(u, x, t, r_mid, sch):
+    """The Gauss-Hermite average with one field call per lag chunk."""
+    n = u.n
+    zn, wn = hermgauss(sch.hermite_order)
+    z_pts, z_w = _tensor_rule([zn] * n, [wn] * n)
+    z_w = z_w / math.pi ** (n / 2.0)
+    nz = len(z_w)
+    out = np.empty_like(r_mid)
+    step = max(1, quadrature._EVAL_CHUNK // nz)
+    for i0 in range(0, len(r_mid), step):
+        rs = r_mid[i0:i0 + step]
+        scal = 2.0 * np.sqrt(rs)
+        pts = x[None, None, :] + scal[:, None, None] * z_pts[None, :, :]
+        ts = np.repeat(t - rs, nz)
+        vals = u.eval(pts.reshape(-1, n), ts).reshape(len(rs), nz)
+        out[i0:i0 + step] = vals @ z_w
+    return out
+
+
 class TestOneEvaluationPerPoint:
     """Each pass evaluates a field once per distinct point, with unchanged bits."""
 
@@ -351,6 +402,107 @@ class TestOneEvaluationPerPoint:
         with pytest.raises(DomainValidationError, match="7,077,888 points"):
             master_operator_pointwise(u, SpaceTimePoint([0.0] * 3, 0.0), FracParams(3, 0.5), SCH)
         assert sizes == []
+
+
+# (field, evaluation point): global Gaussians, time-dependent zero-ball
+# torsion profiles, time-independent Gaussians and a plane wave without a
+# support box (whose panel rule is then the n-dimensional Gaussian's)
+_AVERAGE_CASES = {
+    "gauss-n1": (lambda: gaussian_bump(1, center=[0.1], width=0.8, t_center=0.2), [0.3]),
+    "gauss-n2": (lambda: gaussian_bump(2, center=[0.1, 0.1], width=0.8, t_center=0.2),
+                 [0.3, -0.2]),
+    "torsion-t-n1": (lambda: _torsion_in_time(1), [0.3]),
+    "torsion-t-n2": (lambda: _torsion_in_time(2), [0.3, -0.2]),
+    "static-n1": (lambda: gaussian_bump(1, width=0.7, t_width=None), [0.3]),
+    "static-n2": (lambda: gaussian_bump(2, width=0.7, t_width=None), [0.3, -0.2]),
+    "plane-wave-n2": (lambda: plane_wave(2, [1.0, 1.0], 1.0), [0.3, -0.2]),
+}
+
+
+class TestFieldBlocks:
+    """The Gaussian averages call the field on blocks of lags, with the bits of one call per chunk."""
+
+    @staticmethod
+    def _constants(monkeypatch, small, per_lag):
+        # small: seven lags per chunk and two per block, so chunks end in a
+        # partial block and a few lags take several chunks
+        if small:
+            monkeypatch.setattr(quadrature, "_EVAL_CHUNK", 7 * per_lag)
+            monkeypatch.setattr(quadrature, "_FIELD_BLOCK", 3 * per_lag - 1)
+        return max(quadrature._FIELD_BLOCK, per_lag)
+
+    @pytest.mark.parametrize("small", [False, True], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("case", list(_AVERAGE_CASES))
+    def test_panel_average_bits(self, monkeypatch, case, small):
+        build, x = _AVERAGE_CASES[case]
+        u = build()
+        n = u.n
+        rule_field = u if u.space_support is not None else gaussian_bump(n)
+        pts, w = _tensor_rule(*_panel_axes(rule_field, SCH))
+        # 300 lags span two default chunks of the n = 2 Gaussian's 10,816-point rule
+        r_mid = np.geomspace(0.05, 400.0, 23 if small else 300)
+        cap = self._constants(monkeypatch, small, len(w))
+        sizes = []
+        got = _panel_average(_counting(u, sizes), np.asarray(x), 0.1, r_mid, pts, w, n)
+        want = _one_call_panel_average(u, np.asarray(x), 0.1, r_mid, pts, w, n)
+        assert got.tobytes() == want.tobytes()
+        assert max(sizes) <= cap
+        if u.time_independent:
+            assert sizes == [len(w)]
+        elif small and u.exterior != ZERO_BALL:
+            assert len(sizes) == 4 * 3 + 1  # three chunks of blocks 2, 2, 2, 1; then two lags
+
+    @pytest.mark.parametrize("small", [False, True], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("case", list(_AVERAGE_CASES))
+    def test_gh_average_bits(self, monkeypatch, case, small):
+        build, x = _AVERAGE_CASES[case]
+        u = build()
+        r_mid = np.geomspace(1e-6, 0.5, 23 if small else 300)
+        cap = self._constants(monkeypatch, small, SCH.hermite_order ** u.n)
+        sizes = []
+        got = _gh_average(_counting(u, sizes), np.asarray(x), 0.1, r_mid, SCH)
+        want = _one_call_gh_average(u, np.asarray(x), 0.1, r_mid, SCH)
+        assert got.tobytes() == want.tobytes()
+        assert max(sizes) <= cap
+
+    def test_lag_larger_than_a_block(self):
+        # the refined panel rule of this packet holds 211,584 points per lag
+        u = random_spacetime_bump(np.random.default_rng(13), 2)
+        pts, w = _tensor_rule(*_panel_axes(u, SCH.refine()))
+        assert len(w) > quadrature._FIELD_BLOCK
+        x = np.array([0.1, -0.2])
+        # eleven lags: a chunk of nine and one of two
+        r_mid = np.geomspace(0.3, 40.0, 11)
+        sizes = []
+        got = _panel_average(_counting(u, sizes), x, 0.1, r_mid, pts, w, 2)
+        assert got.tobytes() == _one_call_panel_average(u, x, 0.1, r_mid, pts, w, 2).tobytes()
+        assert sizes == [len(w)] * len(r_mid)
+
+    @pytest.mark.parametrize("field, x, parent_points", [
+        (lambda: gaussian_bump(1), [0.0], 100_040),
+        (lambda: gaussian_bump(2), [0.0, 0.0], 16_489_664),
+        (lambda: _torsion_in_time(1), [0.3], 1_605_150),
+    ], ids=["gauss-n1", "gauss-n2", "torsion-t-n1"])
+    def test_master_calls_stay_within_a_block(self, field, x, parent_points):
+        u = field()
+        sizes = []
+        master_operator_pointwise(_counting(u, sizes), SpaceTimePoint(x, 0.1),
+                                  FracParams(u.n, 0.5), SCH)
+        one_lag = len(_tensor_rule(*_panel_axes(u, SCH.refine()))[1])
+        assert max(sizes) <= max(quadrature._FIELD_BLOCK, one_lag)
+        # the same points as with one field call per 2,000,000-point chunk
+        assert sum(sizes) == parent_points
+
+    def test_traced_peak_of_a_default_n2_call(self):
+        tracemalloc.start()
+        try:
+            master_operator_pointwise(gaussian_bump(2), SpaceTimePoint([0.0, 0.0], 0.0),
+                                      FracParams(2, 0.5), SCH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 113 MB with one field call per chunk of 2,000,000 points; about 19 MB in blocks
+        assert peak < 40e6
 
 
 def _nan_master():

@@ -478,7 +478,7 @@ class TestBatchedResidual:
         _counting_interpolant(monkeypatch, sizes)
         if small_runs:
             # at most 2,000 points per field call, where one n = 2 node needs more
-            monkeypatch.setattr(quadrature, "_SWEEP_CHUNK", 2_000)
+            monkeypatch.setattr(quadrature, "_FIELD_BLOCK", 2_000)
         got = residual_field(prob, sol, SCH, node_subset=nodes)
         assert got.tobytes() == want.tobytes()
         if small_runs:
@@ -492,7 +492,7 @@ class TestBatchedResidual:
         _counting_interpolant(monkeypatch, sizes)
         residual_field(prob, sol, SCH, node_subset=nodes)
         # one field call per node and pass before: 128
-        cap = quadrature._SWEEP_CHUNK
+        cap = quadrature._FIELD_BLOCK
         assert max(sizes) <= cap
         assert len(sizes) <= 2 * math.ceil(sum(sizes) / cap)
 

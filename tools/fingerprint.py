@@ -4,9 +4,10 @@
 
 Prints one line per output: the hex of value and est_error of pointwise
 operator values (master, fractional Laplacian and Marchaud at n = 1 and
-n = 2), fold residuals of time-dependent and time-independent fields,
-`solve_steady` results (SHA-256 prefix of the values, hex of the residual,
-iteration count), from the offset table and from a supplied matrix, the
+n = 2; the master also on a time-dependent zero-ball field), fold
+residuals of time-dependent and time-independent fields, `solve_steady`
+results (SHA-256 prefix of the values, hex of the residual, iteration
+count), from the offset table and from a supplied matrix, the
 ball-grid symmetry report (defect hex, violation count) and every
 narrow-region record (lambda, min_w hex, argmin, strict flag, passed) on
 solved, noisy and shifted-torsion grid data, SHA-256
@@ -32,6 +33,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from fracheat.cli import ScenarioConfig, run_scenario  # noqa: E402
 from fracheat.core import FracParams, SpaceTimePoint, heat_kernel  # noqa: E402
 from fracheat.fields import (  # noqa: E402
+    ZERO_BALL,
+    SpaceTimeField,
     antisymmetrize,
     gaussian_bump,
     mollifier,
@@ -100,6 +103,11 @@ def pointwise() -> None:
             "space-bump": random_space_bump(rng, n).as_spacetime(),
             "spacetime-bump": random_spacetime_bump(rng, n),
         }
+        # zero-ball and time-dependent: the panel average evaluates it at every lag
+        tor = torsion_profile(n, 0.5)
+        fields["torsion-gauss-t"] = SpaceTimeField(
+            lambda X, t, g=tor.func: g(X) * np.exp(-((t - 0.2) ** 2) / 0.8**2), n=n,
+            exterior=ZERO_BALL, ball_radius=1.0, space_scale=0.5, t_support=(-7.8, 8.2))
         if n == 1:
             fields["time-field"] = random_time_field(rng).as_spacetime(1)
         for name, u in fields.items():
