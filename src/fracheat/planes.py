@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .core import FracParams, SpaceTimePoint
 from .errors import (
@@ -34,6 +33,7 @@ from .quadrature import (
     _FIELD_BLOCK,
     QuadratureScheme,
     _checked_bound,
+    _gauss_rule,
     _master_single_pass,
     _panel_axes,
     _refine_toward,
@@ -44,8 +44,6 @@ from .quadrature import (
     master_operator_pointwise,
 )
 from .solver import BallProblem
-
-_GL8 = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -289,8 +287,8 @@ def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
             panel_nodes, panel_weights = (axes[free] for axes in _panel_axes(w, sch))
     hi = min(cfg.lam, hi_supp)
     feature = w.space_scale if math.isfinite(w.space_scale) else 1.0
-    zn, wn = hermgauss(sch.hermite_order)
-    gl_x, gl_w = _GL8
+    zn, wn = _gauss_rule("hermite", sch.hermite_order)
+    gl_x, gl_w = _gauss_rule("legendre", 8)
 
     def lag_rules():
         for i, r in enumerate(r_mid):

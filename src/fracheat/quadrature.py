@@ -52,6 +52,7 @@ average is provably negligible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -233,6 +234,19 @@ def _runs(items, limit: int, size=lambda item: len(item[-1])):
         yield run
 
 
+@functools.cache
+def _gauss_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``"hermite"`` or ``"legendre"`` Gauss rule of ``order``.
+
+    Built once per (kind, order) and shared by every caller, so the arrays
+    are read-only.
+    """
+    nodes, weights = {"hermite": hermgauss, "legendre": leggauss}[kind](order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _tensor_rule(axes_nodes: Sequence[np.ndarray], axes_weights: Sequence[np.ndarray]):
     """Tensor product of 1-D rules: points of shape (m, d) and their weights."""
     grids = np.meshgrid(*axes_nodes, indexing="ij")
@@ -283,7 +297,7 @@ def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme, order: int = 8):
     lo, hi = u.space_support
     scale = u.space_scale * 16.0 / sch.nodes_per_decade
     cusps = (-u.ball_radius, u.ball_radius) if u.exterior == ZERO_BALL else ()
-    gl_x, gl_w = leggauss(order)
+    gl_x, gl_w = _gauss_rule("legendre", order)
     axes_nodes, axes_weights = [], []
     for a, b in zip(np.atleast_1d(np.asarray(lo, dtype=float)),
                     np.atleast_1d(np.asarray(hi, dtype=float))):
@@ -331,7 +345,7 @@ def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float,
 def _gh_average(u: SpaceTimeField, x: np.ndarray, t: float,
                 r_mid: np.ndarray, sch: QuadratureScheme) -> np.ndarray:
     n = u.n
-    zn, wn = hermgauss(sch.hermite_order)
+    zn, wn = _gauss_rule("hermite", sch.hermite_order)
     z_pts, z_w = _tensor_rule([zn] * n, [wn] * n)
     z_w = z_w / math.pi ** (n / 2.0)
     nz = len(z_w)
@@ -711,7 +725,7 @@ def slowly_increasing_membership(u: SpaceTimeField, t: float, p: FracParams,
     if len(ladder) < 2 or any(R <= 0 for R in ladder) or sorted(ladder) != ladder:
         raise DomainValidationError("truncation_ladder must be >= 2 increasing positive radii")
 
-    zn, wn = hermgauss(48)
+    zn, wn = _gauss_rule("hermite", 48)
     z_pts, w = _tensor_rule([zn] * p.n, [wn] * p.n)
     estimates = []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -35,7 +35,11 @@ Picard, started from zero, never leaves its fully symmetric vectors.
 ``solve_steady`` therefore iterates on one value per orbit of
 ``BallProblem.orbits()`` (M of them, about N / 8 at n = 2) with the M x M
 class block summed from the representatives' rows of the offset table,
-then checks every row in one streamed pass: no N x N or N x M array forms.
+then checks every row with one product A u: an FFT correlation of the
+table with the zero-padded grid values, O(N log N) (the Toeplitz/FFT
+product of Duo, van Wyk & Zhang, J. Comput. Phys. 355, 2018), or a
+streamed pass over the rows of a supplied matrix.  No N x N or N x M array
+forms.
 """
 
 from __future__ import annotations
@@ -50,9 +54,8 @@ import scipy.linalg
 from .core import FracParams, integrated_kernel_constant
 from .errors import DomainValidationError, GridCoarseError, SingularMatrixError
 from .fields import SpaceField, ZERO_BALL
-from .quadrature import QuadratureScheme, _fractional_laplacian
+from .quadrature import QuadratureScheme, _fractional_laplacian, _gauss_rule
 
-_GL12 = np.polynomial.legendre.leggauss(12)
 _ROW_BLOCK = 16  # rows per gather of the matrix; small blocks stay in cache
 
 
@@ -269,7 +272,7 @@ def _offset_table_1d(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
 
 def _square_cell_integral(s: float) -> float:
     """Int over the unit square [-1/2,1/2]^2 of |w|^{-2s} dw (1-D quadrature)."""
-    gl_x, gl_w = _GL12
+    gl_x, gl_w = _gauss_rule("legendre", 12)
     theta = 0.125 * math.pi * (gl_x + 1.0)
     w = 0.125 * math.pi * gl_w
     vals = (2.0 * np.cos(theta)) ** (2.0 * s - 2.0) / (2.0 - 2.0 * s)
@@ -294,7 +297,7 @@ def _offset_weights_2d(h: float, s: float, A: float, r_far: float) -> np.ndarray
         W = A * dist ** (-2.0 - 2.0 * s) * h * h
     W[window, window] = 0.0
 
-    gl_x, gl_w = _GL12
+    gl_x, gl_w = _gauss_rule("legendre", 12)
     WW = np.outer(gl_w, gl_w) * (0.5 * h) ** 2
     for j in range(1, 4):
         for i in range(j + 1):
@@ -333,13 +336,23 @@ def _offset_table_2d(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
     return table
 
 
-def _table_rows(problem: BallProblem, sch: QuadratureScheme) -> Callable:
+def _offset_table(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
+    """The dimension's offset table cropped to offsets -(K-1)..K-1 per axis, (2K-1)^n entries.
+
+    Those are all the offsets between two grid nodes; the 2-D table spans
+    the r_far window beyond them, which no matrix entry reads.
+    """
+    table = (_offset_table_1d if problem.p.n == 1 else _offset_table_2d)(problem, sch)
+    c, K = table.shape[0] // 2, problem.points_per_axis
+    return table[(slice(c - K + 1, c + K),) * problem.p.n]
+
+
+def _table_rows(problem: BallProblem, table: np.ndarray) -> Callable:
     """The collocation matrix over the interior nodes, as a function ``rows -> block``.
 
     ``rows`` (index array or slice) picks the interior rows gathered; entry
-    (a, b) is ``table[node_b - node_a]`` of the dimension's offset table.
+    (a, b) is ``table[node_b - node_a]`` of the ``_offset_table``.
     """
-    table = (_offset_table_1d if problem.p.n == 1 else _offset_table_2d)(problem, sch)
     grid_idx = np.unravel_index(np.flatnonzero(problem.interior_mask()), problem.shape)
     # node positions in the table's flat frame: pos[b] - pos[a] + centre is the
     # flat index of offset b - a, since every offset fits the table
@@ -349,13 +362,42 @@ def _table_rows(problem: BallProblem, sch: QuadratureScheme) -> Callable:
     return lambda rows: flat_table[pos[None, :] - pos[rows, None] + centre]
 
 
+def _fft_len(m: int) -> int:
+    """The least length >= m with no prime factor above 5, where numpy.fft is fastest."""
+    while True:
+        rest = m
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return m
+        m += 1
+
+
+def _table_product(problem: BallProblem, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A u over the interior nodes for the matrix of ``table``, as one FFT correlation.
+
+    (A u)[a] = sum_b table[b - a] u[b] is, per axis, the linear convolution
+    of the K grid values (exterior zero) with the reversed table of 2K - 1
+    entries; node a reads entry a + K - 1 of that 3K - 2 long product.  A
+    circular convolution of period L >= 2K - 1 wraps only entries outside
+    K - 1 .. 2K - 2 onto each other, so L = ``_fft_len(2K - 1)`` suffices.
+    """
+    n, K = problem.p.n, problem.points_per_axis
+    axes, size = tuple(range(n)), (_fft_len(2 * K - 1),) * n
+    spectrum = (np.fft.rfftn(table[(slice(None, None, -1),) * n], size, axes=axes)
+                * np.fft.rfftn(problem.full_values(u), size, axes=axes))
+    conv = np.fft.irfftn(spectrum, size, axes=axes)
+    return conv[(slice(K - 1, 2 * K - 1),) * n].ravel()[problem.interior_mask()]
+
+
 def assemble_dirichlet_matrix(problem: BallProblem, sch: QuadratureScheme) -> np.ndarray:
     """Dense collocation matrix of (-Laplacian)^s over the interior nodes.
 
     The rows of ``_table_rows`` stacked; ``solve_steady`` does not need it.
     """
     n_int = int(np.count_nonzero(problem.interior_mask()))
-    rows_of = _table_rows(problem, sch)
+    rows_of = _table_rows(problem, _offset_table(problem, sch))
     mat = np.empty((n_int, n_int))
     for lo in range(0, n_int, _ROW_BLOCK):
         mat[lo:lo + _ROW_BLOCK] = rows_of(slice(lo, lo + _ROW_BLOCK))
@@ -392,12 +434,16 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
     u = v[cols] for a class vector v.  The iteration runs on v alone with
     the LU of the M x M class block B of ``_class_block``, so the values
     are exactly symmetric.  The matrix rows come from ``matrix`` when given
-    (square over the interior nodes), else from the offset table.  One
-    pass over every interior row then gives ``residual_inf`` =
-    max |f(u) - A u| and raises ``SingularMatrixError`` on a non-finite
-    entry, so a matrix without the symmetry reports converged=False, never
-    a wrong converged answer.  With theta = 1 and a constant right-hand
-    side the first iterate is already the solution.  Non-convergence,
+    (square over the interior nodes), else from the offset table.  Every
+    interior row then enters ``residual_inf`` = max |f(u) - A u|, so a
+    matrix without the symmetry reports converged=False, never a wrong
+    converged answer.  Without ``matrix`` the table, built once and shared
+    with the class block, gives A u as one FFT correlation
+    (``_table_product``), exact up to rounding, and a non-finite table
+    entry raises ``SingularMatrixError`` before any work.  A supplied
+    ``matrix`` is read in one streamed pass of row blocks, which raises
+    ``SingularMatrixError`` on a non-finite entry.  With theta = 1 and a
+    constant right-hand side the first iterate is already the solution.  Non-convergence,
     including a residual that overflows, returns the iterate of least class
     residual with converged=False; positivity_ok refers to that iterate.
     """
@@ -407,8 +453,13 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
     if matrix is not None and np.shape(matrix) != (n_int, n_int):
         raise DomainValidationError(
             f"matrix of shape {np.shape(matrix)} does not match the {n_int} interior nodes")
-    rows_of = (_table_rows(problem, sch or QuadratureScheme()) if matrix is None
-               else np.asarray(matrix, dtype=float).__getitem__)
+    if matrix is None:
+        table = _offset_table(problem, sch or QuadratureScheme())
+        if not np.all(np.isfinite(table)):
+            raise SingularMatrixError("offset table has non-finite entries")
+        rows_of = _table_rows(problem, table)
+    else:
+        rows_of = np.asarray(matrix, dtype=float).__getitem__
     B, cols, rows = _class_block(problem, rows_of)
     # a non-finite entry of B carries into its factors
     lu = scipy.linalg.lu_factor(B, overwrite_a=True, check_finite=False)
@@ -432,12 +483,15 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
             best_v = v
         u = best_v[cols]
         # every row once: a row outside the class block shows an asymmetric or non-finite matrix
-        Au = np.empty(n_int)
-        for lo in range(0, n_int, _ROW_BLOCK):
-            block = rows_of(slice(lo, lo + _ROW_BLOCK))
-            Au[lo:lo + _ROW_BLOCK] = block @ u
-            if not np.all(np.isfinite(Au[lo:lo + _ROW_BLOCK])) and not np.all(np.isfinite(block)):
-                raise SingularMatrixError("collocation matrix has non-finite entries")
+        if matrix is None:
+            Au = _table_product(problem, table, u)
+        else:
+            Au = np.empty(n_int)
+            for lo in range(0, n_int, _ROW_BLOCK):
+                block = rows_of(slice(lo, lo + _ROW_BLOCK))
+                Au[lo:lo + _ROW_BLOCK] = part = block @ u
+                if not np.all(np.isfinite(part)) and not np.all(np.isfinite(block)):
+                    raise SingularMatrixError("collocation matrix has non-finite entries")
         residual_inf = float(np.max(np.abs(problem.f.eval_extended(u) - Au)))
     return Solution(
         values=u,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from fracheat import quadrature
 from fracheat.core import FracParams, SpaceTimePoint, integrated_kernel_constant, sq_dist
@@ -32,6 +33,7 @@ from fracheat.quadrature import (
     QuadratureScheme,
     _capped_edges,
     _fd_laplacian,
+    _gauss_rule,
     _gh_average,
     _panel_average,
     _panel_axes,
@@ -526,6 +528,44 @@ def test_non_finite_result_raises(evaluate):
     # nan > target_tol is False, so only an explicit finiteness gate stops it
     with pytest.raises(ToleranceError, match="non-finite"):
         evaluate()
+
+
+class TestGaussRules:
+    """One cached build per Gauss rule, bit-equal to numpy's and shared read-only."""
+
+    @pytest.mark.parametrize("kind, build, order", [
+        ("hermite", hermgauss, 20), ("hermite", hermgauss, 48),
+        ("legendre", leggauss, 8), ("legendre", leggauss, 12)])
+    def test_cached_rule_is_numpys(self, kind, build, order):
+        nodes, weights = _gauss_rule(kind, order)
+        want_nodes, want_weights = build(order)
+        assert nodes.tobytes() == want_nodes.tobytes()
+        assert weights.tobytes() == want_weights.tobytes()
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert _gauss_rule(kind, order)[0] is nodes
+
+    def test_one_build_per_rule(self, monkeypatch):
+        builds = []
+
+        def counted(kind, build):
+            def wrapper(order):
+                builds.append((kind, order))
+                return build(order)
+            return wrapper
+
+        monkeypatch.setattr(quadrature, "hermgauss", counted("hermite", hermgauss))
+        monkeypatch.setattr(quadrature, "leggauss", counted("legendre", leggauss))
+        _gauss_rule.cache_clear()
+        try:
+            # Hermite near lags and support panels beyond, in both passes of each call
+            u = gaussian_bump(1, width=0.8, t_center=0.2)
+            for x in (0.3, -0.2):
+                master_operator_pointwise(u, SpaceTimePoint(np.array([x]), 0.1), P1, SCH)
+        finally:
+            _gauss_rule.cache_clear()
+        assert sorted(builds) == [("hermite", SCH.hermite_order), ("legendre", 8)]
 
 
 class TestMembership:

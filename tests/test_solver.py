@@ -24,8 +24,10 @@ from fracheat.solver import (
     BallProblem,
     Solution,
     _class_block,
+    _offset_table,
     _offset_table_1d,
     _offset_table_2d,
+    _table_product,
     _table_rows,
     assemble_dirichlet_matrix,
     nonlinearity_by_name,
@@ -39,6 +41,15 @@ SCH = QuadratureScheme()
 
 def make_problem(K=129, f="one", n=1, s=0.5):
     return BallProblem(FracParams(n, s), K, nonlinearity_by_name(f))
+
+
+def table_rows(prob):
+    return _table_rows(prob, _offset_table(prob, SCH))
+
+
+def fft_tol(prob, u):
+    """Rounding bound of the FFT product A u: 32 eps ||table||_1 ||u||_inf."""
+    return 32.0 * np.finfo(float).eps * np.sum(np.abs(_offset_table(prob, SCH))) * np.max(np.abs(u))
 
 
 class TestNonlinearity:
@@ -228,7 +239,7 @@ class TestParitySolve:
         # fully symmetric right-hand sides: one random value per orbit, on-axis nodes included
         prob = make_problem(K=K, n=n)
         A = assemble_dirichlet_matrix(prob, SCH)
-        B, cols, rows = _class_block(prob, _table_rows(prob, SCH))
+        B, cols, rows = _class_block(prob, table_rows(prob))
         lu_class = scipy.linalg.lu_factor(B)
         lu = scipy.linalg.lu_factor(A)
         rng = np.random.default_rng(K)
@@ -255,7 +266,7 @@ class TestParitySolve:
             assert np.array_equal(rep[moved], rep)
         assert np.all(mask[rep[mask]])
         # the class block is square, one row and one column per orbit, its rows the representatives'
-        B, cols, rows = _class_block(prob, _table_rows(prob, SCH))
+        B, cols, rows = _class_block(prob, table_rows(prob))
         interior = np.flatnonzero(mask)
         M = np.unique(rep[mask]).size
         assert B.shape == (M, M) and rows.shape == (M,) and cols.shape == (interior.size,)
@@ -265,7 +276,7 @@ class TestParitySolve:
     @pytest.mark.parametrize("n, K", [(1, 17), (2, 9), (2, 17), (2, 33)])
     def test_reduced_operator_from_table_is_the_matrix_reduced(self, n, K):
         prob = make_problem(K=K, n=n)
-        from_table = _class_block(prob, _table_rows(prob, SCH))
+        from_table = _class_block(prob, table_rows(prob))
         from_matrix = _class_block(prob, assemble_dirichlet_matrix(prob, SCH).__getitem__)
         for a, b in zip(from_table, from_matrix):
             assert np.array_equal(a, b)
@@ -274,7 +285,7 @@ class TestParitySolve:
     def test_reduced_operator_applies_the_matrix(self, n, K):
         prob = make_problem(K=K, n=n)
         A = assemble_dirichlet_matrix(prob, SCH)
-        B, cols, rows = _class_block(prob, _table_rows(prob, SCH))
+        B, cols, rows = _class_block(prob, table_rows(prob))
         rng = np.random.default_rng(K)
         for _ in range(3):
             v = rng.standard_normal(rows.size)
@@ -295,7 +306,9 @@ class TestParitySolve:
         a = solve_steady(prob, SCH)
         b = solve_steady(prob, SCH, matrix=assemble_dirichlet_matrix(prob, SCH))
         assert np.array_equal(a.values, b.values)
-        assert (a.residual_inf, a.iterations) == (b.residual_inf, b.iterations)
+        assert a.iterations == b.iterations
+        # the table's every-row product is an FFT, the matrix's a row gather: equal up to rounding
+        assert abs(a.residual_inf - b.residual_inf) <= fft_tol(prob, a.values)
 
     @pytest.mark.parametrize("n, K, breaks", [
         pytest.param(1, 33, "reflections", id="1-33"),
@@ -332,7 +345,62 @@ class TestParitySolve:
         prob = make_problem(K=K, n=n, f="one-minus-half-u")
         sol = solve_steady(prob, SCH)
         A = assemble_dirichlet_matrix(prob, SCH)
-        assert sol.residual_inf == np.max(np.abs(prob.f.eval_extended(sol.values) - A @ sol.values))
+        dense = np.max(np.abs(prob.f.eval_extended(sol.values) - A @ sol.values))
+        assert abs(sol.residual_inf - dense) <= fft_tol(prob, sol.values)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("n, K", [(1, 33), (1, 257), (1, 1025), (2, 17), (2, 33), (2, 129)])
+    def test_fft_product_is_the_matrix_product(self, n, K, s):
+        prob = make_problem(K=K, n=n, s=s)
+        u = np.random.default_rng(K).standard_normal(int(np.count_nonzero(prob.interior_mask())))
+        # A @ u in blocks of gathered rows, so n = 2 K = 129 never holds its 1.3 GB matrix
+        rows_of = table_rows(prob)
+        dense = np.concatenate([rows_of(slice(lo, lo + 256)) @ u for lo in range(0, len(u), 256)])
+        got = _table_product(prob, _offset_table(prob, SCH), u)
+        assert np.max(np.abs(got - dense)) <= fft_tol(prob, u)
+
+    @pytest.mark.parametrize("n, K", [(1, 33), (2, 17)])
+    def test_asymmetric_table_never_converges_wrongly(self, monkeypatch, n, K):
+        name = "_offset_table_1d" if n == 1 else "_offset_table_2d"
+        build = getattr(solver, name)
+
+        def lopsided(problem, sch):
+            table = build(problem, sch)
+            c = table.shape[0] // 2
+            table[(c + 1,) + (c + 2,) * (n - 1)] += 0.5 * table[(c,) * n]  # no reflection keeps it
+            return table
+
+        monkeypatch.setattr(solver, name, lopsided)
+        prob = make_problem(K=K, n=n, f="one-minus-half-u")
+        sol = solve_steady(prob, SCH)
+        A = assemble_dirichlet_matrix(prob, SCH)
+        assert not np.array_equal(A, A.T)
+        true_res = np.max(np.abs(prob.f.eval_extended(sol.values) - A @ sol.values))
+        assert abs(sol.residual_inf - true_res) <= fft_tol(prob, sol.values)
+        assert not sol.converged and true_res > 1e-8
+        assert sol.iterations <= 30
+
+    @pytest.mark.parametrize("where", ["centre", "crop corner", "beyond the crop"])
+    def test_non_finite_table_rejected(self, monkeypatch, where):
+        prob = make_problem(K=17, n=2, f="one")
+        clean = solve_steady(prob, SCH)
+        build = solver._offset_table_2d
+
+        def spoiled(problem, sch):
+            table = build(problem, sch)
+            c, K = table.shape[0] // 2, problem.points_per_axis
+            # the crop corner is read by no pair of interior nodes, but an FFT spreads it everywhere
+            at = {"centre": 0, "crop corner": K - 1, "beyond the crop": K}[where]
+            table[c + at, c - at] = np.nan
+            return table
+
+        monkeypatch.setattr(solver, "_offset_table_2d", spoiled)
+        if where == "beyond the crop":
+            sol = solve_steady(prob, SCH)
+            assert np.array_equal(sol.values, clean.values) and sol.converged
+        else:
+            with pytest.raises(SingularMatrixError):
+                solve_steady(prob, SCH)
 
     def test_peak_memory_below_half_the_matrix(self):
         prob = make_problem(K=65, n=2, f="one")

@@ -7,8 +7,9 @@ operator values (master, fractional Laplacian and Marchaud at n = 1 and
 n = 2; the master also on a time-dependent zero-ball field), fold
 residuals of time-dependent and time-independent fields, `solve_steady`
 results (SHA-256 prefix of the values, hex of the residual, iteration
-count), from the offset table and from a supplied matrix, the
-ball-grid symmetry report (defect hex, violation count) and every
+count) from the offset table, also at the n = 2 K = 65 size that
+`solve-ball` runs, and from a supplied matrix, the ball-grid symmetry
+report (defect hex, violation count) and every
 narrow-region record (lambda, min_w hex, argmin, strict flag, passed) on
 solved, noisy and shifted-torsion grid data, SHA-256
 prefixes of `residual_field` arrays (all nodes, and the 64 nodes that
@@ -165,6 +166,11 @@ def solves() -> None:
         sol = solve_steady(problem, SCH, matrix=assemble_dirichlet_matrix(problem, SCH))
         print(f"solve_steady n={n} K={points} f={f} matrix= {_digest(sol.values.tobytes())} "
               f"{sol.residual_inf.hex()} {sol.iterations}")
+    # the size that n = 2 solve-ball runs (h = 1/32), whose every-row product is an FFT
+    problem = BallProblem(FracParams(2, 0.5), 65, nonlinearity_by_name("one"))
+    sol = solve_steady(problem, SCH)
+    print(f"solve_steady n=2 K=65 f=one {_digest(sol.values.tobytes())} "
+          f"{sol.residual_inf.hex()} {sol.iterations}")
 
 
 def residuals() -> None:
