@@ -36,7 +36,6 @@ from .quadrature import (
     _gauss_rule,
     _master_single_pass,
     _panel_axes,
-    _refine_toward,
     _runs,
     _tensor_rule,
     _two_pass,
@@ -258,6 +257,39 @@ def _check_antisymmetry(w: SpaceTimeField, cfg: PlaneConfig) -> None:
         raise AntisymmetryError("field is not antisymmetric about the plane")
 
 
+def _fold_edges(lo: np.ndarray, hi: float, sigma: np.ndarray, centres: Sequence[float],
+                feature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges along the plane normal for every lag, built in one array pass.
+
+    Lag i's edges are, bit for bit, ``_refine_toward(np.linspace(lo[i], hi,
+    count + 1), lo[i], hi, centres, sigma[i] * np.arange(1, 9))`` with count =
+    min(ceil((hi - lo[i]) / feature), 160): panels capped at the feature
+    size, refined toward every centre.  Needs lo < hi.  Returns the edges of
+    all lags, concatenated, and the number of edges of each lag.
+    """
+    count = np.minimum(np.ceil((hi - lo) / feature), 160.0).astype(int)
+    col = np.arange(count.max() + 1)
+    # numpy.linspace computes k * step + lo and then sets the last edge to hi;
+    # hi also pads the rows to one length
+    step = (hi - lo) / count
+    grid = np.where(col < count[:, None], col * step[:, None] + lo[:, None], hi)
+    c = np.asarray(centres, dtype=float)
+    offsets = (sigma[:, None] * np.arange(1, 9))[:, None, :]
+    extra = np.concatenate([np.broadcast_to(c, (lo.size, c.size)),
+                            (c[:, None] - offsets).reshape(lo.size, -1),
+                            (c[:, None] + offsets).reshape(lo.size, -1)], axis=1)
+    inside = (extra > lo[:, None]) & (extra < hi)
+    rows = np.sort(np.concatenate([grid, np.where(inside, extra, hi)], axis=1), axis=1)
+    # np.unique as a mask: each entry that differs from the one before it, so
+    # the padding merges into hi; a lag without refinement points keeps its
+    # linspace edges as they are, as _refine_toward does
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    keep = np.where(inside.any(axis=1)[:, None], keep,
+                    np.arange(rows.shape[1]) <= count[:, None])
+    return rows[keep], np.count_nonzero(keep, axis=1)
+
+
 def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
                     sch: QuadratureScheme, r_mid: np.ndarray) -> np.ndarray:
     """Int_Sigma w(y, t - r) (K_r(x - y) - K_r(x - y^lambda)) dy for every lag r in r_mid.
@@ -266,12 +298,13 @@ def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
     antisymmetric w this is the Gaussian average E_z w(x + 2 sqrt(r) z, t - r)
     written over Sigma_lambda alone.  Along the plane normal, Gauss-Legendre
     panels cover Sigma_lambda within eight kernel widths of q, clipped to the
-    support and graded toward q and q^lambda.  At n = 2 the free axis takes
-    Hermite nodes up to the lag where the kernel scale reaches the feature
-    size and the support panel axis of ``_panel_axes`` beyond, as the
-    Gaussian average does.  One field call per run of consecutive lags
-    holding at most ``_FIELD_BLOCK`` (62,500) points; each lag's sum is
-    taken on its own, so the result does not depend on the grouping.
+    support and graded toward q and q^lambda; ``_fold_edges`` builds the
+    panels of all lags in one sort.  At n = 2 the free axis takes Hermite
+    nodes up to the lag where the kernel scale reaches the feature size and
+    the support panel axis of ``_panel_axes`` beyond, as the Gaussian average
+    does.  One field call and one kernel evaluation per run of consecutive
+    lags holding at most ``_FIELD_BLOCK`` (62,500) points; each lag's sum is
+    one ``np.dot`` of its own, so the result does not depend on the grouping.
     """
     axis_idx, sign = cfg.axis()
     x, t, n = q.x, q.t, w.n
@@ -290,40 +323,50 @@ def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
     zn, wn = _gauss_rule("hermite", sch.hermite_order)
     gl_x, gl_w = _gauss_rule("legendre", 8)
 
+    out = np.zeros_like(r_mid)
+    sigma = 2.0 * np.sqrt(r_mid)
+    lo = np.maximum(q_par - 8.0 * sigma, lo_supp)
+    live = np.flatnonzero(lo < hi)
+    if live.size == 0:
+        return out
+    edges, n_edges = _fold_edges(lo[live], hi, sigma[live], (q_par, q_refl), feature)
+    y_mid = 0.5 * (edges[:-1] + edges[1:])
+    y_half = 0.5 * np.diff(edges)
+    panel = np.ones(y_mid.size, dtype=bool)
+    panel[np.cumsum(n_edges)[:-1] - 1] = False  # the gaps between two lags' edges
+    nodes = sign * (y_mid[panel, None] + y_half[panel, None] * gl_x[None, :]).ravel()
+    weights = (y_half[panel, None] * gl_w[None, :]).ravel()
+    lag_nodes = gl_x.size * (n_edges - 1)
+    ends = np.cumsum(lag_nodes)
+
     def lag_rules():
-        for i, r in enumerate(r_mid):
-            sigma = 2.0 * math.sqrt(r)
-            lo = max(q_par - 8.0 * sigma, lo_supp)
-            if lo >= hi:
+        for i, a, b in zip(live, ends - lag_nodes, ends):
+            if n == 1:
+                yield i, nodes[a:b, None], weights[a:b]
                 continue
-            # panels capped at the feature scale, refined toward both kernel peaks
-            edges_y = np.linspace(lo, hi, min(int(math.ceil((hi - lo) / feature)), 160) + 1)
-            edges_y = _refine_toward(edges_y, lo, hi, [q_par, q_refl], sigma * np.arange(1, 9))
-            y_mid = 0.5 * (edges_y[:-1] + edges_y[1:])
-            y_half = 0.5 * np.diff(edges_y)
-            normal = (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()
-            axes = {axis_idx: (sign * normal, (y_half[:, None] * gl_w[None, :]).ravel())}
-            if n == 2 and r <= r_cross:
+            axes = {axis_idx: (nodes[a:b], weights[a:b])}
+            if r_mid[i] <= r_cross:
                 # Hermite nodes y2 = x2 + sigma * z absorb the free axis's
                 # Gaussian factor exactly
-                axes[free] = (x[free] + sigma * zn, wn * sigma)
-            elif n == 2:
-                axes[free] = (panel_nodes,
-                              panel_weights * np.exp(-((panel_nodes - x[free]) ** 2) / (4.0 * r)))
-            pts, wts = _tensor_rule(*zip(*(axes[k] for k in range(n))))
-            yield i, pts, sign * pts[:, axis_idx], wts
+                axes[free] = (x[free] + sigma[i] * zn, wn * sigma[i])
+            else:
+                axes[free] = (panel_nodes, panel_weights
+                              * np.exp(-((panel_nodes - x[free]) ** 2) / (4.0 * r_mid[i])))
+            yield (i,) + _tensor_rule(*zip(*(axes[k] for k in range(n))))
 
-    out = np.zeros_like(r_mid)
     for run in _runs(lag_rules(), _FIELD_BLOCK):
-        idx, pts, y_pars, wtss = zip(*run)
+        idx, pts, wtss = zip(*run)
         sizes = [len(wts) for wts in wtss]
-        vals = np.split(w.eval(np.concatenate(pts), np.repeat(t - r_mid[list(idx)], sizes)),
-                        np.cumsum(sizes)[:-1])
-        for i, y_par, wts, v in zip(idx, y_pars, wtss, vals):
-            r = r_mid[i]
-            kern = (np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
-                    - np.exp(-((q_refl - y_par) ** 2) / (4.0 * r)))
-            out[i] = (4.0 * math.pi * r) ** (-n / 2.0) * float(np.dot(wts, v * kern))
+        pts = np.concatenate(pts)
+        r = np.repeat(r_mid[list(idx)], sizes)
+        y_par = sign * pts[:, axis_idx]
+        kern = (np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
+                - np.exp(-((q_refl - y_par) ** 2) / (4.0 * r)))
+        terms = w.eval(pts, t - r) * kern
+        for i, wts, b in zip(idx, wtss, np.cumsum(sizes)):
+            # a padded row or np.add.reduceat would round the sum differently
+            dot = float(np.dot(wts, terms[b - len(wts):b]))
+            out[i] = (4.0 * math.pi * r_mid[i]) ** (-n / 2.0) * dot
     return out
 
 

@@ -39,8 +39,10 @@ antisymmetric fold of ``planes`` (the average folded onto a half-space).
   entries and fill each chunk's matrix in place, one block of lags and one
   field call at a time; the chunk then takes one matrix-vector product.
   That product stays per chunk because its rounding depends on the row
-  count: split into blocks it would move the bits.  The fold sums each
-  lag on its own, so its runs of lags are simply blocks.
+  count: split into blocks it would move the bits.  The fold builds the
+  normal-axis panels of all its lags in one sort (``planes._fold_edges``)
+  and sums each lag with one ``np.dot`` of its own, so its runs of lags
+  are simply blocks.
 
 The Gaussian average switches representation at large lag: Gauss-Hermite
 nodes ride the kernel scale 2 sqrt(r) and lose the field once that scale
@@ -181,18 +183,20 @@ def _capped_edges(lo: float, hi: float, npd: int,
         return np.array([lo, max(hi, lo)])
     cap = _CAP_FACTOR / npd
     ratio = 10.0 ** (1.0 / npd)
-    switch = cap / (ratio - 1.0) if cap_width else hi
-    edges = [lo]
-    # geometric zone
-    e = lo
-    while e < min(hi, switch):
-        e = min(e * ratio, hi)
-        edges.append(e)
+    top = min(hi, cap / (ratio - 1.0)) if cap_width else hi
+    edges = np.array([lo], dtype=float)
+    if lo < top:
+        # geometric zone: lo, lo * ratio, (lo * ratio) * ratio, ... up to the
+        # first edge >= top, clamped to hi; cumprod multiplies strictly in
+        # order, and two spare factors cover the rounding of the logarithms
+        count = int(math.ceil(math.log(top / lo) / math.log(ratio))) + 2
+        edges = np.cumprod(np.concatenate([edges, np.full(count, ratio)]))
+        edges = edges[:int(np.argmax(edges >= top)) + 1]
+        edges[-1] = min(edges[-1], hi)
     # width-capped zone
-    if e < hi:
-        count = int(math.ceil((hi - e) / cap))
-        edges.extend(np.linspace(e, hi, count + 1)[1:])
-    edges = np.asarray(edges)
+    if edges[-1] < hi:
+        count = int(math.ceil((hi - edges[-1]) / cap))
+        edges = np.concatenate([edges, np.linspace(edges[-1], hi, count + 1)[1:]])
     if breakpoints is not None:
         edges = _insert_breakpoints(edges, lo, hi, npd, breakpoints)
     return edges

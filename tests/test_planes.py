@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -502,6 +503,8 @@ class TestChunkedFold:
         ([0.0, 1.0], 0.0, [0.1, -0.6], [0.0, -0.5], 0.2, 0.8, 19_166_616),
         ([1.0], 0.0, [-0.6], [-0.4], -1.5, 0.5, 90_610),
         ([-1.0], 0.1, [0.7], [0.5], 0.0, 0.9, 237_370),
+        # the free axis first and a negative normal, with the plane off the origin
+        ([0.0, -1.0], -0.05, [-0.1, 0.6], [0.1, 0.5], 0.1, 0.8, 17_606_520),
     ]
 
     @pytest.mark.parametrize("case", CASES)
@@ -540,6 +543,51 @@ class TestChunkedFold:
         # beyond the whole-space value: the antisymmetry probe, w(q), the
         # folded lags in one run and the heat stencil; one call per lag before
         assert len(calls) - len(whole) <= 10
+
+    @pytest.mark.parametrize("direction, centre, x", [
+        ([1.0], [-0.65], [-0.55]),
+        ([0.0, -1.0], [-0.1, 0.6], [0.1, 0.5]),
+    ])
+    def test_no_runtime_warnings(self, direction, centre, x):
+        cfg, w = _fold_field(direction, centre, 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            antisymmetric_fold_residual(w, cfg, SpaceTimePoint(x, 0.2),
+                                        FracParams(len(direction), 0.5), SCH)
+
+    def test_edges_of_every_lag_in_one_pass(self):
+        rng = np.random.default_rng(31)
+        for k in range(200):
+            if k % 4 == 0:
+                # dyadic values: refinement points land on each other and on edges
+                lam, q_par, feature = 0.0, -float(rng.integers(1, 16)) / 8.0, 0.25
+                sigma = 2.0 ** -rng.integers(0, 6, size=12).astype(float)
+            else:
+                lam = float(rng.uniform(-1.0, 1.0))
+                q_par = lam - float(10.0 ** rng.uniform(-3.0, 0.5))
+                feature = float(rng.choice([1.0, rng.uniform(0.01, 1.0)]))
+                sigma = 2.0 * np.sqrt(10.0 ** rng.uniform(-6.0, 2.7, size=12))
+            hi = lam - float(rng.choice([0.0, rng.uniform(0.0, 0.3)]))
+            lo_supp = float(rng.choice([-math.inf, q_par - rng.uniform(0.0, 3.0)]))
+            lo = np.maximum(q_par - 8.0 * sigma, lo_supp)
+            lo[0] = np.nextafter(hi, -math.inf)  # a single panel one ulp wide
+            live = lo < hi
+            centres = (q_par, 2.0 * lam - q_par)
+            edges, counts = planes._fold_edges(lo[live], hi, sigma[live], centres, feature)
+            rows = np.split(edges, np.cumsum(counts)[:-1])
+            assert len(rows) == np.count_nonzero(live)
+            for row, lo_i, sigma_i in zip(rows, lo[live], sigma[live]):
+                count = min(int(math.ceil((hi - lo_i) / feature)), 160)
+                want = _refine_toward(np.linspace(lo_i, hi, count + 1), lo_i, hi, centres,
+                                      sigma_i * np.arange(1, 9))
+                assert row.tobytes() == want.tobytes(), (k, lo_i, sigma_i)
+        # steps below the float spacing: numpy.linspace repeats edges, and a lag
+        # without refinement points keeps them
+        lo, hi = np.array([1e17]), 1e17 + 64.0
+        edges, counts = planes._fold_edges(lo, hi, np.array([1.0]), (0.0, 1.0), 1.0)
+        want = np.linspace(lo[0], hi, 65)
+        assert np.unique(want).size < want.size
+        assert counts.tolist() == [65] and edges.tobytes() == want.tobytes()
 
     def test_criterion_7_geometries(self):
         for direction, centre, x, width, t_centre, tw in _criterion_7_geometries():

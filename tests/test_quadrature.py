@@ -568,6 +568,52 @@ class TestGaussRules:
         assert sorted(builds) == [("hermite", SCH.hermite_order), ("legendre", 8)]
 
 
+def _looped_capped_edges(lo, hi, npd, breakpoints=None, cap_width=True):
+    """``_capped_edges`` as one loop step per geometric edge, the formula the array build keeps."""
+    if hi <= lo:
+        return np.array([lo, max(hi, lo)])
+    cap = quadrature._CAP_FACTOR / npd
+    ratio = 10.0 ** (1.0 / npd)
+    switch = cap / (ratio - 1.0) if cap_width else hi
+    edges, e = [lo], lo
+    while e < min(hi, switch):
+        e = min(e * ratio, hi)
+        edges.append(e)
+    if e < hi:
+        count = int(math.ceil((hi - e) / cap))
+        edges.extend(np.linspace(e, hi, count + 1)[1:])
+    edges = np.asarray(edges)
+    if breakpoints is not None:
+        edges = quadrature._insert_breakpoints(edges, lo, hi, npd, breakpoints)
+    return edges
+
+
+class TestCappedEdges:
+    """The lag edges built by one running product keep the bits of the loop."""
+
+    @pytest.mark.parametrize("npd", [4, 16, 32])
+    @pytest.mark.parametrize("cap_width", [True, False])
+    def test_bits_of_the_loop(self, npd, cap_width):
+        rng = np.random.default_rng(npd)
+        switch = quadrature._CAP_FACTOR / npd / (10.0 ** (1.0 / npd) - 1.0)
+        cases = [(1e-6, 500.0), (1e-6, 0.5 * switch), (1e-6, switch), (2.0 * switch, 500.0),
+                 (0.3, 0.3), (0.3, 0.1), (0.3, np.nextafter(0.3, 1.0)), (0.3, 0.3 * (1 + 1e-12))]
+        for lo in 10.0 ** rng.uniform(-8.0, 1.0, size=40):
+            cases.append((lo, 10.0 ** rng.uniform(math.log10(lo) - 0.5, 2.8)))
+        for lo, hi in cases:
+            for breakpoints in (None, [], [lo + 0.3 * (hi - lo), 0.9 * hi, 2.0 * hi]):
+                got = _capped_edges(lo, hi, npd, breakpoints=breakpoints, cap_width=cap_width)
+                want = _looped_capped_edges(lo, hi, npd, breakpoints=breakpoints,
+                                            cap_width=cap_width)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lo, hi)
+
+    def test_default_lag_grid(self):
+        edges = _capped_edges(SCH.r_min, SCH.r_max, 2 * SCH.nodes_per_decade)
+        assert edges.size == 20_165
+        assert edges.tobytes() == _looped_capped_edges(
+            SCH.r_min, SCH.r_max, 2 * SCH.nodes_per_decade).tobytes()
+
+
 class TestMembership:
     def test_bounded_is_member(self):
         u = gaussian_bump(1, width=1.0, t_width=None)

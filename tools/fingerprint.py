@@ -137,6 +137,7 @@ def folds() -> None:
         (2, [1.0, 0.0], 0.0, [-0.65, 0.2], [-0.55, 0.0], 0.2, 0.8),
         (2, [-1.0, 0.0], 0.0, [0.6, -0.1], [0.5, 0.1], 0.1, 0.8),
         (2, [0.0, 1.0], 0.0, [0.1, -0.6], [0.0, -0.5], 0.2, 0.8),
+        (2, [0.0, -1.0], -0.05, [-0.1, 0.6], [0.1, 0.5], 0.1, 0.8),  # free axis 0, sign -1
         # time-independent: geometric lag cells and the static tail model
         (1, [1.0], 0.0, [-0.65], [-0.55], 0.2, None),
         (2, [1.0, 0.0], 0.0, [-0.65, 0.2], [-0.55, 0.0], 0.2, None),
