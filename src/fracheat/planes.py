@@ -32,10 +32,12 @@ from .fields import SpaceField, SpaceTimeField, TimeField, mollifier, plateau_bu
 from .quadrature import (
     _FIELD_BLOCK,
     QuadratureScheme,
+    _cells,
     _checked_bound,
     _gauss_rule,
     _master_single_pass,
     _panel_axes,
+    _refine_rows,
     _runs,
     _tensor_rule,
     _two_pass,
@@ -257,39 +259,6 @@ def _check_antisymmetry(w: SpaceTimeField, cfg: PlaneConfig) -> None:
         raise AntisymmetryError("field is not antisymmetric about the plane")
 
 
-def _fold_edges(lo: np.ndarray, hi: float, sigma: np.ndarray, centres: Sequence[float],
-                feature: float) -> tuple[np.ndarray, np.ndarray]:
-    """Panel edges along the plane normal for every lag, built in one array pass.
-
-    Lag i's edges are, bit for bit, ``_refine_toward(np.linspace(lo[i], hi,
-    count + 1), lo[i], hi, centres, sigma[i] * np.arange(1, 9))`` with count =
-    min(ceil((hi - lo[i]) / feature), 160): panels capped at the feature
-    size, refined toward every centre.  Needs lo < hi.  Returns the edges of
-    all lags, concatenated, and the number of edges of each lag.
-    """
-    count = np.minimum(np.ceil((hi - lo) / feature), 160.0).astype(int)
-    col = np.arange(count.max() + 1)
-    # numpy.linspace computes k * step + lo and then sets the last edge to hi;
-    # hi also pads the rows to one length
-    step = (hi - lo) / count
-    grid = np.where(col < count[:, None], col * step[:, None] + lo[:, None], hi)
-    c = np.asarray(centres, dtype=float)
-    offsets = (sigma[:, None] * np.arange(1, 9))[:, None, :]
-    extra = np.concatenate([np.broadcast_to(c, (lo.size, c.size)),
-                            (c[:, None] - offsets).reshape(lo.size, -1),
-                            (c[:, None] + offsets).reshape(lo.size, -1)], axis=1)
-    inside = (extra > lo[:, None]) & (extra < hi)
-    rows = np.sort(np.concatenate([grid, np.where(inside, extra, hi)], axis=1), axis=1)
-    # np.unique as a mask: each entry that differs from the one before it, so
-    # the padding merges into hi; a lag without refinement points keeps its
-    # linspace edges as they are, as _refine_toward does
-    keep = np.ones(rows.shape, dtype=bool)
-    keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    keep = np.where(inside.any(axis=1)[:, None], keep,
-                    np.arange(rows.shape[1]) <= count[:, None])
-    return rows[keep], np.count_nonzero(keep, axis=1)
-
-
 def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
                     sch: QuadratureScheme, r_mid: np.ndarray) -> np.ndarray:
     """Int_Sigma w(y, t - r) (K_r(x - y) - K_r(x - y^lambda)) dy for every lag r in r_mid.
@@ -298,13 +267,14 @@ def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
     antisymmetric w this is the Gaussian average E_z w(x + 2 sqrt(r) z, t - r)
     written over Sigma_lambda alone.  Along the plane normal, Gauss-Legendre
     panels cover Sigma_lambda within eight kernel widths of q, clipped to the
-    support and graded toward q and q^lambda; ``_fold_edges`` builds the
-    panels of all lags in one sort.  At n = 2 the free axis takes Hermite
-    nodes up to the lag where the kernel scale reaches the feature size and
-    the support panel axis of ``_panel_axes`` beyond, as the Gaussian average
-    does.  One field call and one kernel evaluation per run of consecutive
-    lags holding at most ``_FIELD_BLOCK`` (62,500) points; each lag's sum is
-    one ``np.dot`` of its own, so the result does not depend on the grouping.
+    support and graded toward q and q^lambda; ``quadrature._refine_rows``
+    builds the panels of all lags in one sort.  At n = 2 the free axis takes
+    Hermite nodes up to the lag where the kernel scale reaches the feature
+    size and the support panel axis of ``_panel_axes`` beyond, as the
+    Gaussian average does.  One field call and one kernel evaluation per run
+    of consecutive lags holding at most ``_FIELD_BLOCK`` (62,500) points;
+    each lag's sum is one ``np.dot`` of its own, so the result does not
+    depend on the grouping.
     """
     axis_idx, sign = cfg.axis()
     x, t, n = q.x, q.t, w.n
@@ -329,13 +299,24 @@ def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
     live = np.flatnonzero(lo < hi)
     if live.size == 0:
         return out
-    edges, n_edges = _fold_edges(lo[live], hi, sigma[live], (q_par, q_refl), feature)
-    y_mid = 0.5 * (edges[:-1] + edges[1:])
-    y_half = 0.5 * np.diff(edges)
-    panel = np.ones(y_mid.size, dtype=bool)
-    panel[np.cumsum(n_edges)[:-1] - 1] = False  # the gaps between two lags' edges
-    nodes = sign * (y_mid[panel, None] + y_half[panel, None] * gl_x[None, :]).ravel()
-    weights = (y_half[panel, None] * gl_w[None, :]).ravel()
+    # panels capped at the feature size: numpy.linspace's edges k * step + lo
+    # with hi last, in the first count + 1 entries of each row
+    lo_live = lo[live]
+    count = np.minimum(np.ceil((hi - lo_live) / feature), 160.0).astype(int)
+    col = np.arange(count.max() + 1)
+    step = (hi - lo_live) / count
+    grid = np.where(col < count[:, None], col * step[:, None] + lo_live[:, None], hi)
+    # graded toward q and q^lambda; the steps of a centre outside (lo, hi) count too
+    c = np.array([q_par, q_refl])
+    offsets = (sigma[live, None] * np.arange(1, 9))[:, None, :]
+    extra = np.concatenate([np.broadcast_to(c, (live.size, c.size)),
+                            (c[:, None] - offsets).reshape(live.size, -1),
+                            (c[:, None] + offsets).reshape(live.size, -1)], axis=1)
+    edges, n_edges = _refine_rows(grid, count + 1, lo_live, hi, extra)
+    y_mid, y_width = _cells(edges, n_edges)
+    y_half = 0.5 * y_width
+    nodes = sign * (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()
+    weights = (y_half[:, None] * gl_w[None, :]).ravel()
     lag_nodes = gl_x.size * (n_edges - 1)
     ends = np.cumsum(lag_nodes)
 

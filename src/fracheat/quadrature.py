@@ -35,14 +35,20 @@ antisymmetric fold of ``planes`` (the average folded onto a half-space).
 * blocks versus chunks: every field call holds at most ``_FIELD_BLOCK``
   (62,500) points, so the field's temporaries stay in cache, unless one
   lag's rule (or one sweep point) alone holds more.  The Gaussian averages
-  split the lags into chunks of at most ``_EVAL_CHUNK`` (2,000,000) kernel
-  entries and fill each chunk's matrix in place, one block of lags and one
-  field call at a time; the chunk then takes one matrix-vector product.
+  share one loop (``_chunked_average``): it splits the lags into chunks of
+  at most ``_EVAL_CHUNK`` (2,000,000) kernel entries and fills each
+  chunk's matrix in place, one block of lags and one field call at a
+  time; the chunk then takes one matrix-vector product.
   That product stays per chunk because its rounding depends on the row
-  count: split into blocks it would move the bits.  The fold builds the
-  normal-axis panels of all its lags in one sort (``planes._fold_edges``)
-  and sums each lag with one ``np.dot`` of its own, so its runs of lags
-  are simply blocks.
+  count: split into blocks it would move the bits.  The fold sums each lag
+  with one ``np.dot`` of its own, so its runs of lags are simply blocks,
+* graded edges: cells graded toward known kinks (support-sphere cusps,
+  breakpoints, q and its mirror image in the fold) take the base edges
+  plus each kink and its dyadic steps strictly inside the interval.
+  ``_refine_rows`` is the one implementation, one row-wise sort per call:
+  the sweep's directions at a point and the fold's normal-axis panels of
+  all lags are the rows of one call each, and an axis of the panel rule
+  with a cusp inside is a call of one row.
 
 The Gaussian average switches representation at large lag: Gauss-Hermite
 nodes ride the kernel scale 2 sqrt(r) and lose the field once that scale
@@ -169,15 +175,11 @@ def _two_pass(single_pass, sch: QuadratureScheme, sup_bound: float, s: float) ->
     return OperatorValue(value, est)
 
 
-def _capped_edges(lo: float, hi: float, npd: int,
-                  breakpoints: Optional[Sequence[float]] = None,
-                  cap_width: bool = True) -> np.ndarray:
+def _capped_edges(lo: float, hi: float, npd: int, cap_width: bool = True) -> np.ndarray:
     """Geometric edges from lo to hi, with the cell width capped when asked.
 
     The width cap keeps bounded oscillations (plane-wave time tails)
     resolved; integrands known to be smooth on a log scale skip it.
-    Optional breakpoints are inserted exactly, with a short geometric
-    refinement toward each (kernels of limited smoothness live there).
     """
     if hi <= lo:
         return np.array([lo, max(hi, lo)])
@@ -197,27 +199,40 @@ def _capped_edges(lo: float, hi: float, npd: int,
     if edges[-1] < hi:
         count = int(math.ceil((hi - edges[-1]) / cap))
         edges = np.concatenate([edges, np.linspace(edges[-1], hi, count + 1)[1:]])
-    if breakpoints is not None:
-        edges = _insert_breakpoints(edges, lo, hi, npd, breakpoints)
     return edges
 
 
-def _insert_breakpoints(edges: np.ndarray, lo: float, hi: float, npd: int,
-                        breakpoints: Sequence[float]) -> np.ndarray:
-    """Edges with every breakpoint inside (lo, hi) added, refined toward by dyadic steps."""
-    inside = [b for b in breakpoints if lo < b < hi]
-    return _refine_toward(edges, lo, hi, inside, _CAP_FACTOR / npd / 2.0 ** np.arange(1, 9))
+def _refine_rows(base: np.ndarray, size, lo, hi, extra: np.ndarray):
+    """Graded edges of every row of ``extra``, built in one row-wise sort.
+
+    Row i is the first ``size[i]`` entries of ``base[i]`` (increasing), plus
+    every ``extra[i]`` strictly inside (lo[i], hi[i]), as a sorted distinct
+    set; NaN extras add nothing.  A row with no extra inside keeps its
+    entries exactly as they are, repeats included.  ``base`` may hold one
+    row and ``size``, ``lo`` and ``hi`` may be scalars, shared by all rows.
+    Returns the rows' edges one row after another and the number of edges
+    of each row.
+    """
+    lo, hi, size = (np.asarray(v)[..., None] for v in (lo, hi, size))
+    inside = (extra > lo) & (extra < hi)
+    m = base.shape[1]
+    rows = np.empty((extra.shape[0], m + extra.shape[1]))
+    rows[:, :m] = np.where(np.arange(m) < size, base, np.inf)
+    rows[:, m:] = np.where(inside, extra, np.inf)
+    rows.sort(axis=1)
+    # np.unique as a mask: each finite entry that differs from the one before
+    # it; a row without refinement keeps its repeats
+    keep = rows < np.inf
+    keep[:, 1:] &= (rows[:, 1:] != rows[:, :-1]) | ~inside.any(axis=1)[:, None]
+    return rows[keep], np.count_nonzero(keep, axis=1)
 
 
-def _refine_toward(edges: np.ndarray, lo: float, hi: float, centres: Sequence[float],
-                   steps: np.ndarray) -> np.ndarray:
-    """Sorted union of the edges with every centre and centre +- step inside (lo, hi)."""
-    c = np.asarray(centres, dtype=float).reshape(-1, 1)
-    extra = np.concatenate([c.ravel(), (c - steps).ravel(), (c + steps).ravel()])
-    extra = extra[(extra > lo) & (extra < hi)]
-    if extra.size == 0:
-        return edges
-    return np.unique(np.concatenate([edges, extra]))
+def _cells(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Cell midpoints and widths of rows of edges held one after another, ``counts[i]`` in row i."""
+    mid, width = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
+    within = np.ones(width.size, dtype=bool)
+    within[np.cumsum(counts)[:-1] - 1] = False  # pairs that straddle two rows
+    return mid[within], width[within]
 
 
 def _runs(items, limit: int, size=lambda item: len(item[-1])):
@@ -309,7 +324,11 @@ def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme, order: int = 8):
         count = max(1, int(math.ceil(span / max(scale, 1e-12))))
         edges = np.linspace(a, b, count + 1)
         inside = [c for c in cusps if a < c < b]
-        edges = _refine_toward(edges, a, b, inside, span / count / 2.0 ** np.arange(1, 6))
+        if inside:
+            c = np.array(inside)[:, None]
+            steps = span / count / 2.0 ** np.arange(1, 6)
+            extra = np.concatenate([c, c - steps, c + steps], axis=1).reshape(1, -1)
+            edges = _refine_rows(edges[None, :], edges.size, a, b, extra)[0]
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
         axes_nodes.append((mid[:, None] + half[:, None] * gl_x[None, :]).ravel())
@@ -340,10 +359,38 @@ def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float,
         near = r_mid <= (0.5 * u.space_scale) ** 2
         if not np.all(near):
             pts, w = _tensor_rule(*_panel_axes(u, sch))
-            out[~near] = _panel_average(u, x, t, r_mid[~near], pts, w, u.n)
+            out[~near] = _panel_average(u, x, t, r_mid[~near], pts, w)
     if np.any(near):
         out[near] = _gh_average(u, x, t, r_mid[near], sch)
     return out, discard
+
+
+def _block_lags(npts: int) -> int:
+    """Lags per field call of a rule with ``npts`` points per lag (at least one)."""
+    return max(1, _FIELD_BLOCK // npts)
+
+
+def _chunked_average(r_mid: np.ndarray, w: np.ndarray, fill) -> np.ndarray:
+    """rows @ w for every lag of r_mid, the rows filled one block of lags at a time.
+
+    ``fill(rb, rows)`` writes the rows of the lags rb in place; each block
+    holds at most ``_block_lags`` lags and each chunk at most
+    ``_EVAL_CHUNK`` matrix entries.
+    """
+    npts = len(w)
+    out = np.empty_like(r_mid)
+    step = max(1, _EVAL_CHUNK // npts)
+    block = _block_lags(npts)
+    rows = np.empty((min(step, len(r_mid)), npts))
+    for i0 in range(0, len(r_mid), step):
+        rs = r_mid[i0:i0 + step]
+        for j0 in range(0, len(rs), block):
+            rb = rs[j0:j0 + block]
+            fill(rb, rows[j0:j0 + len(rb)])
+        # one product per chunk: the rounding of the matrix-vector product
+        # depends on its row count, so the blocks must not split it
+        out[i0:i0 + step] = rows[:len(rs)] @ w
+    return out
 
 
 def _gh_average(u: SpaceTimeField, x: np.ndarray, t: float,
@@ -351,53 +398,35 @@ def _gh_average(u: SpaceTimeField, x: np.ndarray, t: float,
     n = u.n
     zn, wn = _gauss_rule("hermite", sch.hermite_order)
     z_pts, z_w = _tensor_rule([zn] * n, [wn] * n)
-    z_w = z_w / math.pi ** (n / 2.0)
     nz = len(z_w)
-    out = np.empty_like(r_mid)
-    step = max(1, _EVAL_CHUNK // nz)
-    block = max(1, _FIELD_BLOCK // nz)
-    vals = np.empty((min(step, len(r_mid)), nz))
-    for i0 in range(0, len(r_mid), step):
-        rs = r_mid[i0:i0 + step]
-        for j0 in range(0, len(rs), block):
-            rb = rs[j0:j0 + block]
-            pts = x[None, None, :] + (2.0 * np.sqrt(rb))[:, None, None] * z_pts[None, :, :]
-            vals[j0:j0 + len(rb)] = u.eval(pts.reshape(-1, n),
-                                           np.repeat(t - rb, nz)).reshape(len(rb), nz)
-        # one product per chunk: the rounding of the matrix-vector product
-        # depends on its row count, so the blocks must not split it
-        out[i0:i0 + step] = vals[:len(rs)] @ z_w
-    return out
+
+    def fill(rb, rows):
+        pts = x[None, None, :] + (2.0 * np.sqrt(rb))[:, None, None] * z_pts[None, :, :]
+        rows[:] = u.eval(pts.reshape(-1, n), np.repeat(t - rb, nz)).reshape(len(rb), nz)
+
+    return _chunked_average(r_mid, z_w / math.pi ** (n / 2.0), fill)
 
 
 def _panel_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray,
-                   pts: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+                   pts: np.ndarray, w: np.ndarray) -> np.ndarray:
     neg_dist_sq = -sq_dist(pts, x)
-    out = np.empty_like(r_mid)
     npts = len(w)
     # a time-independent field has the same panel values at every lag: one
     # row, evaluated once, multiplies every lag's kernel row
     static = u.eval(pts, np.full(npts, t)) if u.time_independent else None
-    step = max(1, _EVAL_CHUNK // npts)
-    block = max(1, _FIELD_BLOCK // npts)
-    kern = np.empty((min(step, len(r_mid)), npts))
     # the panel points once per lag of a full block; a shorter block takes a prefix
-    tiled = None if static is not None else np.tile(pts, (min(block, len(r_mid)), 1))
-    for i0 in range(0, len(r_mid), step):
-        rs = r_mid[i0:i0 + step]
-        for j0 in range(0, len(rs), block):
-            rb = rs[j0:j0 + block]
-            kb = kern[j0:j0 + len(rb)]
-            np.divide(neg_dist_sq, 4.0 * rb[:, None], out=kb)
-            np.exp(kb, out=kb)
-            kb *= (4.0 * math.pi * rb[:, None]) ** (-n / 2.0)
-            if static is None:
-                kb *= u.eval(tiled[:len(rb) * npts],
-                             np.repeat(t - rb, npts)).reshape(len(rb), npts)
-            else:
-                kb *= static
-        out[i0:i0 + step] = kern[:len(rs)] @ w
-    return out
+    tiled = None if static is not None else np.tile(pts, (min(_block_lags(npts), len(r_mid)), 1))
+
+    def fill(rb, kb):
+        np.divide(neg_dist_sq, 4.0 * rb[:, None], out=kb)
+        np.exp(kb, out=kb)
+        kb *= (4.0 * math.pi * rb[:, None]) ** (-u.n / 2.0)
+        if static is None:
+            kb *= u.eval(tiled[:len(rb) * npts], np.repeat(t - rb, npts)).reshape(len(rb), npts)
+        else:
+            kb *= static
+
+    return _chunked_average(r_mid, w, fill)
 
 
 def _lag_integral(average, u_q: float, heat: float, s: float, sch: QuadratureScheme,
@@ -527,35 +556,6 @@ def _support_cusps(g: SpaceField, x: np.ndarray, thetas: np.ndarray) -> np.ndarr
     return np.abs(np.stack([-b + root, -b - root, b + root, b - root], axis=-1))
 
 
-def _direction_cells(base: np.ndarray, lo: float, hi: float, centres: np.ndarray,
-                     shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell midpoints and widths of every row of ``centres``, rows in order, and cells per row.
-
-    Row d's edges are ``base`` (increasing from lo to hi) with each centre
-    c of row d inside (lo, hi) adding every c + shift inside, as
-    ``_insert_breakpoints`` adds c and c +- its steps: the same sorted
-    set, from one row-wise sort for all rows.  NaN centres add nothing.
-    """
-    rows_n = len(centres)
-    extra = centres[:, :, None] + shifts
-    keep = ((centres > lo) & (centres < hi))[:, :, None] & (extra > lo) & (extra < hi)
-    if not keep.any():
-        cell_mid, cell_width = 0.5 * (base[:-1] + base[1:]), np.diff(base)
-        return (np.tile(cell_mid, rows_n), np.tile(cell_width, rows_n),
-                np.full(rows_n, len(cell_mid)))
-    rows = np.concatenate([np.repeat(base[None, :], rows_n, axis=0),
-                           np.where(keep, extra, np.inf).reshape(rows_n, -1)], axis=1)
-    rows.sort(axis=1)
-    # each row's distinct finite entries, rows one after another
-    fresh = rows < np.inf
-    fresh[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-    edges = rows[fresh]
-    counts = fresh.sum(axis=1) - 1
-    within = np.ones(len(edges) - 1, dtype=bool)
-    within[np.cumsum(counts + 1)[:-1] - 1] = False  # pairs that straddle two rows
-    return (0.5 * (edges[:-1] + edges[1:]))[within], np.diff(edges)[within], counts
-
-
 def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.ndarray],
                            p: FracParams, sch: QuadratureScheme,
                            curvature: Optional[np.ndarray]) -> tuple:
@@ -584,9 +584,20 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.nd
 
     def point_cells():
         # the radial edges depend on x alone; each direction adds its kinks
+        # inside (z_min, hi), and with none inside all directions share one set
+        # of cells
         for i, hi in enumerate(z_star):
-            yield (i,) + _direction_cells(_capped_edges(z_min, hi, npd), z_min, hi, centres[i],
-                                          shifts)
+            base = _capped_edges(z_min, hi, npd)
+            inside = (centres[i] > z_min) & (centres[i] < hi)
+            rows_n = len(inside)
+            if not inside.any():
+                mid, width = 0.5 * (base[:-1] + base[1:]), np.diff(base)
+                yield i, np.tile(mid, rows_n), np.tile(width, rows_n), np.full(rows_n, mid.size)
+                continue
+            c = np.where(inside, centres[i], np.nan)
+            edges, counts = _refine_rows(base[None, :], base.size, z_min, hi,
+                                         (c[:, :, None] + shifts).reshape(rows_n, -1))
+            yield (i,) + _cells(edges, counts) + (counts - 1,)
 
     g_x = np.empty(len(X))
     pair_peak = np.empty(len(X))

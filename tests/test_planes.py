@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
-from fracheat import planes
+from fracheat import planes, quadrature
 from fracheat.core import FracParams, SpaceTimePoint
 from fracheat.errors import (
     AlignmentError,
@@ -42,12 +42,11 @@ from fracheat.quadrature import (
     QuadratureScheme,
     _master_single_pass,
     _panel_axes,
-    _refine_toward,
     _tensor_rule,
     master_operator_pointwise,
 )
 from fracheat.solver import BallProblem, nonlinearity_by_name, solve_steady
-from test_quadrature import _counting
+from test_quadrature import _counting, _refine_toward
 
 P1 = FracParams(1, 0.5)
 SCH = QuadratureScheme()
@@ -555,26 +554,47 @@ class TestChunkedFold:
             antisymmetric_fold_residual(w, cfg, SpaceTimePoint(x, 0.2),
                                         FracParams(len(direction), 0.5), SCH)
 
-    def test_edges_of_every_lag_in_one_pass(self):
+    @staticmethod
+    def _fold_edges(monkeypatch, lam, q_par, feature, lo_supp, hi_supp, r_mid):
+        """The normal-axis edges the fold builds for the lags r_mid, one array per live lag."""
+        built = []
+
+        def recording(*args):
+            built.append(quadrature._refine_rows(*args))
+            return built[-1]
+
+        monkeypatch.setattr(planes, "_refine_rows", recording)
+        w = SpaceTimeField(lambda X, t: np.zeros(len(X)), n=1, space_scale=feature,
+                           space_support=(np.array([lo_supp]), np.array([hi_supp])))
+        planes._folded_average(w, PlaneConfig([1.0], lam), SpaceTimePoint([q_par], 0.0), SCH,
+                               r_mid)
+        if not built:
+            return []
+        edges, counts = built[0]
+        return np.split(edges, np.cumsum(counts)[:-1])
+
+    def test_edges_of_every_lag_in_one_pass(self, monkeypatch):
         rng = np.random.default_rng(31)
         for k in range(200):
             if k % 4 == 0:
                 # dyadic values: refinement points land on each other and on edges
                 lam, q_par, feature = 0.0, -float(rng.integers(1, 16)) / 8.0, 0.25
                 sigma = 2.0 ** -rng.integers(0, 6, size=12).astype(float)
+                r_mid = sigma * sigma / 4.0  # the fold's 2 sqrt(r) gives sigma back exactly
             else:
                 lam = float(rng.uniform(-1.0, 1.0))
                 q_par = lam - float(10.0 ** rng.uniform(-3.0, 0.5))
                 feature = float(rng.choice([1.0, rng.uniform(0.01, 1.0)]))
-                sigma = 2.0 * np.sqrt(10.0 ** rng.uniform(-6.0, 2.7, size=12))
+                r_mid = 10.0 ** rng.uniform(-6.0, 2.7, size=12)
             hi = lam - float(rng.choice([0.0, rng.uniform(0.0, 0.3)]))
             lo_supp = float(rng.choice([-math.inf, q_par - rng.uniform(0.0, 3.0)]))
+            if k % 5 == 0:
+                lo_supp = np.nextafter(hi, -math.inf)  # panels one ulp wide
+            sigma = 2.0 * np.sqrt(r_mid)
             lo = np.maximum(q_par - 8.0 * sigma, lo_supp)
-            lo[0] = np.nextafter(hi, -math.inf)  # a single panel one ulp wide
             live = lo < hi
             centres = (q_par, 2.0 * lam - q_par)
-            edges, counts = planes._fold_edges(lo[live], hi, sigma[live], centres, feature)
-            rows = np.split(edges, np.cumsum(counts)[:-1])
+            rows = self._fold_edges(monkeypatch, lam, q_par, feature, lo_supp, hi, r_mid)
             assert len(rows) == np.count_nonzero(live)
             for row, lo_i, sigma_i in zip(rows, lo[live], sigma[live]):
                 count = min(int(math.ceil((hi - lo_i) / feature)), 160)
@@ -583,11 +603,10 @@ class TestChunkedFold:
                 assert row.tobytes() == want.tobytes(), (k, lo_i, sigma_i)
         # steps below the float spacing: numpy.linspace repeats edges, and a lag
         # without refinement points keeps them
-        lo, hi = np.array([1e17]), 1e17 + 64.0
-        edges, counts = planes._fold_edges(lo, hi, np.array([1.0]), (0.0, 1.0), 1.0)
-        want = np.linspace(lo[0], hi, 65)
+        rows = self._fold_edges(monkeypatch, 1e17 + 64.0, 0.0, 1.0, 1e17, 1e18, np.array([0.25]))
+        want = np.linspace(1e17, 1e17 + 64.0, 65)
         assert np.unique(want).size < want.size
-        assert counts.tolist() == [65] and edges.tobytes() == want.tobytes()
+        assert len(rows) == 1 and rows[0].tobytes() == want.tobytes()
 
     def test_criterion_7_geometries(self):
         for direction, centre, x, width, t_centre, tw in _criterion_7_geometries():

@@ -252,6 +252,20 @@ def _counting(fld, sizes):
     return dataclasses.replace(fld, func=func)
 
 
+def _refine_toward(edges, lo, hi, centres, steps):
+    """Sorted union of the edges with every centre and centre +- step inside (lo, hi).
+
+    The graded-edge rule one row at a time: without any such point the
+    edges come back as they are, repeats included.
+    """
+    c = np.asarray(centres, dtype=float).reshape(-1, 1)
+    extra = np.concatenate([c.ravel(), (c - steps).ravel(), (c + steps).ravel()])
+    extra = extra[(extra > lo) & (extra < hi)]
+    if extra.size == 0:
+        return edges
+    return np.unique(np.concatenate([edges, extra]))
+
+
 def _reference_laplacian_pass(g, x, p, sch, breakpoints, curvature):
     """The Laplacian sweep direction by direction, two field calls per direction."""
     n, s = p.n, p.s
@@ -275,7 +289,10 @@ def _reference_laplacian_pass(g, x, p, sch, breakpoints, curvature):
             if disc > 0:
                 root = math.sqrt(disc)
                 cusps.extend([abs(-b + root), abs(-b - root), abs(b + root), abs(b - root)])
-        edges = _capped_edges(z_min, z_star, sch.nodes_per_decade, breakpoints=cusps)
+        inside = [c for c in cusps if z_min < c < z_star]
+        edges = _refine_toward(_capped_edges(z_min, z_star, sch.nodes_per_decade), z_min, z_star,
+                               inside, quadrature._CAP_FACTOR / sch.nodes_per_decade
+                               / 2.0 ** np.arange(1, 9))
         zm = 0.5 * (edges[:-1] + edges[1:])
         zw = np.diff(edges)
         s_pair = (2.0 * g_x - g.eval(x[None, :] + zm[:, None] * theta[None, :])
@@ -357,10 +374,13 @@ class TestOneEvaluationPerPoint:
     @pytest.mark.parametrize("field, points, breakpoints, curvature", [
         (torsion_profile(2, 0.5), [(0.3, 0.2), (0.7, 0.0), (-0.55, 0.6)], None, None),
         (torsion_profile(2, 0.5), [(0.25, -0.5)], (0.1, 0.4), -2.5),
+        # outside the ball: 16 of the 40 directions miss the sphere and keep the shared edges
+        (torsion_profile(2, 0.5), [(1.2, 0.3)], None, None),
         (SpaceField(_gauss_sum, n=2, sup_bound=1.4, space_scale=0.6), [(0.0, 0.0), (0.5, -0.3)],
          None, None),
         (_ball_interpolant(), [(0.0, 0.0), (0.25, 0.5)], None, -3.0),
-    ], ids=["torsion", "torsion-breakpoints", "gauss-sum", "ball-interpolant"])
+    ], ids=["torsion", "torsion-breakpoints", "torsion-outside", "gauss-sum",
+            "ball-interpolant"])
     def test_laplacian_matches_per_direction_loop(self, field, points, breakpoints, curvature):
         p2 = FracParams(2, 0.5)
         sch = QuadratureScheme(r_min=1e-4, nodes_per_decade=8)
@@ -384,9 +404,9 @@ class TestOneEvaluationPerPoint:
         # enough lags that the per-lag evaluation takes more than one chunk
         r_mid = np.geomspace(0.2, 500.0, 2 * _EVAL_CHUNK // len(w) + 7)
         x = np.array([0.3, 0.1])
-        static = _panel_average(u, x, 0.5, r_mid, pts, w, 2)
+        static = _panel_average(u, x, 0.5, r_mid, pts, w)
         per_lag = _panel_average(dataclasses.replace(u, time_independent=False), x, 0.5, r_mid,
-                                 pts, w, 2)
+                                 pts, w)
         assert static.tobytes() == per_lag.tobytes()
 
     def test_static_master_one_panel_call_per_pass(self):
@@ -445,7 +465,7 @@ class TestFieldBlocks:
         r_mid = np.geomspace(0.05, 400.0, 23 if small else 300)
         cap = self._constants(monkeypatch, small, len(w))
         sizes = []
-        got = _panel_average(_counting(u, sizes), np.asarray(x), 0.1, r_mid, pts, w, n)
+        got = _panel_average(_counting(u, sizes), np.asarray(x), 0.1, r_mid, pts, w)
         want = _one_call_panel_average(u, np.asarray(x), 0.1, r_mid, pts, w, n)
         assert got.tobytes() == want.tobytes()
         assert max(sizes) <= cap
@@ -476,7 +496,7 @@ class TestFieldBlocks:
         # eleven lags: a chunk of nine and one of two
         r_mid = np.geomspace(0.3, 40.0, 11)
         sizes = []
-        got = _panel_average(_counting(u, sizes), x, 0.1, r_mid, pts, w, 2)
+        got = _panel_average(_counting(u, sizes), x, 0.1, r_mid, pts, w)
         assert got.tobytes() == _one_call_panel_average(u, x, 0.1, r_mid, pts, w, 2).tobytes()
         assert sizes == [len(w)] * len(r_mid)
 
@@ -568,7 +588,7 @@ class TestGaussRules:
         assert sorted(builds) == [("hermite", SCH.hermite_order), ("legendre", 8)]
 
 
-def _looped_capped_edges(lo, hi, npd, breakpoints=None, cap_width=True):
+def _looped_capped_edges(lo, hi, npd, cap_width=True):
     """``_capped_edges`` as one loop step per geometric edge, the formula the array build keeps."""
     if hi <= lo:
         return np.array([lo, max(hi, lo)])
@@ -582,10 +602,7 @@ def _looped_capped_edges(lo, hi, npd, breakpoints=None, cap_width=True):
     if e < hi:
         count = int(math.ceil((hi - e) / cap))
         edges.extend(np.linspace(e, hi, count + 1)[1:])
-    edges = np.asarray(edges)
-    if breakpoints is not None:
-        edges = quadrature._insert_breakpoints(edges, lo, hi, npd, breakpoints)
-    return edges
+    return np.asarray(edges)
 
 
 class TestCappedEdges:
@@ -601,17 +618,128 @@ class TestCappedEdges:
         for lo in 10.0 ** rng.uniform(-8.0, 1.0, size=40):
             cases.append((lo, 10.0 ** rng.uniform(math.log10(lo) - 0.5, 2.8)))
         for lo, hi in cases:
-            for breakpoints in (None, [], [lo + 0.3 * (hi - lo), 0.9 * hi, 2.0 * hi]):
-                got = _capped_edges(lo, hi, npd, breakpoints=breakpoints, cap_width=cap_width)
-                want = _looped_capped_edges(lo, hi, npd, breakpoints=breakpoints,
-                                            cap_width=cap_width)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lo, hi)
+            got = _capped_edges(lo, hi, npd, cap_width=cap_width)
+            want = _looped_capped_edges(lo, hi, npd, cap_width=cap_width)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lo, hi)
 
     def test_default_lag_grid(self):
         edges = _capped_edges(SCH.r_min, SCH.r_max, 2 * SCH.nodes_per_decade)
         assert edges.size == 20_165
         assert edges.tobytes() == _looped_capped_edges(
             SCH.r_min, SCH.r_max, 2 * SCH.nodes_per_decade).tobytes()
+
+
+def _refine_draw(rng, k):
+    """Rows for ``_refine_rows``: (base, size, lo, hi, centres, steps) of each row.
+
+    The draws cycle through dyadic rows, whose refinement points land on
+    each other and on edges, the sweep's shared radial edges with NaN and
+    missing centres, and linspace rows with centres beyond (lo, hi) whose
+    steps land inside, some of them a few ulps wide.
+    """
+    rows = []
+    kind = k % 3
+    npd = int(rng.choice([8, 16, 32]))
+    hi_sweep = float(rng.uniform(0.5, 2.5))
+    for _ in range(int(rng.integers(1, 7))):
+        if kind == 0:
+            lo = -float(rng.integers(0, 16)) / 8.0
+            count = int(rng.integers(1, 24))
+            hi = lo + count / 8.0
+            base = np.linspace(lo, hi, count + 1)
+            centres = rng.integers(-20, 20, size=int(rng.integers(0, 4))) / 8.0
+            steps = 2.0 ** -rng.integers(0, 6) * np.arange(1, 9)
+        elif kind == 1:
+            lo, hi = 1e-3, hi_sweep
+            base = _capped_edges(lo, hi, npd)
+            centres = rng.uniform(0.0, 1.2 * hi, size=4)
+            centres[rng.random(4) < 0.4] = np.nan
+            steps = quadrature._CAP_FACTOR / npd / 2.0 ** np.arange(1, 9)
+        else:
+            hi = float(rng.uniform(-1.0, 1.0))
+            if rng.random() < 0.25:
+                lo = hi
+                for _ in range(int(rng.integers(1, 4))):
+                    lo = np.nextafter(lo, -math.inf)
+            else:
+                lo = hi - float(10.0 ** rng.uniform(-3.0, 1.0))
+            count = int(rng.integers(1, 12))
+            base = np.linspace(lo, hi, count + 1)
+            span = hi - lo
+            centres = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=int(rng.integers(0, 3)))
+            steps = span / count / 2.0 ** np.arange(1, 6)
+        rows.append((base, base.size, lo, hi, centres, steps))
+    return rows
+
+
+class TestRefineRows:
+    """One row-wise sort gives, row by row, the bits of the per-row rule."""
+
+    @staticmethod
+    def _check(rows):
+        width = max(r[0].size for r in rows)
+        base = np.full((len(rows), width + 1), 7.0)  # padding beyond each row's size
+        extra = np.full((len(rows), max(np.size(c) * (1 + 2 * steps.size)
+                                        for *_, c, steps in rows)), np.nan)
+        for i, (b, size, lo, hi, c, steps) in enumerate(rows):
+            base[i, :size] = b
+            c = np.asarray(c, dtype=float).reshape(-1, 1)
+            e = np.concatenate([c.ravel(), (c - steps).ravel(), (c + steps).ravel()])
+            extra[i, :e.size] = e
+        size = [r[1] for r in rows]
+        lo = np.array([r[2] for r in rows])
+        hi = np.array([r[3] for r in rows])
+        edges, counts = quadrature._refine_rows(base, size, lo, hi, extra)
+        mid, width = quadrature._cells(edges, counts)
+        got_rows = np.split(edges, np.cumsum(counts)[:-1])
+        assert len(got_rows) == len(rows)
+        wants = [_refine_toward(b, lo, hi, c, steps) for b, _, lo, hi, c, steps in rows]
+        for got, want in zip(got_rows, wants):
+            assert got.tobytes() == want.tobytes()
+        assert mid.tobytes() == np.concatenate([0.5 * (w[:-1] + w[1:]) for w in wants]).tobytes()
+        assert width.tobytes() == np.concatenate([np.diff(w) for w in wants]).tobytes()
+        return got_rows
+
+    def test_bits_of_the_per_row_rule(self):
+        rng = np.random.default_rng(18)
+        refined = unrefined = 0
+        for k in range(300):
+            rows = _refine_draw(rng, k)
+            got = self._check(rows)
+            for row, (base, *_) in zip(got, rows):
+                refined += row.size > base.size
+                unrefined += row.size == base.size
+        assert refined > 100 and unrefined > 100
+
+    def test_rows_without_refinement_keep_repeats(self):
+        # steps below the float spacing: numpy.linspace repeats edges and rounds
+        # interior edges to hi; rows with nothing inside keep them all
+        big = np.linspace(1e17, 1e17 + 64.0, 65)
+        ulp = np.linspace(0.5, np.nextafter(0.5, 1.0), 6)
+        assert np.unique(big).size < big.size and np.unique(ulp).size < ulp.size
+        got = self._check([(big, 65, 1e17, 1e17 + 64.0, [0.0, 1.0], np.arange(1.0, 9.0)),
+                           (ulp, 6, 0.5, ulp[-1], [0.25, 0.75], np.array([0.25])),
+                           (np.linspace(0.0, 1.0, 5), 5, 0.0, 1.0, [0.3], np.array([0.1]))])
+        assert got[0].tobytes() == big.tobytes() and got[1].tobytes() == ulp.tobytes()
+        assert got[2].size == 8
+
+    @pytest.mark.parametrize("npd", [8, 16, 32])
+    def test_panel_axes_graded_toward_the_sphere(self, npd):
+        # a zero-ball field whose support box is wider than the ball: the sphere
+        # lies inside every axis, and the panels are graded toward it
+        lo, hi = np.array([-1.5, -1.2]), np.array([1.3, 1.5])
+        u = SpaceTimeField(lambda X, t: np.zeros(len(X)), n=2, exterior=ZERO_BALL,
+                           ball_radius=1.0, space_scale=0.3, space_support=(lo, hi))
+        gl_x, gl_w = leggauss(8)
+        nodes, weights = _panel_axes(u, QuadratureScheme(nodes_per_decade=npd))
+        for a, b, got_x, got_w in zip(lo, hi, nodes, weights):
+            count = int(math.ceil((b - a) / (0.3 * 16.0 / npd)))
+            edges = _refine_toward(np.linspace(a, b, count + 1), a, b, [-1.0, 1.0],
+                                   (b - a) / count / 2.0 ** np.arange(1, 6))
+            assert edges.size > count + 1
+            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+            assert got_x.tobytes() == (mid[:, None] + half[:, None] * gl_x).ravel().tobytes()
+            assert got_w.tobytes() == (half[:, None] * gl_w).ravel().tobytes()
 
 
 class TestMembership:

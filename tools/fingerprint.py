@@ -122,6 +122,14 @@ def pointwise() -> None:
                         ("space-bump", random_space_bump(rng, n))):
             _value(f"laplacian n={n} {name}",
                    lambda: fractional_laplacian_pointwise(g, x, p, SCH))
+    # a point outside the ball, where 16 of the 40 directions miss the sphere, and
+    # breakpoints beside the sphere cusps
+    p2, tor = FracParams(2, 0.5), torsion_profile(2, 0.5)
+    _value("laplacian n=2 torsion x=[1.2, 0.3]",
+           lambda: fractional_laplacian_pointwise(tor, [1.2, 0.3], p2, SCH))
+    _value("laplacian n=2 torsion x=[0.25, -0.5] breakpoints=(0.1, 0.4)",
+           lambda: fractional_laplacian_pointwise(tor, [0.25, -0.5], p2, SCH,
+                                                  breakpoints=(0.1, 0.4)))
     h = random_time_field(np.random.default_rng(7))
     for s in (0.3, 0.5, 0.8):
         _value(f"marchaud-left s={s}", lambda: marchaud_left(h, 0.2, s, SCH))
