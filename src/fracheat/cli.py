@@ -563,18 +563,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    overrides = {
-        "scenario": args.scenario,
-        "n": args.n,
-        "s": args.s,
-        "h": args.h,
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-        "r_max": args.r_max,
-        "target_tol": args.target_tol,
-        "field_name": args.field_name,
-        "kind": args.kind,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k != "config"}
     try:
         cfg = parse_config(args.config, overrides)
     except ConfigError as exc:

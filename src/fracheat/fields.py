@@ -6,6 +6,13 @@ estimates, and (optionally) an essential-support box and a characteristic
 feature length.  The quadrature module never samples fields onto grids of
 its own; it only calls ``eval``.
 
+The three field kinds follow one set of metadata rules, checked when a
+field is built: the exterior rule is known, a zero-ball field has a
+positive ``ball_radius`` and, unless it declares one, the ball's bounding
+box as its support box, and ``sup_bound >= 0``.  ``require_bound`` is the
+one gate in front of every tail estimate that needs a finite bound, and
+``_inside_ball`` the one zero-ball mask.
+
 Conventions for the callables:
 
 * space-time  ``func(X, t)`` with ``X`` of shape (m, n) and ``t`` of shape (m,),
@@ -25,6 +32,7 @@ over a length-n inner axis for every point.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -47,19 +55,51 @@ def _as_points(x, n: int) -> np.ndarray:
     return pts
 
 
-def _eval_with_exterior(fld, pts: np.ndarray, *args: np.ndarray) -> np.ndarray:
-    """``fld.func(pts, *args)``, exactly zero outside the ball of a zero-ball field."""
-    if fld.exterior != ZERO_BALL:
-        return np.asarray(fld.func(pts, *args), dtype=float)
-    inside = np.einsum("ij,ij->i", pts, pts) < fld.ball_radius**2
-    out = np.zeros(pts.shape[0])
-    if np.any(inside):
-        out[inside] = fld.func(pts[inside], *(a[inside] for a in args))
-    return out
+class _Bounded:
+    """The sup-bound rules of every field kind."""
+
+    def __post_init__(self):
+        if self.sup_bound < 0:
+            raise DomainValidationError("sup_bound must be nonnegative")
+
+    def require_bound(self) -> float:
+        if not math.isfinite(self.sup_bound):
+            raise AdmissibilityError("field has no finite sup_bound; tail cannot be bounded")
+        return self.sup_bound
+
+
+class _OnSpace(_Bounded):
+    """The exterior rules of the two field kinds that live on R^n."""
+
+    def __post_init__(self):
+        if self.exterior not in (GLOBAL, ZERO_BALL):
+            raise DomainValidationError(f"unknown exterior rule {self.exterior!r}")
+        if self.exterior == ZERO_BALL:
+            if self.ball_radius is None or self.ball_radius <= 0:
+                raise DomainValidationError("zero-ball exterior rule needs a positive ball_radius")
+            if self.space_support is None:
+                r = self.ball_radius
+                object.__setattr__(
+                    self, "space_support", (np.full(self.n, -r), np.full(self.n, r))
+                )
+        super().__post_init__()
+
+    def _inside_ball(self, pts: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", pts, pts) < self.ball_radius**2
+
+    def _eval_with_exterior(self, pts: np.ndarray, *args: np.ndarray) -> np.ndarray:
+        """``func(pts, *args)``, exactly zero outside the ball of a zero-ball field."""
+        if self.exterior != ZERO_BALL:
+            return np.asarray(self.func(pts, *args), dtype=float)
+        inside = self._inside_ball(pts)
+        out = np.zeros(pts.shape[0])
+        if np.any(inside):
+            out[inside] = self.func(pts[inside], *(a[inside] for a in args))
+        return out
 
 
 @dataclass(frozen=True)
-class SpaceTimeField:
+class SpaceTimeField(_OnSpace):
     """A bounded function u(x, t) with declared exterior behaviour.
 
     Parameters
@@ -75,8 +115,6 @@ class SpaceTimeField:
     sup_bound : float
         Known bound M with |u| <= M; ``math.inf`` marks an unbounded field
         (only the membership probe accepts those).
-    smoothness_tag : str
-        Declared Hoelder class metadata; not verified beyond the seminorm probe.
     ball_radius : float, optional
         Radius for the zero-ball rule.
     space_support : (lo, hi) arrays, optional
@@ -97,44 +135,24 @@ class SpaceTimeField:
     n: int
     exterior: str = GLOBAL
     sup_bound: float = 1.0
-    smoothness_tag: str = "C^{2s+eps,s+eps}"
     ball_radius: Optional[float] = None
     space_support: Optional[tuple] = None
     space_scale: float = 1.0
     t_support: Optional[tuple] = None
     time_independent: bool = False
 
-    def __post_init__(self):
-        if self.exterior not in (GLOBAL, ZERO_BALL):
-            raise DomainValidationError(f"unknown exterior rule {self.exterior!r}")
-        if self.exterior == ZERO_BALL:
-            if self.ball_radius is None or self.ball_radius <= 0:
-                raise DomainValidationError("zero-ball exterior rule needs a positive ball_radius")
-            if self.space_support is None:
-                r = self.ball_radius
-                object.__setattr__(
-                    self, "space_support", (np.full(self.n, -r), np.full(self.n, r))
-                )
-        if self.sup_bound < 0:
-            raise DomainValidationError("sup_bound must be nonnegative")
-
     def eval(self, x, t) -> np.ndarray:
         pts = _as_points(x, self.n)
         ts = np.broadcast_to(np.asarray(t, dtype=float), (pts.shape[0],))
-        return _eval_with_exterior(self, pts, ts)
+        return self._eval_with_exterior(pts, ts)
 
     def at(self, x, t: float) -> float:
         return float(self.eval(np.asarray(x, dtype=float).reshape(1, -1), np.array([t]))[0])
 
-    def require_bound(self) -> float:
-        if not math.isfinite(self.sup_bound):
-            raise AdmissibilityError("field has no finite sup_bound; tail cannot be bounded")
-        return self.sup_bound
-
 
 @dataclass(frozen=True)
-class SpaceField:
-    """A time-independent field g(x) with the same exterior metadata."""
+class SpaceField(_OnSpace):
+    """A time-independent field g(x) with the metadata of ``SpaceTimeField``."""
 
     func: Callable[[np.ndarray], np.ndarray]
     n: int
@@ -145,23 +163,15 @@ class SpaceField:
     space_support: Optional[tuple] = None
 
     def eval(self, x) -> np.ndarray:
-        return _eval_with_exterior(self, _as_points(x, self.n))
+        return self._eval_with_exterior(_as_points(x, self.n))
 
     def as_spacetime(self) -> SpaceTimeField:
-        return SpaceTimeField(
-            func=lambda X, t: self.func(X),
-            n=self.n,
-            exterior=self.exterior,
-            sup_bound=self.sup_bound,
-            ball_radius=self.ball_radius,
-            space_support=self.space_support,
-            space_scale=self.space_scale,
-            time_independent=True,
-        )
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "func"}
+        return SpaceTimeField(lambda X, t: self.func(X), time_independent=True, **shared)
 
 
 @dataclass(frozen=True)
-class TimeField:
+class TimeField(_Bounded):
     """A function of time alone, h(t)."""
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -205,8 +215,7 @@ def spot_check(field: SpaceTimeField, rng: np.random.Generator, samples: int = 2
     if math.isfinite(field.sup_bound) and np.any(np.abs(vals) > field.sup_bound * (1 + 1e-12)):
         raise DomainValidationError("sampled |u| exceeds the declared sup_bound")
     if field.exterior == ZERO_BALL:
-        outside = np.einsum("ij,ij->i", pts, pts) >= field.ball_radius**2
-        if np.any(vals[outside] != 0.0):
+        if np.any(vals[~field._inside_ball(pts)] != 0.0):
             raise DomainValidationError("exterior rule violated on sampled points")
 
 

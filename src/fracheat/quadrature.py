@@ -70,7 +70,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .core import FracParams, SpaceTimePoint, gamma_abs_neg, integrated_kernel_constant, sq_dist
-from .errors import AdmissibilityError, DomainValidationError, ToleranceError
+from .errors import DomainValidationError, ToleranceError
 from .fields import SpaceField, SpaceTimeField, TimeField, ZERO_BALL
 
 # cap factor for lag-cell widths: cells never wider than _CAP_FACTOR / nodes_per_decade
@@ -678,8 +678,7 @@ def fractional_laplacian_pointwise(g: SpaceField, x, p: FracParams, sch: Quadrat
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (p.n,):
         raise DomainValidationError(f"evaluation point must have shape ({p.n},)")
-    if not math.isfinite(g.sup_bound):
-        raise AdmissibilityError("field has no finite sup_bound; tail cannot be bounded")
+    g.require_bound()
     ov = _fractional_laplacian(g, x[None, :], p, sch, breakpoints,
                                None if curvature is None else [curvature])
     return OperatorValue(float(ov.value[0]), float(ov.est_error[0]))
@@ -689,8 +688,7 @@ def _marchaud(h: TimeField, t: float, s: float, sch: QuadratureScheme, side: int
     """side=+1: left derivative (past values); side=-1: right (future values)."""
     if not 0.0 < s < 1.0:
         raise DomainValidationError(f"order s must lie in (0, 1), got {s}")
-    if not math.isfinite(h.sup_bound):
-        raise AdmissibilityError("time field has no finite sup_bound")
+    h.require_bound()
     r_cut = sch.r_max
     if h.support is not None:
         horizon = (t - h.support[0]) if side > 0 else (h.support[1] - t)

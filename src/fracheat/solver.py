@@ -441,8 +441,8 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
     with the class block, gives A u as one FFT correlation
     (``_table_product``), exact up to rounding, and a non-finite table
     entry raises ``SingularMatrixError`` before any work.  A supplied
-    ``matrix`` is read in one streamed pass of row blocks, which raises
-    ``SingularMatrixError`` on a non-finite entry.  With theta = 1 and a
+    ``matrix`` gives A u as one product, and a non-finite product from a
+    non-finite entry raises ``SingularMatrixError``.  With theta = 1 and a
     constant right-hand side the first iterate is already the solution.  Non-convergence,
     including a residual that overflows, returns the iterate of least class
     residual with converged=False; positivity_ok refers to that iterate.
@@ -459,7 +459,8 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
             raise SingularMatrixError("offset table has non-finite entries")
         rows_of = _table_rows(problem, table)
     else:
-        rows_of = np.asarray(matrix, dtype=float).__getitem__
+        matrix = np.asarray(matrix, dtype=float)
+        rows_of = matrix.__getitem__
     B, cols, rows = _class_block(problem, rows_of)
     # a non-finite entry of B carries into its factors
     lu = scipy.linalg.lu_factor(B, overwrite_a=True, check_finite=False)
@@ -486,12 +487,9 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
         if matrix is None:
             Au = _table_product(problem, table, u)
         else:
-            Au = np.empty(n_int)
-            for lo in range(0, n_int, _ROW_BLOCK):
-                block = rows_of(slice(lo, lo + _ROW_BLOCK))
-                Au[lo:lo + _ROW_BLOCK] = part = block @ u
-                if not np.all(np.isfinite(part)) and not np.all(np.isfinite(block)):
-                    raise SingularMatrixError("collocation matrix has non-finite entries")
+            Au = matrix @ u
+            if not np.all(np.isfinite(Au)) and not np.all(np.isfinite(matrix)):
+                raise SingularMatrixError("collocation matrix has non-finite entries")
         residual_inf = float(np.max(np.abs(problem.f.eval_extended(u) - Au)))
     return Solution(
         values=u,

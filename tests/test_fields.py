@@ -10,7 +10,10 @@ import pytest
 from fracheat.errors import DomainValidationError
 from fracheat.fields import (
     FIELD_NAMES,
+    ZERO_BALL,
+    SpaceField,
     SpaceTimeField,
+    TimeField,
     build_field,
     gaussian_bump,
     mollifier,
@@ -83,6 +86,45 @@ class TestExteriorRule:
     def test_unknown_exterior(self):
         with pytest.raises(DomainValidationError):
             SpaceTimeField(lambda X, t: np.zeros(X.shape[0]), n=1, exterior="mirror")
+        with pytest.raises(DomainValidationError):
+            SpaceField(lambda X: np.zeros(X.shape[0]), n=1, exterior="mirror")
+
+
+class TestMetadataRules:
+    """SpaceField and TimeField are checked by the rules of SpaceTimeField when built."""
+
+    @pytest.mark.parametrize("radius", [None, 0.0, -1.0])
+    def test_zero_ball_field_needs_a_radius(self, radius):
+        with pytest.raises(DomainValidationError, match="ball_radius"):
+            SpaceField(lambda X: np.zeros(X.shape[0]), n=1, exterior=ZERO_BALL, ball_radius=radius)
+        with pytest.raises(DomainValidationError, match="ball_radius"):
+            SpaceTimeField(lambda X, t: np.zeros(X.shape[0]), n=1, exterior=ZERO_BALL,
+                           ball_radius=radius)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SpaceTimeField(lambda X, t: np.zeros(X.shape[0]), n=1, sup_bound=-1.0),
+        lambda: SpaceField(lambda X: np.zeros(X.shape[0]), n=1, sup_bound=-1.0),
+        lambda: TimeField(lambda t: np.zeros_like(t), sup_bound=-1.0),
+    ], ids=["spacetime", "space", "time"])
+    def test_negative_sup_bound(self, build):
+        with pytest.raises(DomainValidationError, match="sup_bound"):
+            build()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_ball_support_box_survives_the_lift(self, n):
+        g = SpaceField(lambda X: np.zeros(X.shape[0]), n=n, exterior=ZERO_BALL, ball_radius=0.75)
+        lo, hi = g.space_support
+        assert np.array_equal(lo, np.full(n, -0.75)) and np.array_equal(hi, np.full(n, 0.75))
+        lifted = g.as_spacetime().space_support
+        assert all(np.array_equal(a, b) for a, b in zip(g.space_support, lifted))
+
+    def test_lift_copies_every_shared_field(self):
+        g = random_space_bump(np.random.default_rng(4), 2)
+        u = g.as_spacetime()
+        for f in dataclasses.fields(SpaceField):
+            if f.name != "func":
+                assert getattr(u, f.name) is getattr(g, f.name)
+        assert u.time_independent and u.t_support is None
 
 
 class TestProfiles:

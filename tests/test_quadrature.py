@@ -550,6 +550,30 @@ def test_non_finite_result_raises(evaluate):
         evaluate()
 
 
+def _unbounded_master():
+    u = SpaceTimeField(lambda X, t: np.zeros(X.shape[0]), n=1, sup_bound=math.inf)
+    return master_operator_pointwise(u, SpaceTimePoint([0.0], 0.0), P1, SCH)
+
+
+def _unbounded_laplacian():
+    g = SpaceField(lambda X: np.zeros(X.shape[0]), n=1, sup_bound=math.inf)
+    return fractional_laplacian_pointwise(g, [0.0], P1, SCH)
+
+
+def _unbounded_marchaud():
+    h = TimeField(lambda t: np.zeros_like(t), sup_bound=math.inf)
+    return marchaud_left(h, 0.0, 0.5, SCH)
+
+
+@pytest.mark.parametrize("evaluate", [_unbounded_master, _unbounded_laplacian,
+                                      _unbounded_marchaud],
+                         ids=["master", "laplacian", "marchaud"])
+def test_infinite_sup_bound_raises(evaluate):
+    # the tail estimate needs a finite bound, so every operator refuses an infinite one
+    with pytest.raises(AdmissibilityError, match="finite sup_bound"):
+        evaluate()
+
+
 class TestGaussRules:
     """One cached build per Gauss rule, bit-equal to numpy's and shared read-only."""
 

@@ -14,8 +14,11 @@ narrow-region record (lambda, min_w hex, argmin, strict flag, passed) on
 solved, noisy and shifted-torsion grid data, SHA-256
 prefixes of `residual_field` arrays (all nodes, and the 64 nodes that
 `moving-planes` samples at n = 2 K = 33), of a few kernel, field and
-reflection arrays, and of the CSV files of the six determinism configs
-plus n = 2 `eval`, `reduce-check` and `moving-planes` (solved and
+reflection arrays, the metadata that `as_spacetime` carries over from
+each library `SpaceField` and a `TimeField` (exterior, sup bound hex,
+ball radius, support digest, feature scale, time support and time
+independence), and of the CSV files of the six determinism configs plus
+n = 2 `eval`, `reduce-check` and `moving-planes` (solved and
 named-field).  A change meant to leave the numbers alone shows an empty
 diff between the fingerprints of the two trees.  The library is imported
 from ``src/`` next to this file.  Takes about 15 s on a 2-core Xeon; it is
@@ -35,6 +38,7 @@ from fracheat.cli import ScenarioConfig, run_scenario  # noqa: E402
 from fracheat.core import FracParams, SpaceTimePoint, heat_kernel  # noqa: E402
 from fracheat.fields import (  # noqa: E402
     ZERO_BALL,
+    SpaceField,
     SpaceTimeField,
     antisymmetrize,
     gaussian_bump,
@@ -64,6 +68,7 @@ from fracheat.quadrature import (  # noqa: E402
 from fracheat.solver import (  # noqa: E402
     BallProblem,
     assemble_dirichlet_matrix,
+    interpolant_field,
     nonlinearity_by_name,
     residual_field,
     solve_steady,
@@ -229,6 +234,29 @@ def arrays() -> None:
         _array(f"cutoff n={n}", polynomial_cutoff(n, [1.0, -0.5, 0.25]).eval(0.6 * pts))
 
 
+def lifts() -> None:
+    # the metadata each library SpaceField (and a TimeField) carries into its SpaceTimeField
+    for n in (1, 2):
+        problem = BallProblem(FracParams(n, 0.5), 17, nonlinearity_by_name("one"))
+        sol = solve_steady(problem, SCH)
+        lifted = {
+            "torsion": torsion_profile(n, 0.5),
+            "shifted-torsion": torsion_profile(n, 0.5, shift=[0.2] + [0.0] * (n - 1)),
+            "cutoff": polynomial_cutoff(n, [1.0, -0.5]),
+            "space-bump": random_space_bump(np.random.default_rng(30 + n), n),
+            "interpolant K=17": interpolant_field(problem, sol.full_values(problem)),
+        }
+        if n == 1:
+            lifted["time-field"] = random_time_field(np.random.default_rng(30))
+        for name, fld in lifted.items():
+            u = fld.as_spacetime() if isinstance(fld, SpaceField) else fld.as_spacetime(n)
+            support = (None if u.space_support is None else
+                       _digest(np.concatenate([np.asarray(a, dtype=float).ravel()
+                                               for a in u.space_support]).tobytes()))
+            print(f"lift n={n} {name} {u.exterior} {float(u.sup_bound).hex()} {u.ball_radius} "
+                  f"{support} {u.space_scale} {u.t_support} {u.time_independent}")
+
+
 def scenarios() -> None:
     configs = [
         {"scenario": "eval", "field": {"name": "gaussian-bump"}, "point": {"x": [0.0], "t": 0.0}},
@@ -266,4 +294,5 @@ if __name__ == "__main__":
     residuals()
     grid_diagnostics()
     arrays()
+    lifts()
     scenarios()
