@@ -102,17 +102,21 @@ def kernel_constants(p: FracParams) -> KernelConstants:
 def sq_dist(X, c) -> np.ndarray:
     """|x - c|^2 for every row x of X (shape (..., n)), with c scalar or length n.
 
-    Accumulates (X[..., k] - c[k])^2 one coordinate column at a time, so
-    every step is one pass over m values instead of NumPy work over a
-    length-n inner axis.  For n < 8 the bits equal those of
-    ``d = X - c; np.sum(d * d, axis=-1)``, which sums rows that short in
-    the same order.
+    Accumulates (X[..., k] - c[k])^2 one coordinate column at a time, in
+    one result buffer and one scratch buffer, so every step is one pass
+    over m values instead of NumPy work over a length-n inner axis; the
+    passes run at full speed when each column is contiguous.  For n < 8
+    the bits equal those of ``d = X - c; np.sum(d * d, axis=-1)``, which
+    sums rows that short in the same order.
     """
     X = np.asarray(X, dtype=float)
     c = np.broadcast_to(np.asarray(c, dtype=float), X.shape[-1:])
-    out = (X[..., 0] - c[0]) ** 2
+    out = np.subtract(X[..., 0], c[0], out=np.empty(X.shape[:-1]))
+    np.square(out, out=out)
+    scratch = np.empty_like(out)
     for k in range(1, X.shape[-1]):
-        out += (X[..., k] - c[k]) ** 2
+        np.subtract(X[..., k], c[k], out=scratch)
+        out += np.square(scratch, out=scratch)
     return out
 
 

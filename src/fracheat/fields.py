@@ -23,11 +23,16 @@ each returning a float array of shape (m,).
 
 The quadratures call them on blocks of up to 62,500 points of small
 dimension (more only when one lag's panel rule alone holds more), millions
-per operator value, so the library fields work column by column:
-``core.sq_dist(X, c)`` accumulates (X[:, k] - c[k])^2 over the n columns.
-Broadcasting X against a length-n row (``d = X - c; np.sum(d * d,
-axis=-1)``) gives the same bits but is the slow pattern: NumPy then loops
-over a length-n inner axis for every point.
+per operator value.  Each block arrives coordinate-major: ``X`` has
+contiguous columns and need not be C-contiguous.  A callable should read
+``X[:, k]`` and must not assume a memory layout.  The library fields work
+column by column, in place where they can: ``core.sq_dist(X, c)`` accumulates
+(X[:, k] - c[k])^2 over the n columns.  Broadcasting X against a length-n
+row (``d = X - c; np.sum(d * d, axis=-1)``) gives the same bits but is the
+slow pattern: NumPy then loops over a length-n inner axis for every point.
+A matrix product ``X @ v`` rounds differently with the layout and the
+number of rows, so ``plane_wave`` and ``planes.reflect`` hand BLAS the
+row-major points.
 """
 
 from __future__ import annotations
@@ -85,7 +90,10 @@ class _OnSpace(_Bounded):
         super().__post_init__()
 
     def _inside_ball(self, pts: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", pts, pts) < self.ball_radius**2
+        # einsum sums three or more squares in an order that follows the
+        # memory layout; row-major points keep the mask independent of it
+        rows = pts if self.n < 3 else np.ascontiguousarray(pts)
+        return np.einsum("ij,ij->i", rows, rows) < self.ball_radius**2
 
     def _eval_with_exterior(self, pts: np.ndarray, *args: np.ndarray) -> np.ndarray:
         """``func(pts, *args)``, exactly zero outside the ball of a zero-ball field."""
@@ -94,7 +102,9 @@ class _OnSpace(_Bounded):
         inside = self._inside_ball(pts)
         out = np.zeros(pts.shape[0])
         if np.any(inside):
-            out[inside] = self.func(pts[inside], *(a[inside] for a in args))
+            # the rows inside, coordinate-major like the quadratures' blocks
+            rows = pts.T.compress(inside, axis=1).T
+            out[inside] = self.func(rows, *(a[inside] for a in args))
         return out
 
 
@@ -336,6 +346,22 @@ def torsion_profile(n: int, s: float, shift: Optional[Sequence[float]] = None) -
     return SpaceField(g, n=n, exterior=ZERO_BALL, sup_bound=1.0, ball_radius=1.0, space_scale=0.5)
 
 
+def _gauss(sq: np.ndarray, width: float) -> np.ndarray:
+    """exp(-sq / width^2), written over ``sq``.
+
+    The minus sign rides on the divisor: (-a) / b and a / (-b) round alike,
+    so the bits are those of ``np.exp(-sq / width**2)``.
+    """
+    np.divide(sq, -width**2, out=sq)
+    return np.exp(sq, out=sq)
+
+
+def _time_gauss(t, centre: float, width: float) -> np.ndarray:
+    """exp(-(t - centre)^2 / width^2) in one new buffer; ``t`` may be a scalar."""
+    d = np.subtract(t, centre, out=np.empty(np.shape(t)))
+    return _gauss(np.square(d, out=d), width)
+
+
 def gaussian_bump(
     n: int,
     center: Sequence[float] | None = None,
@@ -348,10 +374,11 @@ def gaussian_bump(
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
 
     def f(X, t):
-        val = np.exp(-sq_dist(X, c) / width**2)
+        val = _gauss(sq_dist(X, c), width)
         if t_width is not None:
-            val = val * np.exp(-((t - t_center) ** 2) / t_width**2)
-        return amplitude * val
+            val *= _time_gauss(t, t_center, t_width)
+        val *= amplitude
+        return val
 
     half = 6.0 * width
     t_supp = None if t_width is None else (t_center - 10.0 * t_width, t_center + 10.0 * t_width)
@@ -372,7 +399,7 @@ def plane_wave(n: int, xi: Sequence[float], rho: float) -> SpaceTimeField:
     xi_norm = float(np.linalg.norm(xi_v))
 
     def f(X, t):
-        return np.cos(X @ xi_v + rho * t)
+        return np.cos(np.ascontiguousarray(X) @ xi_v + rho * t)
 
     return SpaceTimeField(
         func=f,
@@ -412,7 +439,9 @@ def random_space_bump(rng: np.random.Generator, n: int) -> SpaceField:
     def g(X):
         out = np.zeros(X.shape[0])
         for c, w, a in zip(centers, widths, amps):
-            out += a * np.exp(-sq_dist(X, c) / w**2)
+            term = _gauss(sq_dist(X, c), w)
+            term *= a
+            out += term
         return out
 
     bound = float(np.sum(np.abs(amps)))
@@ -446,7 +475,9 @@ def random_spacetime_bump(rng: np.random.Generator, n: int) -> SpaceTimeField:
     tw = float(rng.uniform(0.6, 1.2))
 
     def f(X, t):
-        return space.func(X) * np.exp(-((t - tc) ** 2) / tw**2)
+        val = space.func(X)
+        val *= _time_gauss(t, tc, tw)
+        return val
 
     lo, hi = space.space_support
     return SpaceTimeField(
@@ -463,7 +494,11 @@ def antisymmetrize(field: SpaceTimeField, reflect_fn) -> SpaceTimeField:
     """w(x, t) = F(x, t) - F(x^lambda, t): exactly antisymmetric about the plane."""
 
     def f(X, t):
-        return field.eval(X, t) - field.eval(reflect_fn(X), t)
+        out = field.eval(X, t)
+        if not (out.flags.owndata and out.flags.writeable):  # a view of X or t
+            out = out.copy()
+        out -= field.eval(reflect_fn(X), t)
+        return out
 
     support = None
     if field.space_support is not None:

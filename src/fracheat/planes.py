@@ -36,7 +36,7 @@ from .quadrature import (
     _checked_bound,
     _gauss_rule,
     _master_single_pass,
-    _panel_axes,
+    _panel_rules,
     _refine_rows,
     _runs,
     _tensor_rule,
@@ -71,15 +71,27 @@ class PlaneConfig:
 
 
 def reflect(x, cfg: PlaneConfig) -> np.ndarray:
-    """Mirror image across the plane: x + 2 (lam - x . e) e; an involution."""
+    """Mirror image across the plane: x + 2 (lam - x . e) e; an involution.
+
+    The result has the memory layout of ``x``.  When e has one nonzero
+    component e_i, x . e is x_i e_i: the matrix product adds only zeros to
+    it, so for finite points and lam other than -0.0 the bits are the same.
+    Otherwise the product reads the points row-major, so its rounding does
+    not depend on their layout.
+    """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    step = 2.0 * (cfg.lam - pts @ cfg.direction)
-    # column by column: cheaper than broadcasting over an (m, n) array
+    e = cfg.direction
+    axis = np.flatnonzero(e)
+    dot = pts[:, axis[0]] * e[axis[0]] if axis.size == 1 else np.ascontiguousarray(pts) @ e
+    step = np.subtract(cfg.lam, dot, out=dot)
+    step *= 2.0
+    # column by column, straight into the result
     out = np.empty_like(pts)
-    for k, e_k in enumerate(cfg.direction):
-        out[:, k] = pts[:, k] + step * e_k
+    for k, e_k in enumerate(e):
+        np.multiply(step, e_k, out=out[:, k])
+        out[:, k] += pts[:, k]
     return out[0] if single else out
 
 
@@ -252,7 +264,7 @@ class FoldResidual:
 
 def _check_antisymmetry(w: SpaceTimeField, cfg: PlaneConfig) -> None:
     rng = np.random.default_rng(1234)
-    pts = rng.uniform(-2.0, 2.0, size=(64, w.n))
+    pts = np.asfortranarray(rng.uniform(-2.0, 2.0, size=(64, w.n)))
     ts = rng.uniform(-1.0, 1.0, size=64)
     total = w.eval(pts, ts) + w.eval(reflect(pts, cfg), ts)
     if float(np.max(np.abs(total))) > 1e-10:
@@ -260,7 +272,7 @@ def _check_antisymmetry(w: SpaceTimeField, cfg: PlaneConfig) -> None:
 
 
 def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
-                    sch: QuadratureScheme, r_mid: np.ndarray) -> np.ndarray:
+                    sch: QuadratureScheme, r_mid: np.ndarray, panel_axes=None) -> np.ndarray:
     """Int_Sigma w(y, t - r) (K_r(x - y) - K_r(x - y^lambda)) dy for every lag r in r_mid.
 
     K_r is the heat kernel (4 pi r)^{-n/2} exp(-|z|^2 / (4 r)).  For an
@@ -272,9 +284,10 @@ def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
     Hermite nodes up to the lag where the kernel scale reaches the feature
     size and the support panel axis of ``_panel_axes`` beyond, as the
     Gaussian average does.  One field call and one kernel evaluation per run
-    of consecutive lags holding at most ``_FIELD_BLOCK`` (62,500) points;
-    each lag's sum is one ``np.dot`` of its own, so the result does not
-    depend on the grouping.
+    of consecutive lags holding at most ``_FIELD_BLOCK`` (62,500) points,
+    coordinate-major; each lag's sum is one ``np.dot`` of its own, so the
+    result does not depend on the grouping.  ``panel_axes``, when given, is
+    the ``quadrature._panel_rules`` of w, which the whole-space side shares.
     """
     axis_idx, sign = cfg.axis()
     x, t, n = q.x, q.t, w.n
@@ -287,7 +300,8 @@ def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
         lo_supp, hi_supp = (a, b) if sign > 0 else (-b, -a)
         r_cross = (0.5 * w.space_scale) ** 2
         if n == 2:
-            panel_nodes, panel_weights = (axes[free] for axes in _panel_axes(w, sch))
+            rule_axes = (panel_axes or _panel_rules(w))(sch)
+            panel_nodes, panel_weights = (ax[free] for ax in rule_axes)
     hi = min(cfg.lam, hi_supp)
     feature = w.space_scale if math.isfinite(w.space_scale) else 1.0
     zn, wn = _gauss_rule("hermite", sch.hermite_order)
@@ -338,7 +352,7 @@ def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
     for run in _runs(lag_rules(), _FIELD_BLOCK):
         idx, pts, wtss = zip(*run)
         sizes = [len(wts) for wts in wtss]
-        pts = np.concatenate(pts)
+        pts = np.concatenate([rule.T for rule in pts], axis=1).T
         r = np.repeat(r_mid[list(idx)], sizes)
         y_par = sign * pts[:, axis_idx]
         kern = (np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
@@ -380,14 +394,15 @@ def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTim
         raise DomainValidationError("evaluation point must lie strictly inside Sigma_lambda")
 
     whole_passes = []
+    panel_axes = _panel_rules(w)
 
     def whole_pass(sc):
-        whole_passes.append(_master_single_pass(w, q, p, sc))
+        whole_passes.append(_master_single_pass(w, q, p, sc, panel_axes=panel_axes))
         return whole_passes[-1]
 
-    whole = _two_pass(whole_pass, sch, _checked_bound(w, q, p, sch), p.s)
-    folded_coarse = _master_single_pass(
-        w, q, p, sch, average=lambda r_mid: (_folded_average(w, cfg, q, sch, r_mid), 0.0))[0]
+    whole = _two_pass(whole_pass, sch, _checked_bound(w, q, p, sch, panel_axes), p.s)
+    folded_coarse = _master_single_pass(w, q, p, sch, average=lambda r_mid: (
+        _folded_average(w, cfg, q, sch, r_mid, panel_axes), 0.0))[0]
     folded = folded_coarse + (whole.value - whole_passes[0][0])
     return FoldResidual(abs(whole.value - folded), whole.value, folded, 2.0 * whole.est_error)
 

@@ -32,6 +32,10 @@ antisymmetric fold of ``planes`` (the average folded onto a half-space).
   gathers the points of all directions, and in ``residual_field`` of all
   nodes of a run, into one field call; each (point, direction) row is
   summed on its own, so the runs leave the bits alone,
+* coordinate-major blocks: every block of points handed to a field is
+  built as the transpose of a row-major (n, m) array, so each coordinate
+  column ``X[:, k]`` is contiguous and the fields' column passes run at
+  full speed; the values are those of the row-major (m, n) block,
 * blocks versus chunks: every field call holds at most ``_FIELD_BLOCK``
   (62,500) points, so the field's temporaries stay in cache, unless one
   lag's rule (or one sweep point) alone holds more.  The Gaussian averages
@@ -267,9 +271,9 @@ def _gauss_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tensor_rule(axes_nodes: Sequence[np.ndarray], axes_weights: Sequence[np.ndarray]):
-    """Tensor product of 1-D rules: points of shape (m, d) and their weights."""
+    """Tensor product of 1-D rules: coordinate-major points of shape (m, d) and their weights."""
     grids = np.meshgrid(*axes_nodes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = np.stack([g.ravel() for g in grids]).T
     w = axes_weights[0]
     for aw in axes_weights[1:]:
         w = np.outer(w, aw).ravel()
@@ -284,7 +288,7 @@ def _fd_laplacian(evaluate, x: np.ndarray, delta: float) -> float:
         e = np.zeros(n)
         e[i] = delta
         pts.extend([x + e, x - e])
-    vals = evaluate(np.asarray(pts))
+    vals = evaluate(np.asfortranarray(pts))
     lap = 0.0
     for i in range(n):
         lap += (vals[1 + 2 * i] + vals[2 + 2 * i] - 2.0 * vals[0]) / delta**2
@@ -300,7 +304,7 @@ def _fd_slope(evaluate, t: float, delta: float) -> float:
 def _fd_heat(u: SpaceTimeField, x: np.ndarray, t: float, delta: float = 1e-3) -> float:
     """Finite-difference (d_t - Laplacian) u at (x, t), central stencils."""
     lap = _fd_laplacian(lambda pts: u.eval(pts, np.full(len(pts), t)), x, delta)
-    dudt = _fd_slope(lambda ts: u.eval(np.asarray([x, x]), ts), t, delta)
+    dudt = _fd_slope(lambda ts: u.eval(np.asfortranarray([x, x]), ts), t, delta)
     return float(dudt - lap)
 
 
@@ -336,12 +340,22 @@ def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme, order: int = 8):
     return axes_nodes, axes_weights
 
 
-def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float,
-                      r_mid: np.ndarray, sch: QuadratureScheme) -> tuple[np.ndarray, float]:
+def _panel_rules(u: SpaceTimeField):
+    """``_panel_axes`` of u as a function of the scheme, each scheme's axes built once.
+
+    The checks and the passes of one operator call share it, so the
+    refined pass's rule, which the panel cost check counts, is built once.
+    """
+    return functools.cache(functools.partial(_panel_axes, u))
+
+
+def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray,
+                      sch: QuadratureScheme, panel_axes) -> tuple[np.ndarray, float]:
     """E_z u(x + 2 sqrt(r) z, t - r) for every lag in r_mid.
 
     Returns the averages and a bound for what the truncations of this
-    routine discard (band-limit cut for global fields).
+    routine discard (band-limit cut for global fields).  ``panel_axes`` is
+    the ``_panel_rules`` of u.
     """
     out = np.zeros_like(r_mid)
     discard = 0.0
@@ -358,7 +372,7 @@ def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float,
         # is below the feature scale, fixed support panels afterwards
         near = r_mid <= (0.5 * u.space_scale) ** 2
         if not np.all(near):
-            pts, w = _tensor_rule(*_panel_axes(u, sch))
+            pts, w = _tensor_rule(*panel_axes(sch))
             out[~near] = _panel_average(u, x, t, r_mid[~near], pts, w)
     if np.any(near):
         out[near] = _gh_average(u, x, t, r_mid[near], sch)
@@ -401,8 +415,10 @@ def _gh_average(u: SpaceTimeField, x: np.ndarray, t: float,
     nz = len(z_w)
 
     def fill(rb, rows):
-        pts = x[None, None, :] + (2.0 * np.sqrt(rb))[:, None, None] * z_pts[None, :, :]
-        rows[:] = u.eval(pts.reshape(-1, n), np.repeat(t - rb, nz)).reshape(len(rb), nz)
+        # coordinate k of node j at lag i sits at [k, i, j]
+        pts = np.multiply((2.0 * np.sqrt(rb))[None, :, None], z_pts.T[:, None, :])
+        pts += x[:, None, None]
+        rows[:] = u.eval(pts.reshape(n, -1).T, np.repeat(t - rb, nz)).reshape(len(rb), nz)
 
     return _chunked_average(r_mid, z_w / math.pi ** (n / 2.0), fill)
 
@@ -414,8 +430,10 @@ def _panel_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray
     # a time-independent field has the same panel values at every lag: one
     # row, evaluated once, multiplies every lag's kernel row
     static = u.eval(pts, np.full(npts, t)) if u.time_independent else None
-    # the panel points once per lag of a full block; a shorter block takes a prefix
-    tiled = None if static is not None else np.tile(pts, (min(_block_lags(npts), len(r_mid)), 1))
+    # the panel points once per lag of a full block, coordinate-major; a
+    # shorter block takes a prefix
+    blocks = min(_block_lags(npts), len(r_mid))
+    tiled = None if static is not None else np.tile(pts.T, (1, blocks)).T
 
     def fill(rb, kb):
         np.divide(neg_dist_sq, 4.0 * rb[:, None], out=kb)
@@ -477,11 +495,13 @@ def _lag_integral(average, u_q: float, heat: float, s: float, sch: QuadratureSch
 
 
 def _master_single_pass(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
-                        sch: QuadratureScheme, average=None) -> tuple[float, float, float]:
+                        sch: QuadratureScheme, average=None,
+                        panel_axes=None) -> tuple[float, float, float]:
     """The lag integral of u at q over the Gaussian average, or over ``average`` when given.
 
     The fold passes its folded average and so shares every other piece:
-    the cells, the inner piece and the tail.
+    the cells, the inner piece and the tail.  ``panel_axes``, the
+    ``_panel_rules`` of u, lets passes share panel rules.
     """
     x, t = q.x, q.t
     r_cut, exact_tail = sch.r_max, False
@@ -489,7 +509,8 @@ def _master_single_pass(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
         # no history before the support: the lag integral ends there exactly
         # (at r_min, with no cells, when the whole history lies outside)
         r_cut, exact_tail = max(t - u.t_support[0], sch.r_min), True
-    average = average or (lambda r_mid: _gaussian_average(u, x, t, r_mid, sch))
+    panel_axes = panel_axes or _panel_rules(u)
+    average = average or (lambda r_mid: _gaussian_average(u, x, t, r_mid, sch, panel_axes))
     # a compact time-independent field has an average decaying like r^{-n/2}
     compact_static = u.time_independent and u.space_support is not None
     return _lag_integral(average, u.at(x, t), _fd_heat(u, x, t), p.s, sch, r_cut, exact_tail,
@@ -497,14 +518,18 @@ def _master_single_pass(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
 
 
 def _checked_bound(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
-                   sch: QuadratureScheme) -> float:
-    """The sup bound of u, after the input checks of master_operator_pointwise."""
+                   sch: QuadratureScheme, panel_axes) -> float:
+    """The sup bound of u, after the input checks of master_operator_pointwise.
+
+    ``panel_axes`` is the ``_panel_rules`` of u; the refined pass then
+    finds the rule this check counts already built.
+    """
     q.validate(p)
     if q.x.shape != (u.n,):
         raise DomainValidationError("point dimension does not match the field")
     sup = u.require_bound()
     if u.space_support is not None:
-        points = math.prod(len(a) for a in _panel_axes(u, sch.refine())[0])
+        points = math.prod(len(a) for a in panel_axes(sch.refine())[0])
         if points > _EVAL_CHUNK:
             raise DomainValidationError(
                 f"the refined pass's panel rule has {points:,} points per lag, more than "
@@ -524,8 +549,10 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
     or the error estimate is not finite or, after the built-in refinement
     pass, the estimate still exceeds ``sch.target_tol``.
     """
-    sup = _checked_bound(u, q, p, sch)
-    return _two_pass(lambda sc: _master_single_pass(u, q, p, sc), sch, sup, p.s)
+    panel_axes = _panel_rules(u)
+    sup = _checked_bound(u, q, p, sch, panel_axes)
+    return _two_pass(lambda sc: _master_single_pass(u, q, p, sc, panel_axes=panel_axes),
+                     sch, sup, p.s)
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +634,12 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.nd
         idx, k = list(idx), len(idx)
         zm, zw, counts = np.concatenate(mids), np.concatenate(widths), np.concatenate(counts)
         per_point = [len(m) for m in mids]
-        x_run = X[idx]
-        # one field call per run: its points, then x + z theta and x - z theta of every cell
-        offsets = zm[:, None] * np.repeat(np.tile(thetas, (k, 1)), counts, axis=0)
-        at = np.repeat(x_run, per_point, axis=0)
-        vals = g.eval(np.concatenate([x_run, at + offsets, at - offsets]))
+        x_run = X[idx].T
+        # one coordinate-major field call per run: its points, then x + z theta
+        # and x - z theta of every cell
+        offsets = zm * np.repeat(np.tile(thetas.T, (1, k)), counts, axis=1)
+        at = np.repeat(x_run, per_point, axis=1)
+        vals = g.eval(np.concatenate([x_run, at + offsets, at - offsets], axis=1).T)
         g_x[idx] = vals[:k]
         s_pair = 2.0 * np.repeat(vals[:k], per_point) - vals[k:k + len(zm)] - vals[k + len(zm):]
         pair_peak[idx] = np.maximum.reduceat(np.abs(s_pair), np.cumsum(per_point) - per_point)

@@ -102,15 +102,21 @@ def spacetime_symbol(xi, rho, s: float):
 
 
 def _symbol_grid(grid: TorusGrid, p: FracParams) -> np.ndarray:
+    """(|xi|^2 + i rho)^s on every grid mode, 0 on the zero mode.
+
+    The power is taken once per distinct |xi|^2 (summed over the axes in
+    order, as a whole-grid sum would be) and time frequency, then gathered
+    onto the modes: the same bits at a fraction of the powers.
+    """
     freqs = grid.frequencies()
-    xi_sq = np.zeros(grid.shape)
+    space = (grid.N_x,) * grid.n
+    xi_sq = np.zeros(space)
     for axis in range(grid.n):
-        shape = [1] * (grid.n + 1)
+        shape = [1] * grid.n
         shape[axis] = grid.N_x
         xi_sq = xi_sq + (freqs[axis] ** 2).reshape(shape)
-    rho = freqs[-1].reshape([1] * grid.n + [grid.N_t])
-    z = xi_sq + 1j * rho
-    sym = np.power(z, p.s)
+    levels, level_of = np.unique(xi_sq, return_inverse=True)
+    sym = np.power(levels[:, None] + 1j * freqs[-1][None, :], p.s)[level_of.reshape(space)]
     sym[tuple([0] * (grid.n + 1))] = 0.0
     return sym
 

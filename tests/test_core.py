@@ -146,6 +146,13 @@ class TestSqDist:
             d = X - c
             assert np.array_equal(sq_dist(X, c), np.sum(d * d, axis=-1))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_layout_leaves_the_bits(self, n):
+        X = np.random.default_rng(n).uniform(-2.0, 2.0, size=(3000, n))
+        X[::5, 0] = -0.0
+        c = np.linspace(-0.3, 0.4, n)
+        assert sq_dist(np.asfortranarray(X), c).tobytes() == sq_dist(X, c).tobytes()
+
     def test_heat_kernel_keeps_the_axis_sum(self):
         rng = np.random.default_rng(4)
         for n in (1, 2, 3):

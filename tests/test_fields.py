@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from fracheat.core import FracParams
 from fracheat.errors import DomainValidationError
 from fracheat.fields import (
     FIELD_NAMES,
@@ -14,16 +15,21 @@ from fracheat.fields import (
     SpaceField,
     SpaceTimeField,
     TimeField,
+    antisymmetrize,
     build_field,
     gaussian_bump,
     mollifier,
+    plane_wave,
     plateau_bump,
     polynomial_cutoff,
     random_space_bump,
+    random_spacetime_bump,
     spot_check,
     torsion_profile,
     torsion_rhs_constant,
 )
+from fracheat.planes import PlaneConfig, reflect
+from fracheat.solver import BallProblem, interpolant_field, nonlinearity_by_name, solve_steady
 
 
 class TestExteriorRule:
@@ -163,6 +169,63 @@ class TestRegistry:
         left = field.eval(np.array([[-0.5]]), np.array([0.0]))[0]
         right = field.eval(np.array([[0.5]]), np.array([0.0]))[0]
         assert right > left
+
+
+class TestMemoryLayout:
+    """The library fields give the same bits on row-major and coordinate-major points."""
+
+    @staticmethod
+    def _fields(n):
+        cfg = PlaneConfig(np.eye(n)[0], 0.1)
+        fields = {
+            "gauss": gaussian_bump(n, center=np.full(n, 0.1), width=0.7, t_center=0.2),
+            "gauss-static": gaussian_bump(n, width=0.7, t_width=None),
+            "plane-wave": plane_wave(n, np.linspace(0.7, 1.3, n), 0.8),
+            "torsion": torsion_profile(n, 0.5, shift=np.full(n, 0.1)).as_spacetime(),
+            "space-bump": random_space_bump(np.random.default_rng(n), n).as_spacetime(),
+            "spacetime-bump": random_spacetime_bump(np.random.default_rng(n), n),
+            "antisymmetrized": antisymmetrize(gaussian_bump(n, center=np.full(n, -0.4)),
+                                              lambda X: reflect(X, cfg)),
+        }
+        if n < 3:
+            problem = BallProblem(FracParams(n, 0.5), 9, nonlinearity_by_name("one"))
+            sol = solve_steady(problem)
+            interpolant = interpolant_field(problem, sol.full_values(problem))
+            fields["interpolant"] = interpolant.as_spacetime()
+        return fields
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_and_column_major_bits(self, n):
+        rng = np.random.default_rng(40 + n)
+        X = rng.uniform(-1.5, 1.5, size=(2000, n))
+        X[::7, -1] = -0.0
+        t = rng.uniform(-1.0, 1.0, size=2000)
+        for name, u in self._fields(n).items():
+            want = u.eval(X, t)
+            got = u.eval(np.asfortranarray(X), t)
+            assert got.tobytes() == want.tobytes(), name
+            # a prefix of a coordinate-major tile, as the panel average passes
+            tiled = np.tile(X.T, (1, 2)).T[:1500]
+            assert u.eval(tiled, t[:1500]).tobytes() == want[:1500].tobytes(), name
+
+    def test_callables_keep_their_inputs(self):
+        X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(50, 2))
+        bump = gaussian_bump(2, t_center=0.2)
+        assert np.array_equal(bump.func(X, 0.3), bump.eval(X, np.full(50, 0.3)))
+        static = gaussian_bump(2, t_width=None)
+        assert np.array_equal(static.func(X, None), static.eval(X, 0.0))
+        packet = random_spacetime_bump(np.random.default_rng(6), 2)
+        assert np.array_equal(packet.func(X, 0.3), packet.eval(X, np.full(50, 0.3)))
+
+    def test_antisymmetrize_leaves_a_returned_view_alone(self):
+        # a callable that returns a view of its points: the difference must not overwrite them
+        linear = SpaceTimeField(lambda X, t: X[:, 0], n=2, sup_bound=math.inf)
+        cfg = PlaneConfig([0.0, 1.0], 0.25)
+        w = antisymmetrize(linear, lambda X: reflect(X, cfg))
+        X = np.asfortranarray(np.random.default_rng(7).uniform(-1.0, 1.0, size=(40, 2)))
+        before = X.copy()
+        assert np.array_equal(w.eval(X, np.zeros(40)), np.zeros(40))
+        assert np.array_equal(X, before)
 
 
 class TestColumnwiseFormulas:

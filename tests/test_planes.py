@@ -1,6 +1,7 @@
 """Reflections, comparison fields, folding identity, cutoffs and scaling laws."""
 
 import functools
+import itertools
 import math
 import warnings
 
@@ -172,6 +173,24 @@ class TestReflect:
             # a single point is one row, whose matrix product may round differently
             one = pts[:1] + 2.0 * (cfg.lam - pts[:1] @ cfg.direction)[:, None] * cfg.direction
             assert np.array_equal(reflect(pts[0], cfg), one[0])
+
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_axis_planes_keep_the_general_formula_bits(self, layout):
+        rng = np.random.default_rng(11)
+        values = np.array([0.0, -0.0, 0.3, -0.3, 1.7, -2.2])
+        pts = np.concatenate([np.array(list(itertools.product(values, repeat=2))),
+                              rng.uniform(-2.0, 2.0, size=(500, 2))])
+        pts = np.asarray(pts, order=layout)
+        for e in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
+            for lam in (0.0, 0.3, -0.3):
+                cfg = PlaneConfig(e, lam)
+                rows = np.ascontiguousarray(pts)
+                old = rows + 2.0 * (cfg.lam - rows @ cfg.direction)[:, None] * cfg.direction
+                got = reflect(pts, cfg)
+                assert got.flags.f_contiguous == (layout == "F")
+                assert got.tobytes() == old.tobytes(), (e, lam)
+                assert reflect(pts[3], cfg).tobytes() == old[3].tobytes()
 
 
 class TestWLambda:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from fracheat import quadrature
+from fracheat import quadrature, solver
 from fracheat.core import FracParams, SpaceTimePoint, integrated_kernel_constant, sq_dist
 from fracheat.errors import AdmissibilityError, DomainValidationError, ToleranceError
 from fracheat.fields import (
@@ -26,8 +26,10 @@ from fracheat.fields import (
     random_space_bump,
     random_spacetime_bump,
     random_time_field,
+    antisymmetrize,
     torsion_profile,
 )
+from fracheat.planes import PlaneConfig, _folded_average, antisymmetric_fold_residual, reflect
 from fracheat.quadrature import (
     _EVAL_CHUNK,
     QuadratureScheme,
@@ -47,7 +49,13 @@ from fracheat.quadrature import (
     slowly_increasing_membership,
     truncation_tail_bound,
 )
-from fracheat.solver import BallProblem, interpolant_field, nonlinearity_by_name, solve_steady
+from fracheat.solver import (
+    BallProblem,
+    interpolant_field,
+    nonlinearity_by_name,
+    residual_field,
+    solve_steady,
+)
 
 P1 = FracParams(1, 0.5)
 SCH = QuadratureScheme()
@@ -525,6 +533,103 @@ class TestFieldBlocks:
             tracemalloc.stop()
         # 113 MB with one field call per chunk of 2,000,000 points; about 19 MB in blocks
         assert peak < 40e6
+
+
+def _recording(fld, blocks):
+    """The same field with every call of its callable recording its row count and
+    whether each column of its points is contiguous."""
+    def func(X, *args):
+        blocks.append((len(X), all(X[:, k].flags.c_contiguous for k in range(X.shape[1]))))
+        return fld.func(X, *args)
+    return dataclasses.replace(fld, func=func)
+
+
+class TestCoordinateMajorBlocks:
+    """Every n = 2 block of points that reaches a field's callable has contiguous columns."""
+
+    @staticmethod
+    def _check(blocks):
+        # blocks of one row are contiguous in any layout; the large ones make the test
+        assert max(rows for rows, _ in blocks) > 1000
+        assert all(ok for _, ok in blocks)
+
+    @pytest.mark.parametrize("build", [
+        lambda: gaussian_bump(2, center=[0.1, -0.1], width=0.8, t_center=0.2),
+        lambda: gaussian_bump(2, width=0.7, t_width=None),
+        lambda: _torsion_in_time(2),
+        lambda: plane_wave(2, [1.0, 1.0], 1.0),
+    ], ids=["gauss", "gauss-static", "torsion-t", "plane-wave"])
+    def test_master_operator(self, build):
+        blocks = []
+        master_operator_pointwise(_recording(build(), blocks), SpaceTimePoint([0.3, -0.2], 0.1),
+                                  FracParams(2, 0.5), SCH)
+        self._check(blocks)
+
+    def test_fold_both_sides(self):
+        cfg = PlaneConfig([1.0, 0.0], 0.0)
+        q = SpaceTimePoint([-0.55, 0.0], 0.2)
+        blocks, folded = [], []
+        base = _recording(gaussian_bump(2, center=[-0.65, 0.2], width=0.55, t_width=0.8), blocks)
+        w = _recording(antisymmetrize(base, lambda X: reflect(X, cfg)), blocks)
+        antisymmetric_fold_residual(w, cfg, q, FracParams(2, 0.5), SCH)
+        self._check(blocks)
+        # the folded side on its own: the half-space rule and its mirror image
+        _folded_average(_recording(w, folded), cfg, q, SCH, np.geomspace(1e-4, 50.0, 40))
+        self._check(folded)
+
+    @pytest.mark.parametrize("field", [torsion_profile(2, 0.5),
+                                       random_space_bump(np.random.default_rng(3), 2)],
+                             ids=["torsion", "space-bump"])
+    def test_fractional_laplacian(self, field):
+        blocks = []
+        fractional_laplacian_pointwise(_recording(field, blocks), [0.3, 0.2], FracParams(2, 0.5),
+                                       SCH)
+        self._check(blocks)
+
+    def test_residual_field(self, monkeypatch):
+        blocks = []
+        build = solver.interpolant_field
+        monkeypatch.setattr(solver, "interpolant_field",
+                            lambda *args: _recording(build(*args), blocks))
+        problem = BallProblem(FracParams(2, 0.5), 9, nonlinearity_by_name("one"))
+        residual_field(problem, solve_steady(problem, SCH, theta=1.0), SCH)
+        self._check(blocks)
+
+
+class TestPanelRulesBuiltOnce:
+    """One operator call builds each scheme's panel rule once."""
+
+    @staticmethod
+    def _builds(monkeypatch):
+        built = []
+        build = quadrature._panel_axes
+
+        def counted(u, sch):
+            built.append(sch.nodes_per_decade)
+            return build(u, sch)
+
+        monkeypatch.setattr(quadrature, "_panel_axes", counted)
+        return built
+
+    def test_master_operator(self, monkeypatch):
+        built = self._builds(monkeypatch)
+        u, q, p = gaussian_bump(2, width=0.7), SpaceTimePoint([0.3, 0.1], 0.2), FracParams(2, 0.5)
+        got = master_operator_pointwise(u, q, p, SCH)
+        # the refined rule for the cost check, then the coarse pass's rule
+        assert built == [32, 16]
+        monkeypatch.undo()
+        # the same value as passes that build their own rules
+        want = _two_pass(lambda sc: quadrature._master_single_pass(u, q, p, sc), SCH, 1.0, 0.5)
+        assert (got.value, got.est_error) == (want.value, want.est_error)
+
+    def test_fold(self, monkeypatch):
+        built = self._builds(monkeypatch)
+        cfg = PlaneConfig([1.0, 0.0], 0.0)
+        base = gaussian_bump(2, center=[-0.65, 0.2], width=0.55, t_width=0.8)
+        antisymmetric_fold_residual(antisymmetrize(base, lambda X: reflect(X, cfg)), cfg,
+                                    SpaceTimePoint([-0.55, 0.0], 0.2), FracParams(2, 0.5), SCH)
+        # the whole-space passes and the folded coarse pass share the two rules
+        assert built == [32, 16]
 
 
 def _nan_master():

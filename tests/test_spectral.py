@@ -15,6 +15,7 @@ from fracheat.quadrature import QuadratureScheme, marchaud_left, master_operator
 from fracheat.spectral import (
     GridField,
     TorusGrid,
+    _symbol_grid,
     apply_operator_spectral,
     liouville_nullspace_dimension,
     marchaud_symbol,
@@ -65,6 +66,29 @@ class TestSymbols:
     def test_nonnegative_real_part(self, xi, rho):
         z = spacetime_symbol([xi], rho, 0.35)
         assert z.real >= -1e-15
+
+
+class TestSymbolGrid:
+    @staticmethod
+    def _whole_grid(grid, s):
+        # the power taken on every mode: |xi|^2 summed axis by axis over the grid
+        freqs = grid.frequencies()
+        xi_sq = np.zeros(grid.shape)
+        for axis in range(grid.n):
+            shape = [1] * (grid.n + 1)
+            shape[axis] = grid.N_x
+            xi_sq = xi_sq + (freqs[axis] ** 2).reshape(shape)
+        sym = np.power(xi_sq + 1j * freqs[-1].reshape([1] * grid.n + [grid.N_t]), s)
+        sym[(0,) * (grid.n + 1)] = 0.0
+        return sym
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+    def test_bits_of_the_whole_grid_power(self, n, s):
+        grid = TorusGrid(n, 16, 7.3, 12, 5.1)
+        got = _symbol_grid(grid, FracParams(n, s))
+        assert got.shape == grid.shape
+        assert got.tobytes() == self._whole_grid(grid, s).tobytes()
 
 
 class TestTorusGrid:

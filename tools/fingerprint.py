@@ -14,7 +14,9 @@ narrow-region record (lambda, min_w hex, argmin, strict flag, passed) on
 solved, noisy and shifted-torsion grid data, SHA-256
 prefixes of `residual_field` arrays (all nodes, and the 64 nodes that
 `moving-planes` samples at n = 2 K = 33), of a few kernel, field and
-reflection arrays, the metadata that `as_spacetime` carries over from
+reflection arrays (also across the four axis planes of n = 2 on points
+with signed-zero coordinates), of the operator symbol on a 1-, 2- and 3-D
+torus, the metadata that `as_spacetime` carries over from
 each library `SpaceField` and a `TimeField` (exterior, sup bound hex,
 ball radius, support digest, feature scale, time support and time
 independence), and of the CSV files of the six determinism configs plus
@@ -26,6 +28,7 @@ a tool, not a test, and stays out of the test suite.
 """
 
 import hashlib
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -73,6 +76,7 @@ from fracheat.solver import (  # noqa: E402
     residual_field,
     solve_steady,
 )
+from fracheat.spectral import TorusGrid, _symbol_grid  # noqa: E402
 
 SCH = QuadratureScheme()
 
@@ -232,6 +236,15 @@ def arrays() -> None:
                    reflect(pts, PlaneConfig(direction, 0.3)))
         _array(f"mollifier n={n}", mollifier(0.6 * pts))
         _array(f"cutoff n={n}", polynomial_cutoff(n, [1.0, -0.5, 0.25]).eval(0.6 * pts))
+    # axis planes, where x . e is x_i e_i, on points with signed-zero coordinates
+    grid = np.array(list(itertools.product([0.0, -0.0, 0.3, -0.3, 1.7], repeat=2)))
+    for direction in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
+        for lam in (0.0, 0.3):
+            _array(f"reflect n=2 signed-zeros e={direction} lam={lam}",
+                   reflect(grid, PlaneConfig(direction, lam)))
+    for n, points in ((1, 64), (2, 32), (3, 16)):
+        sym = _symbol_grid(TorusGrid(n, points, 7.3, points, 5.1), FracParams(n, 0.3))
+        print(f"symbol n={n} N={points} s=0.3 {_digest(np.ascontiguousarray(sym).tobytes())}")
 
 
 def lifts() -> None:
