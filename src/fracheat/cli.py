@@ -21,7 +21,7 @@ import numbers
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ from .quadrature import (
     marchaud_left,
     master_operator_pointwise,
 )
-from .solver import BallProblem, nonlinearity_by_name, residual_field, solve_steady
+from .solver import _NONLINEARITIES, BallProblem, nonlinearity_by_name, residual_field, solve_steady
 from .spectral import (
     GridField,
     TorusGrid,
@@ -59,18 +59,6 @@ from .spectral import (
     project_onto_kernel,
     spacetime_symbol,
 )
-
-SCENARIOS = ("eval", "reduce-check", "lemma-scaling", "solve-ball", "moving-planes", "liouville")
-
-_TOP_KEYS = {
-    "scenario", "n", "s", "seed", "output_dir", "scheme", "problem", "field",
-    "point", "lambdas", "r_list", "kind", "torus",
-}
-_SCHEME_KEYS = {"r_min", "r_max", "nodes_per_decade", "hermite_order", "target_tol"}
-_PROBLEM_KEYS = {"h", "points_per_axis", "f", "coeffs", "theta", "max_iter", "tol"}
-_FIELD_KEYS = {"name", "params"}
-_TORUS_KEYS = {"N_x", "L_x", "N_t", "L_t"}
-
 
 @dataclass
 class ScenarioConfig:
@@ -89,15 +77,10 @@ class ScenarioConfig:
     torus: dict = dc_field(default_factory=dict)
 
     def resolved(self) -> dict:
-        return {
-            "scenario": self.scenario, "n": self.n, "s": self.s, "seed": self.seed,
-            "scheme": dict(sorted(self.scheme.items())),
-            "problem": dict(sorted(self.problem.items())),
-            "field": dict(sorted(self.field.items())),
-            "point": dict(sorted(self.point.items())),
-            "lambdas": list(self.lambdas), "r_list": list(self.r_list),
-            "kind": self.kind, "torus": dict(sorted(self.torus.items())),
-        }
+        """Every setting but ``output_dir``: what the hash covers and report.json records."""
+        out = asdict(self)
+        del out["output_dir"]
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
@@ -108,6 +91,13 @@ class ScenarioConfig:
 
     def quadrature_scheme(self) -> QuadratureScheme:
         return QuadratureScheme(**self.scheme)
+
+
+_TOP_KEYS = {f.name for f in dc_fields(ScenarioConfig)}
+_SCHEME_KEYS = {f.name for f in dc_fields(QuadratureScheme)}
+_PROBLEM_KEYS = {"h", "points_per_axis", "f", "coeffs", "theta", "max_iter", "tol"}
+_FIELD_KEYS = {"name", "params"}
+_TORUS_KEYS = {f.name for f in dc_fields(TorusGrid)} - {"n"}
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -186,21 +176,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
     if "point" in data:
         _check_keys(data["point"], {"x", "t"}, "config.point")
 
-    cfg = ScenarioConfig(
-        scenario=data["scenario"],
-        n=int(data.get("n", 1)),
-        s=float(data.get("s", 0.5)),
-        seed=int(data.get("seed", 12345)),
-        output_dir=str(data.get("output_dir", "fracheat-out")),
-        scheme=dict(data.get("scheme", {})),
-        problem=dict(data.get("problem", {})),
-        field=dict(data.get("field", {})),
-        point=dict(data.get("point", {})),
-        lambdas=list(data.get("lambdas", [])),
-        r_list=list(data.get("r_list", [])),
-        kind=str(data.get("kind", "time-cutoff")),
-        torus=dict(data.get("torus", {})),
-    )
+    # every given setting as its field's (string) annotation says; the rest take the defaults
+    convert = {"int": int, "float": float, "str": str, "dict": dict, "list": list}
+    cfg = ScenarioConfig(**{f.name: convert[f.type](data[f.name])
+                            for f in dc_fields(ScenarioConfig) if f.name in data})
     if not 0.0 < cfg.s < 1.0:
         raise ConfigError(f"s must lie in (0,1), got {cfg.s}")
     # the integer minima are those QuadratureScheme and TorusGrid enforce
@@ -236,10 +215,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
         if cfg.n > 2:
             raise ConfigError("ball scenarios support n in {1, 2}")
         fname = cfg.problem.get("f", "one")
-        if fname not in ("zero", "one", "one-minus-half-u", "custom-polynomial"):
-            raise ConfigError(
-                "problem.f must be one of zero, one, one-minus-half-u, custom-polynomial"
-            )
+        if fname not in _NONLINEARITIES:
+            raise ConfigError(f"problem.f must be one of {', '.join(_NONLINEARITIES)}")
     return cfg
 
 
@@ -517,6 +494,7 @@ _RUNNERS = {
     "moving-planes": _scenario_moving_planes,
     "liouville": _scenario_liouville,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:

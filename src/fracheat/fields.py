@@ -201,8 +201,12 @@ class TimeField(_Bounded):
         )
 
 
-def spot_check(field: SpaceTimeField, rng: np.random.Generator, samples: int = 256,
-               half_width: float = 3.0) -> None:
+# spot_check draws this many points (x, t) uniformly from [-3, 3]^(n + 1)
+_SPOT_SAMPLES = 256
+_SPOT_HALF_WIDTH = 3.0
+
+
+def spot_check(field: SpaceTimeField, rng: np.random.Generator) -> None:
     """Spot-check the declared invariants on random sample points.
 
     No sample may be NaN, nor infinite when the sup bound is finite;
@@ -211,8 +215,8 @@ def spot_check(field: SpaceTimeField, rng: np.random.Generator, samples: int = 2
     declared time-independent must return bit-identical values one time
     unit later.
     """
-    pts = rng.uniform(-half_width, half_width, size=(samples, field.n))
-    ts = rng.uniform(-half_width, half_width, size=samples)
+    pts = rng.uniform(-_SPOT_HALF_WIDTH, _SPOT_HALF_WIDTH, size=(_SPOT_SAMPLES, field.n))
+    ts = rng.uniform(-_SPOT_HALF_WIDTH, _SPOT_HALF_WIDTH, size=_SPOT_SAMPLES)
     vals = field.eval(pts, ts)
     # NaN compares false against every bound, so it needs its own check
     if np.any(np.isnan(vals)):
@@ -521,37 +525,28 @@ def antisymmetrize(field: SpaceTimeField, reflect_fn) -> SpaceTimeField:
 # named registry used by the CLI
 
 
+_FIELD_BUILDERS = {
+    "gaussian-bump": lambda n, s, params: gaussian_bump(
+        n,
+        center=params.get("center"),
+        width=float(params.get("width", 1.0)),
+        t_center=float(params.get("t_center", 0.0)),
+        t_width=params.get("t_width", 1.0),
+    ),
+    "plane-wave": lambda n, s, params: plane_wave(
+        n, params.get("xi", [1.0] * n), float(params.get("rho", 1.0))),
+    "torsion-profile": lambda n, s, params: torsion_profile(n, s).as_spacetime(),
+    "shifted-torsion": lambda n, s, params: torsion_profile(
+        n, s, shift=params.get("shift", [0.2] + [0.0] * (n - 1))).as_spacetime(),
+    "custom-polynomial-cutoff": lambda n, s, params: polynomial_cutoff(
+        n, params.get("coeffs", [1.0, -0.5])).as_spacetime(),
+}
+FIELD_NAMES = tuple(_FIELD_BUILDERS)
+
+
 def build_field(name: str, n: int, s: float, params: dict | None = None,
                 rng: np.random.Generator | None = None):
     """Construct a named field; raises DomainValidationError for unknown names."""
-    params = dict(params or {})
-    if name == "gaussian-bump":
-        return gaussian_bump(
-            n,
-            center=params.get("center"),
-            width=float(params.get("width", 1.0)),
-            t_center=float(params.get("t_center", 0.0)),
-            t_width=params.get("t_width", 1.0),
-        )
-    if name == "plane-wave":
-        xi = params.get("xi", [1.0] * n)
-        rho = float(params.get("rho", 1.0))
-        return plane_wave(n, xi, rho)
-    if name == "torsion-profile":
-        return torsion_profile(n, s).as_spacetime()
-    if name == "shifted-torsion":
-        shift = params.get("shift", [0.2] + [0.0] * (n - 1))
-        return torsion_profile(n, s, shift=shift).as_spacetime()
-    if name == "custom-polynomial-cutoff":
-        coeffs = params.get("coeffs", [1.0, -0.5])
-        return polynomial_cutoff(n, coeffs).as_spacetime()
-    raise DomainValidationError(f"unknown field name {name!r}")
-
-
-FIELD_NAMES = (
-    "gaussian-bump",
-    "plane-wave",
-    "torsion-profile",
-    "shifted-torsion",
-    "custom-polynomial-cutoff",
-)
+    if name not in _FIELD_BUILDERS:
+        raise DomainValidationError(f"unknown field name {name!r}")
+    return _FIELD_BUILDERS[name](n, s, dict(params or {}))

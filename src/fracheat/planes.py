@@ -2,9 +2,11 @@
 
 Reflections across a hyperplane, the antisymmetric comparison field
 w(x, t) = u(x^lambda, t) - u(x, t), narrow-region and unbounded-domain
-maximum-principle probes, the antisymmetric folding identity of the
-operator over a half-space, the explicit cutoff/bump constructions, and
-the dilation scaling law sup |op(cutoff_r)| ~ r^{-2s}.
+maximum-principle probes, the check of the antisymmetric folding
+identity of the operator over a half-space (``quadrature`` holds its
+averages and passes; this module checks w and the plane and reports the
+residual), the explicit cutoff/bump constructions, and the dilation
+scaling law sup |op(cutoff_r)| ~ r^{-2s}.
 
 Planes used against grid data lie along a coordinate axis at lam = m h / 2,
 m an integer.  On the grid's integer offsets (``BallProblem.offsets``) the
@@ -29,21 +31,7 @@ from .errors import (
     OverlapError,
 )
 from .fields import SpaceField, SpaceTimeField, TimeField, mollifier, plateau_bump
-from .quadrature import (
-    _FIELD_BLOCK,
-    QuadratureScheme,
-    _cells,
-    _checked_bound,
-    _gauss_rule,
-    _master_single_pass,
-    _panel_rules,
-    _refine_rows,
-    _runs,
-    _tensor_rule,
-    _two_pass,
-    marchaud_left,
-    master_operator_pointwise,
-)
+from .quadrature import QuadratureScheme, _fold_passes, marchaud_left, master_operator_pointwise
 from .solver import BallProblem
 
 
@@ -271,120 +259,22 @@ def _check_antisymmetry(w: SpaceTimeField, cfg: PlaneConfig) -> None:
         raise AntisymmetryError("field is not antisymmetric about the plane")
 
 
-def _folded_average(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
-                    sch: QuadratureScheme, r_mid: np.ndarray, panel_axes=None) -> np.ndarray:
-    """Int_Sigma w(y, t - r) (K_r(x - y) - K_r(x - y^lambda)) dy for every lag r in r_mid.
-
-    K_r is the heat kernel (4 pi r)^{-n/2} exp(-|z|^2 / (4 r)).  For an
-    antisymmetric w this is the Gaussian average E_z w(x + 2 sqrt(r) z, t - r)
-    written over Sigma_lambda alone.  Along the plane normal, Gauss-Legendre
-    panels cover Sigma_lambda within eight kernel widths of q, clipped to the
-    support and graded toward q and q^lambda; ``quadrature._refine_rows``
-    builds the panels of all lags in one sort.  At n = 2 the free axis takes
-    Hermite nodes up to the lag where the kernel scale reaches the feature
-    size and the support panel axis of ``_panel_axes`` beyond, as the
-    Gaussian average does.  One field call and one kernel evaluation per run
-    of consecutive lags holding at most ``_FIELD_BLOCK`` (62,500) points,
-    coordinate-major; each lag's sum is one ``np.dot`` of its own, so the
-    result does not depend on the grouping.  ``panel_axes``, when given, is
-    the ``quadrature._panel_rules`` of w, which the whole-space side shares.
-    """
-    axis_idx, sign = cfg.axis()
-    x, t, n = q.x, q.t, w.n
-    free = 1 - axis_idx
-    q_par = sign * x[axis_idx]  # coordinate of q along the plane normal
-    q_refl = 2.0 * cfg.lam - q_par
-    lo_supp, hi_supp, r_cross = -math.inf, math.inf, math.inf
-    if w.space_support is not None:
-        a, b = (float(np.atleast_1d(e)[axis_idx]) for e in w.space_support)
-        lo_supp, hi_supp = (a, b) if sign > 0 else (-b, -a)
-        r_cross = (0.5 * w.space_scale) ** 2
-        if n == 2:
-            rule_axes = (panel_axes or _panel_rules(w))(sch)
-            panel_nodes, panel_weights = (ax[free] for ax in rule_axes)
-    hi = min(cfg.lam, hi_supp)
-    feature = w.space_scale if math.isfinite(w.space_scale) else 1.0
-    zn, wn = _gauss_rule("hermite", sch.hermite_order)
-    gl_x, gl_w = _gauss_rule("legendre", 8)
-
-    out = np.zeros_like(r_mid)
-    sigma = 2.0 * np.sqrt(r_mid)
-    lo = np.maximum(q_par - 8.0 * sigma, lo_supp)
-    live = np.flatnonzero(lo < hi)
-    if live.size == 0:
-        return out
-    # panels capped at the feature size: numpy.linspace's edges k * step + lo
-    # with hi last, in the first count + 1 entries of each row
-    lo_live = lo[live]
-    count = np.minimum(np.ceil((hi - lo_live) / feature), 160.0).astype(int)
-    col = np.arange(count.max() + 1)
-    step = (hi - lo_live) / count
-    grid = np.where(col < count[:, None], col * step[:, None] + lo_live[:, None], hi)
-    # graded toward q and q^lambda; the steps of a centre outside (lo, hi) count too
-    c = np.array([q_par, q_refl])
-    offsets = (sigma[live, None] * np.arange(1, 9))[:, None, :]
-    extra = np.concatenate([np.broadcast_to(c, (live.size, c.size)),
-                            (c[:, None] - offsets).reshape(live.size, -1),
-                            (c[:, None] + offsets).reshape(live.size, -1)], axis=1)
-    edges, n_edges = _refine_rows(grid, count + 1, lo_live, hi, extra)
-    y_mid, y_width = _cells(edges, n_edges)
-    y_half = 0.5 * y_width
-    nodes = sign * (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()
-    weights = (y_half[:, None] * gl_w[None, :]).ravel()
-    lag_nodes = gl_x.size * (n_edges - 1)
-    ends = np.cumsum(lag_nodes)
-
-    def lag_rules():
-        for i, a, b in zip(live, ends - lag_nodes, ends):
-            if n == 1:
-                yield i, nodes[a:b, None], weights[a:b]
-                continue
-            axes = {axis_idx: (nodes[a:b], weights[a:b])}
-            if r_mid[i] <= r_cross:
-                # Hermite nodes y2 = x2 + sigma * z absorb the free axis's
-                # Gaussian factor exactly
-                axes[free] = (x[free] + sigma[i] * zn, wn * sigma[i])
-            else:
-                axes[free] = (panel_nodes, panel_weights
-                              * np.exp(-((panel_nodes - x[free]) ** 2) / (4.0 * r_mid[i])))
-            yield (i,) + _tensor_rule(*zip(*(axes[k] for k in range(n))))
-
-    for run in _runs(lag_rules(), _FIELD_BLOCK):
-        idx, pts, wtss = zip(*run)
-        sizes = [len(wts) for wts in wtss]
-        pts = np.concatenate([rule.T for rule in pts], axis=1).T
-        r = np.repeat(r_mid[list(idx)], sizes)
-        y_par = sign * pts[:, axis_idx]
-        kern = (np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
-                - np.exp(-((q_refl - y_par) ** 2) / (4.0 * r)))
-        terms = w.eval(pts, t - r) * kern
-        for i, wts, b in zip(idx, wtss, np.cumsum(sizes)):
-            # a padded row or np.add.reduceat would round the sum differently
-            dot = float(np.dot(wts, terms[b - len(wts):b]))
-            out[i] = (4.0 * math.pi * r_mid[i]) ** (-n / 2.0) * dot
-    return out
-
-
 def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTimePoint,
                                 p: FracParams, sch: QuadratureScheme) -> FoldResidual:
     """Whole-space value versus the half-space folded form of the operator.
 
-    Folding reflects the integral over the complement of Sigma_lambda back
-    onto Sigma_lambda: every kernel pairing (w(q) - w(y)) K(q - y) gains the
-    partner (w(q) + w(y)) K(q - y^lambda).  The w(q) terms sum to the
-    kernel's unit mass, so only the Gaussian average differs, and the two
-    sides compute it independently: the whole-space Gaussian average of w,
-    and ``_folded_average`` over Sigma_lambda.  Everything else is shared
-    through ``_master_single_pass``: the lag rule of the coarse pass, the
-    inner piece below ``r_min`` and the tail.
+    Checks that w is antisymmetric about the plane, that the plane is a
+    coordinate axis, that n is 1 or 2 and that q lies strictly inside
+    Sigma_lambda.  Folding reflects the integral over the complement of
+    Sigma_lambda back onto it, and only the Gaussian average differs between
+    the two forms; ``quadrature._fold_passes`` computes both over one lag rule.
 
     ``whole_space`` is ``master_operator_pointwise(w, q, p, sch).value``.
     ``folded`` is folded_coarse + (whole_space - whole_coarse): the folded
-    coarse pass put on the footing of ``whole_space``, with whole_coarse
-    the coarse pass of ``whole_space`` itself.  So ``residual = |whole_space
-    - folded|`` is |whole_coarse - folded_coarse| up to rounding: the two
-    averages compared over one lag rule, with the lag discretisation
-    cancelled.
+    coarse pass put on the footing of ``whole_space``.  So ``residual`` =
+    |whole_space - folded| is |whole_coarse - folded_coarse| up to rounding,
+    with the lag discretisation cancelled; ``combined_tol`` is twice the
+    whole-space ``est_error``.
     """
     _check_antisymmetry(w, cfg)
     axis_idx, sign = cfg.axis()
@@ -392,18 +282,8 @@ def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTim
         raise DomainValidationError("fold residual supports n in {1, 2}")
     if sign * q.x[axis_idx] >= cfg.lam:
         raise DomainValidationError("evaluation point must lie strictly inside Sigma_lambda")
-
-    whole_passes = []
-    panel_axes = _panel_rules(w)
-
-    def whole_pass(sc):
-        whole_passes.append(_master_single_pass(w, q, p, sc, panel_axes=panel_axes))
-        return whole_passes[-1]
-
-    whole = _two_pass(whole_pass, sch, _checked_bound(w, q, p, sch, panel_axes), p.s)
-    folded_coarse = _master_single_pass(w, q, p, sch, average=lambda r_mid: (
-        _folded_average(w, cfg, q, sch, r_mid, panel_axes), 0.0))[0]
-    folded = folded_coarse + (whole.value - whole_passes[0][0])
+    whole, whole_coarse, folded_coarse = _fold_passes(w, axis_idx, sign, cfg.lam, q, p, sch)
+    folded = folded_coarse + (whole.value - whole_coarse)
     return FoldResidual(abs(whole.value - folded), whole.value, folded, 2.0 * whole.est_error)
 
 

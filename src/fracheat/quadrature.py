@@ -14,7 +14,9 @@ Numerical layout of the lag integral.  ``_lag_integral`` is the one
 implementation, with three callers that each supply only the average of
 the field over the lag r and its slope at r = 0: the master operator (the
 Gaussian average), the one-sided Marchaud derivatives (u(t -+ r)) and the
-antisymmetric fold of ``planes`` (the average folded onto a half-space).
+antisymmetric fold (``_folded_average``, the Gaussian average folded onto
+a half-space).  Both Gaussian averages live here, and so do the fold's
+passes (``_fold_passes``); ``planes`` supplies the plane and checks w.
 
 * geometric cells (``nodes_per_decade`` per decade) near r = 0, with the
   cell width capped at 0.8 / nodes_per_decade so bounded oscillatory tails
@@ -82,6 +84,9 @@ _CAP_FACTOR = 0.8
 # most points per field call, sized so the field's temporaries stay in cache; a
 # lag (or sweep point) whose rule alone holds more takes a call of its own
 _FIELD_BLOCK = 62_500
+# Gauss-Legendre points per panel of every composite rule: the far-lag panel
+# axes of the Gaussian average and the normal axis of the folded average
+_PANEL_ORDER = 8
 # kernel-matrix entries per lag chunk of the Gaussian averages, each chunk one
 # matrix-vector product; also the most panel points per lag that
 # master_operator_pointwise accepts
@@ -239,6 +244,15 @@ def _cells(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
     return mid[within], width[within]
 
 
+def _gl_panels(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights, ``_PANEL_ORDER`` per cell of ``_cells``."""
+    mid, width = _cells(edges, counts)
+    half = 0.5 * width
+    gl_x, gl_w = _gauss_rule("legendre", _PANEL_ORDER)
+    nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    return nodes, (half[:, None] * gl_w[None, :]).ravel()
+
+
 def _runs(items, limit: int, size=lambda item: len(item[-1])):
     """Consecutive items grouped into lists of at most ``limit`` total ``size``.
 
@@ -308,10 +322,15 @@ def _fd_heat(u: SpaceTimeField, x: np.ndarray, t: float, delta: float = 1e-3) ->
     return float(dudt - lap)
 
 
-def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme, order: int = 8):
+def _hermite_reach(u: SpaceTimeField) -> float:
+    """Last lag of Hermite nodes for a field with a support box: 2 sqrt(r) = space_scale."""
+    return (0.5 * u.space_scale) ** 2
+
+
+def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme):
     """Per-axis nodes and weights of the far-lag panel rule of ``u``.
 
-    A composite Gauss-Legendre rule on panels of width
+    A composite Gauss-Legendre rule (``_gl_panels``) on panels of width
     ``space_scale * 16 / nodes_per_decade`` over the essential-support box.
     The support sphere of a zero-ball field, where such profiles have a
     root-type cusp, becomes a panel edge with a short dyadic refinement
@@ -320,7 +339,6 @@ def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme, order: int = 8):
     lo, hi = u.space_support
     scale = u.space_scale * 16.0 / sch.nodes_per_decade
     cusps = (-u.ball_radius, u.ball_radius) if u.exterior == ZERO_BALL else ()
-    gl_x, gl_w = _gauss_rule("legendre", order)
     axes_nodes, axes_weights = [], []
     for a, b in zip(np.atleast_1d(np.asarray(lo, dtype=float)),
                     np.atleast_1d(np.asarray(hi, dtype=float))):
@@ -333,10 +351,9 @@ def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme, order: int = 8):
             steps = span / count / 2.0 ** np.arange(1, 6)
             extra = np.concatenate([c, c - steps, c + steps], axis=1).reshape(1, -1)
             edges = _refine_rows(edges[None, :], edges.size, a, b, extra)[0]
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        axes_nodes.append((mid[:, None] + half[:, None] * gl_x[None, :]).ravel())
-        axes_weights.append((half[:, None] * gl_w[None, :]).ravel())
+        nodes, weights = _gl_panels(edges, [edges.size])
+        axes_nodes.append(nodes)
+        axes_weights.append(weights)
     return axes_nodes, axes_weights
 
 
@@ -370,7 +387,7 @@ def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndar
     else:
         # field with an essential-support box: Hermite while the kernel scale
         # is below the feature scale, fixed support panels afterwards
-        near = r_mid <= (0.5 * u.space_scale) ** 2
+        near = r_mid <= _hermite_reach(u)
         if not np.all(near):
             pts, w = _tensor_rule(*panel_axes(sch))
             out[~near] = _panel_average(u, x, t, r_mid[~near], pts, w)
@@ -553,6 +570,121 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
     sup = _checked_bound(u, q, p, sch, panel_axes)
     return _two_pass(lambda sc: _master_single_pass(u, q, p, sc, panel_axes=panel_axes),
                      sch, sup, p.s)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian average folded onto a half-space
+
+
+def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: SpaceTimePoint,
+                    sch: QuadratureScheme, r_mid: np.ndarray, panel_axes=None) -> np.ndarray:
+    """Int_Sigma w(y, t - r) (K_r(x - y) - K_r(x - y^lambda)) dy for every lag r in r_mid.
+
+    Sigma is the half-space sign * y[axis] < lam and y^lambda the mirror
+    image of y across its plane; K_r is the heat kernel (4 pi r)^{-n/2}
+    exp(-|z|^2 / (4 r)).  For an antisymmetric w this is the Gaussian
+    average E_z w(x + 2 sqrt(r) z, t - r) written over Sigma alone.  Along
+    the plane normal, ``_gl_panels`` cover Sigma within eight kernel widths
+    of q, clipped to the support and graded toward q and q^lambda, the
+    panels of all lags built in one ``_refine_rows`` call.  At n = 2 the free
+    axis takes Hermite nodes up to ``_hermite_reach`` and the panel axis of
+    ``_panel_axes`` beyond, as the Gaussian average does.  One field call
+    and one kernel evaluation per run of consecutive lags holding at most
+    ``_FIELD_BLOCK`` points; each lag's sum is one ``np.dot`` of its own, so
+    the result does not depend on the grouping.  ``panel_axes``, when
+    given, is the ``_panel_rules`` of w.
+    """
+    x, t, n = q.x, q.t, w.n
+    free = 1 - axis
+    q_par = sign * x[axis]  # coordinate of q along the plane normal
+    q_refl = 2.0 * lam - q_par
+    lo_supp, hi_supp, r_cross = -math.inf, math.inf, math.inf
+    if w.space_support is not None:
+        a, b = (float(np.atleast_1d(e)[axis]) for e in w.space_support)
+        lo_supp, hi_supp = (a, b) if sign > 0 else (-b, -a)
+        r_cross = _hermite_reach(w)
+        if n == 2:
+            rule_axes = (panel_axes or _panel_rules(w))(sch)
+            panel_nodes, panel_weights = (ax[free] for ax in rule_axes)
+    hi = min(lam, hi_supp)
+    feature = w.space_scale if math.isfinite(w.space_scale) else 1.0
+    zn, wn = _gauss_rule("hermite", sch.hermite_order)
+
+    out = np.zeros_like(r_mid)
+    sigma = 2.0 * np.sqrt(r_mid)
+    lo = np.maximum(q_par - 8.0 * sigma, lo_supp)
+    live = np.flatnonzero(lo < hi)
+    if live.size == 0:
+        return out
+    # panels capped at the feature size: numpy.linspace's edges k * step + lo
+    # with hi last, in the first count + 1 entries of each row
+    lo_live = lo[live]
+    count = np.minimum(np.ceil((hi - lo_live) / feature), 160.0).astype(int)
+    col = np.arange(count.max() + 1)
+    step = (hi - lo_live) / count
+    grid = np.where(col < count[:, None], col * step[:, None] + lo_live[:, None], hi)
+    # graded toward q and q^lambda; the steps of a centre outside (lo, hi) count too
+    c = np.array([q_par, q_refl])
+    offsets = (sigma[live, None] * np.arange(1, 9))[:, None, :]
+    extra = np.concatenate([np.broadcast_to(c, (live.size, c.size)),
+                            (c[:, None] - offsets).reshape(live.size, -1),
+                            (c[:, None] + offsets).reshape(live.size, -1)], axis=1)
+    edges, n_edges = _refine_rows(grid, count + 1, lo_live, hi, extra)
+    nodes, weights = _gl_panels(edges, n_edges)
+    nodes = sign * nodes
+    lag_nodes = _PANEL_ORDER * (n_edges - 1)
+    ends = np.cumsum(lag_nodes)
+
+    def lag_rules():
+        for i, a, b in zip(live, ends - lag_nodes, ends):
+            if n == 1:
+                yield i, nodes[a:b, None], weights[a:b]
+                continue
+            axes = {axis: (nodes[a:b], weights[a:b])}
+            if r_mid[i] <= r_cross:
+                # Hermite nodes y2 = x2 + sigma * z absorb the free axis's
+                # Gaussian factor exactly
+                axes[free] = (x[free] + sigma[i] * zn, wn * sigma[i])
+            else:
+                axes[free] = (panel_nodes, panel_weights
+                              * np.exp(-((panel_nodes - x[free]) ** 2) / (4.0 * r_mid[i])))
+            yield (i,) + _tensor_rule(*zip(*(axes[k] for k in range(n))))
+
+    for run in _runs(lag_rules(), _FIELD_BLOCK):
+        idx, pts, wtss = zip(*run)
+        sizes = [len(wts) for wts in wtss]
+        pts = np.concatenate([rule.T for rule in pts], axis=1).T
+        r = np.repeat(r_mid[list(idx)], sizes)
+        y_par = sign * pts[:, axis]
+        kern = (np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
+                - np.exp(-((q_refl - y_par) ** 2) / (4.0 * r)))
+        terms = w.eval(pts, t - r) * kern
+        for i, wts, b in zip(idx, wtss, np.cumsum(sizes)):
+            # a padded row or np.add.reduceat would round the sum differently
+            dot = float(np.dot(wts, terms[b - len(wts):b]))
+            out[i] = (4.0 * math.pi * r_mid[i]) ** (-n / 2.0) * dot
+    return out
+
+
+def _fold_passes(w: SpaceTimeField, axis: int, sign: float, lam: float, q: SpaceTimePoint,
+                 p: FracParams, sch: QuadratureScheme) -> tuple[OperatorValue, float, float]:
+    """The fold's passes: (whole, whole_coarse, folded_coarse).
+
+    ``whole`` is ``master_operator_pointwise(w, q, p, sch)`` and whole_coarse
+    its coarse pass; folded_coarse is the coarse pass over ``_folded_average``
+    on sign * y[axis] < lam, with the same cells, inner piece, tail and panel rules.
+    """
+    whole_passes = []
+    panel_axes = _panel_rules(w)
+
+    def whole_pass(sc):
+        whole_passes.append(_master_single_pass(w, q, p, sc, panel_axes=panel_axes))
+        return whole_passes[-1]
+
+    whole = _two_pass(whole_pass, sch, _checked_bound(w, q, p, sch, panel_axes), p.s)
+    folded_coarse = _master_single_pass(w, q, p, sch, average=lambda r_mid: (
+        _folded_average(w, axis, sign, lam, q, sch, r_mid, panel_axes), 0.0))[0]
+    return whole, whole_passes[0][0], folded_coarse
 
 
 # ---------------------------------------------------------------------------

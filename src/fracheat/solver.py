@@ -98,32 +98,39 @@ class Nonlinearity:
         return out
 
 
+def _custom_polynomial(coeffs) -> Nonlinearity:
+    cs = [float(c) for c in (coeffs or [1.0])]
+
+    def f(u):
+        out = np.zeros_like(u)
+        for c in reversed(cs):
+            out = out * u + c
+        return out
+
+    def fp(u):
+        out = np.zeros_like(u)
+        for k, c in reversed(list(enumerate(cs))):
+            if k >= 1:
+                out = out * u + k * c
+        return out
+
+    return Nonlinearity(f, fp, f"custom-polynomial{cs}")
+
+
+# the named right-hand sides, each built from the optional coefficients
+_NONLINEARITIES = {
+    "zero": lambda coeffs: Nonlinearity(np.zeros_like, np.zeros_like, "zero"),
+    "one": lambda coeffs: Nonlinearity(np.ones_like, np.zeros_like, "one"),
+    "one-minus-half-u": lambda coeffs: Nonlinearity(
+        lambda u: 1.0 - 0.5 * u, lambda u: np.full_like(u, -0.5), "one-minus-half-u"),
+    "custom-polynomial": _custom_polynomial,
+}
+
+
 def nonlinearity_by_name(name: str, coeffs=None) -> Nonlinearity:
-    if name == "zero":
-        return Nonlinearity(lambda u: np.zeros_like(u), lambda u: np.zeros_like(u), "zero")
-    if name == "one":
-        return Nonlinearity(lambda u: np.ones_like(u), lambda u: np.zeros_like(u), "one")
-    if name == "one-minus-half-u":
-        return Nonlinearity(lambda u: 1.0 - 0.5 * u, lambda u: np.full_like(u, -0.5),
-                            "one-minus-half-u")
-    if name == "custom-polynomial":
-        cs = [float(c) for c in (coeffs or [1.0])]
-
-        def f(u):
-            out = np.zeros_like(u)
-            for c in reversed(cs):
-                out = out * u + c
-            return out
-
-        def fp(u):
-            out = np.zeros_like(u)
-            for k, c in reversed(list(enumerate(cs))):
-                if k >= 1:
-                    out = out * u + k * c
-            return out
-
-        return Nonlinearity(f, fp, f"custom-polynomial{cs}")
-    raise DomainValidationError(f"unknown nonlinearity {name!r}")
+    if name not in _NONLINEARITIES:
+        raise DomainValidationError(f"unknown nonlinearity {name!r}")
+    return _NONLINEARITIES[name](coeffs)
 
 
 @dataclass(frozen=True)

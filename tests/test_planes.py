@@ -1,9 +1,11 @@
 """Reflections, comparison fields, folding identity, cutoffs and scaling laws."""
 
+import ast
 import functools
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,6 +445,18 @@ class TestFoldResidual:
             antisymmetric_fold_residual(w, self.CFG, SpaceTimePoint([0.5], 0.0), P1, SCH)
 
 
+def test_planes_reaches_the_fold_quadrature_through_one_entry():
+    """planes imports no private quadrature name but ``_fold_passes``, nor the module itself."""
+    tree = ast.parse(Path(planes.__file__).read_text())
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    names += [(None, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import)
+              for alias in node.names]
+    assert not [name for m, name in names if "quadrature" in name]
+    private = [name for m, name in names if m and m.endswith("quadrature") and name[0] == "_"]
+    assert private == ["_fold_passes"]
+
+
 def _per_lag_folded_average(w, cfg, q, sch, r_mid):
     """The folded average with one field call per lag, each lag's sum kept."""
     axis_idx, sign = cfg.axis()
@@ -543,14 +557,34 @@ class TestChunkedFold:
         cfg, w = _fold_field([1.0], [-0.65], 0.8)
         q = SpaceTimePoint([-0.55], 0.2)
         whole, calls = [], []
+        # at most 500 points per call, where one lag holds at most 192; the
+        # whole-space side shares the block size
+        monkeypatch.setattr(quadrature, "_FIELD_BLOCK", 500)
         whole_space = master_operator_pointwise(_counting(w, whole), q, P1, SCH).value
-        # at most 500 points per call, where one lag holds at most 192
-        monkeypatch.setattr(planes, "_FIELD_BLOCK", 500)
         fr = antisymmetric_fold_residual(_counting(w, calls), cfg, q, P1, SCH)
         assert fr.folded == _reference_folded(w, cfg, q, P1, SCH, whole_space)
         assert len(calls) - len(whole) > 20
         # only the whole-space value's own calls may hold more
         assert sum(m > 500 for m in calls) == sum(m > 500 for m in whole)
+
+    def test_quadrature_field_block_alone_regroups_the_fold(self, monkeypatch):
+        # the folded side of an n = 2 fold: patching quadrature's one block size
+        # splits its runs of lags into one field call per lag, with the same bits
+        cfg, w = _fold_field([1.0, 0.0], [-0.65, 0.2], 0.8)
+        q, r_mid = SpaceTimePoint([-0.55, 0.0], 0.2), np.geomspace(1e-4, 50.0, 40)
+
+        def folded(block):
+            monkeypatch.setattr(quadrature, "_FIELD_BLOCK", block)
+            sizes = []
+            out = quadrature._folded_average(_counting(w, sizes), *cfg.axis(), cfg.lam, q, SCH,
+                                             r_mid)
+            return out, sizes
+
+        grouped, grouped_sizes = folded(quadrature._FIELD_BLOCK)
+        single, single_sizes = folded(1)
+        assert np.array_equal(single, grouped)
+        assert sum(single_sizes) == sum(grouped_sizes)
+        assert len(single_sizes) == len(r_mid) > len(grouped_sizes)
 
     def test_n1_fold_makes_few_field_calls(self):
         cfg, w = _fold_field([1.0], [-0.65], 0.8)
@@ -576,17 +610,16 @@ class TestChunkedFold:
     @staticmethod
     def _fold_edges(monkeypatch, lam, q_par, feature, lo_supp, hi_supp, r_mid):
         """The normal-axis edges the fold builds for the lags r_mid, one array per live lag."""
-        built = []
+        built, refine = [], quadrature._refine_rows
 
         def recording(*args):
-            built.append(quadrature._refine_rows(*args))
+            built.append(refine(*args))
             return built[-1]
 
-        monkeypatch.setattr(planes, "_refine_rows", recording)
+        monkeypatch.setattr(quadrature, "_refine_rows", recording)
         w = SpaceTimeField(lambda X, t: np.zeros(len(X)), n=1, space_scale=feature,
                            space_support=(np.array([lo_supp]), np.array([hi_supp])))
-        planes._folded_average(w, PlaneConfig([1.0], lam), SpaceTimePoint([q_par], 0.0), SCH,
-                               r_mid)
+        quadrature._folded_average(w, 0, 1.0, lam, SpaceTimePoint([q_par], 0.0), SCH, r_mid)
         if not built:
             return []
         edges, counts = built[0]

@@ -29,12 +29,13 @@ from fracheat.fields import (
     antisymmetrize,
     torsion_profile,
 )
-from fracheat.planes import PlaneConfig, _folded_average, antisymmetric_fold_residual, reflect
+from fracheat.planes import PlaneConfig, antisymmetric_fold_residual, reflect
 from fracheat.quadrature import (
     _EVAL_CHUNK,
     QuadratureScheme,
     _capped_edges,
     _fd_laplacian,
+    _folded_average,
     _gauss_rule,
     _gh_average,
     _panel_average,
@@ -574,7 +575,8 @@ class TestCoordinateMajorBlocks:
         antisymmetric_fold_residual(w, cfg, q, FracParams(2, 0.5), SCH)
         self._check(blocks)
         # the folded side on its own: the half-space rule and its mirror image
-        _folded_average(_recording(w, folded), cfg, q, SCH, np.geomspace(1e-4, 50.0, 40))
+        _folded_average(_recording(w, folded), *cfg.axis(), cfg.lam, q, SCH,
+                        np.geomspace(1e-4, 50.0, 40))
         self._check(folded)
 
     @pytest.mark.parametrize("field", [torsion_profile(2, 0.5),
