@@ -49,7 +49,7 @@ from .quadrature import (
     marchaud_left,
     master_operator_pointwise,
 )
-from .solver import _NONLINEARITIES, BallProblem, nonlinearity_by_name, residual_field, solve_steady
+from .solver import BallProblem, nonlinearity_by_name, residual_field, solve_steady
 from .spectral import (
     GridField,
     TorusGrid,
@@ -92,6 +92,22 @@ class ScenarioConfig:
     def quadrature_scheme(self) -> QuadratureScheme:
         return QuadratureScheme(**self.scheme)
 
+    def ball_problem(self) -> BallProblem:
+        if "points_per_axis" in self.problem:
+            K = int(self.problem["points_per_axis"])
+        else:
+            h = float(self.problem.get("h", 1.0 / 32.0))
+            K = int(round(2.0 / h)) + 1
+            if K % 2 == 0:
+                K += 1
+        f = nonlinearity_by_name(self.problem.get("f", "one"), self.problem.get("coeffs"))
+        return BallProblem(self.frac_params(), K, f)
+
+    def torus_grid(self) -> TorusGrid:
+        t = self.torus
+        return TorusGrid(self.n, int(t.get("N_x", 32)), float(t.get("L_x", 10.0)),
+                         int(t.get("N_t", 32)), float(t.get("L_t", 10.0)))
+
 
 _TOP_KEYS = {f.name for f in dc_fields(ScenarioConfig)}
 _SCHEME_KEYS = {f.name for f in dc_fields(QuadratureScheme)}
@@ -112,10 +128,10 @@ def _check_number(value, where: str, positive: bool = False) -> None:
         raise ConfigError(f"{where} must be a finite{' positive' * positive} number, got {value!r}")
 
 
-def _check_integer(value, where: str, smallest: int, odd: bool = False) -> None:
+def _check_integer(value, where: str, smallest: int) -> None:
     _check_number(value, where)
-    if value != int(value) or value < smallest or odd and value % 2 == 0:
-        raise ConfigError(f"{where} must be an {'odd ' * odd}integer >= {smallest}, got {value!r}")
+    if value != int(value) or value < smallest:
+        raise ConfigError(f"{where} must be an integer >= {smallest}, got {value!r}")
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ScenarioConfig:
@@ -123,7 +139,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
 
     ``overrides`` wins over file contents.  Unknown keys are rejected with
     the list of accepted ones; scenario-specific requirements are checked
-    with actionable messages.
+    with actionable messages.  Last, the scheme, torus grid, ball problem
+    and named field that the scenario runs on are built once, so the
+    library's own checks reject a bad setting here, as a ConfigError.
     """
     data: dict = {}
     if path is not None:
@@ -182,12 +200,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
                             for f in dc_fields(ScenarioConfig) if f.name in data})
     if not 0.0 < cfg.s < 1.0:
         raise ConfigError(f"s must lie in (0,1), got {cfg.s}")
-    # the integer minima are those QuadratureScheme and TorusGrid enforce
-    for sub, integers, smallest in (("scheme", ("nodes_per_decade", "hermite_order"), 4),
-                                    ("torus", ("N_x", "N_t"), 8)):
+    for sub in ("scheme", "torus"):
         for key, value in getattr(cfg, sub).items():
-            if key in integers:
-                _check_integer(value, f"{sub}.{key}", smallest)
+            if key in ("nodes_per_decade", "hermite_order", "N_x", "N_t"):
+                _check_integer(value, f"{sub}.{key}", 1)
             else:
                 _check_number(value, f"{sub}.{key}", positive=True)
     x = cfg.point.get("x", [])
@@ -201,22 +217,21 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
             _check_number(cfg.problem[key], f"problem.{key}", positive=True)
     if cfg.problem.get("theta", 1) > 1:
         raise ConfigError(f"problem.theta must lie in (0, 1], got {cfg.problem['theta']!r}")
-    for key, smallest, odd in (("points_per_axis", 5, True), ("max_iter", 1, False)):
+    for key in ("points_per_axis", "max_iter"):
         if key in cfg.problem:
-            _check_integer(cfg.problem[key], f"problem.{key}", smallest, odd)
-    if cfg.scenario == "eval":
-        if "name" not in cfg.field:
-            raise ConfigError(
-                f"scenario 'eval' needs field.name (one of {FIELD_NAMES})"
-            )
-        if cfg.field["name"] not in FIELD_NAMES:
-            raise ConfigError(f"unknown field {cfg.field['name']!r}; one of {FIELD_NAMES}")
-    if cfg.scenario in ("solve-ball", "moving-planes"):
-        if cfg.n > 2:
-            raise ConfigError("ball scenarios support n in {1, 2}")
-        fname = cfg.problem.get("f", "one")
-        if fname not in _NONLINEARITIES:
-            raise ConfigError(f"problem.f must be one of {', '.join(_NONLINEARITIES)}")
+            _check_integer(cfg.problem[key], f"problem.{key}", 1)
+    if cfg.scenario == "eval" and "name" not in cfg.field:
+        raise ConfigError(f"scenario 'eval' needs field.name (one of {FIELD_NAMES})")
+    try:
+        cfg.quadrature_scheme()
+        if cfg.scenario == "liouville":
+            cfg.torus_grid()
+        if cfg.scenario in ("solve-ball", "moving-planes"):
+            cfg.ball_problem()
+        if cfg.field.get("name"):
+            build_field(cfg.field["name"], cfg.n, cfg.s, cfg.field.get("params"))
+    except (TypeError, ValueError) as exc:  # a DomainValidationError, or a malformed param
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -293,7 +308,7 @@ def emit_plot_data(series: dict, outdir, cfg_hash: str, scenario: str) -> list:
 def _scenario_eval(cfg: ScenarioConfig, rng):
     p = cfg.frac_params()
     sch = cfg.quadrature_scheme()
-    field = build_field(cfg.field["name"], cfg.n, cfg.s, cfg.field.get("params"), rng)
+    field = build_field(cfg.field["name"], cfg.n, cfg.s, cfg.field.get("params"))
     # a generator of its own, so the scenario's draws and CSV bytes stay as they were
     spot_check(field, np.random.default_rng(0))
     x = cfg.point.get("x", [0.0] * cfg.n)
@@ -373,21 +388,9 @@ def _scenario_lemma_scaling(cfg: ScenarioConfig, rng):
     return records, series
 
 
-def _ball_problem(cfg: ScenarioConfig) -> BallProblem:
-    if "points_per_axis" in cfg.problem:
-        K = int(cfg.problem["points_per_axis"])
-    else:
-        h = float(cfg.problem.get("h", 1.0 / 32.0))
-        K = int(round(2.0 / h)) + 1
-        if K % 2 == 0:
-            K += 1
-    f = nonlinearity_by_name(cfg.problem.get("f", "one"), cfg.problem.get("coeffs"))
-    return BallProblem(cfg.frac_params(), K, f)
-
-
 def _scenario_solve_ball(cfg: ScenarioConfig, rng):
     sch = cfg.quadrature_scheme()
-    problem = _ball_problem(cfg)
+    problem = cfg.ball_problem()
     tol = float(cfg.problem.get("tol", 1e-8))
     sol = solve_steady(problem, sch, theta=float(cfg.problem.get("theta", 0.8)),
                        max_iter=int(cfg.problem.get("max_iter", 200)), tol=tol)
@@ -415,18 +418,20 @@ def _scenario_solve_ball(cfg: ScenarioConfig, rng):
 
 def _scenario_moving_planes(cfg: ScenarioConfig, rng):
     sch = cfg.quadrature_scheme()
-    problem = _ball_problem(cfg)
+    problem = cfg.ball_problem()
     field_name = cfg.field.get("name", "")
     solved = []
     if field_name:
-        fld = build_field(field_name, problem.p.n, cfg.s, cfg.field.get("params"), rng)
+        fld = build_field(field_name, problem.p.n, cfg.s, cfg.field.get("params"))
         # a generator of its own, as in eval, so the CSV bytes stay as they were
         spot_check(fld, np.random.default_rng(0))
         nodes = problem.interior_nodes()
         full = problem.full_values(fld.eval(nodes, np.zeros(len(nodes))))
         disc_est = 1e-3
     else:
-        sol = solve_steady(problem, sch, theta=1.0)
+        sol = solve_steady(problem, sch, theta=float(cfg.problem.get("theta", 1.0)),
+                           max_iter=int(cfg.problem.get("max_iter", 200)),
+                           tol=float(cfg.problem.get("tol", 1e-8)))
         solved = [CheckRecord("converged", float(sol.converged), 1.0, sol.converged)]
         full = sol.full_values(problem)
         n_int = len(sol.values)
@@ -461,14 +466,7 @@ def _scenario_moving_planes(cfg: ScenarioConfig, rng):
 
 def _scenario_liouville(cfg: ScenarioConfig, rng):
     p = cfg.frac_params()
-    torus = cfg.torus
-    grid = TorusGrid(
-        n=cfg.n,
-        N_x=int(torus.get("N_x", 32)),
-        L_x=float(torus.get("L_x", 10.0)),
-        N_t=int(torus.get("N_t", 32)),
-        L_t=float(torus.get("L_t", 10.0)),
-    )
+    grid = cfg.torus_grid()
     dim = liouville_nullspace_dimension(grid, p)
     min_sym = min_nonzero_symbol(grid, p)
     data = GridField(rng.uniform(-1.0, 1.0, grid.shape), grid)

@@ -544,9 +544,8 @@ _FIELD_BUILDERS = {
 FIELD_NAMES = tuple(_FIELD_BUILDERS)
 
 
-def build_field(name: str, n: int, s: float, params: dict | None = None,
-                rng: np.random.Generator | None = None):
+def build_field(name: str, n: int, s: float, params: dict | None = None):
     """Construct a named field; raises DomainValidationError for unknown names."""
     if name not in _FIELD_BUILDERS:
-        raise DomainValidationError(f"unknown field name {name!r}")
+        raise DomainValidationError(f"unknown field {name!r}; one of {FIELD_NAMES}")
     return _FIELD_BUILDERS[name](n, s, dict(params or {}))

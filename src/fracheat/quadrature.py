@@ -357,22 +357,12 @@ def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme):
     return axes_nodes, axes_weights
 
 
-def _panel_rules(u: SpaceTimeField):
-    """``_panel_axes`` of u as a function of the scheme, each scheme's axes built once.
-
-    The checks and the passes of one operator call share it, so the
-    refined pass's rule, which the panel cost check counts, is built once.
-    """
-    return functools.cache(functools.partial(_panel_axes, u))
-
-
 def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray,
-                      sch: QuadratureScheme, panel_axes) -> tuple[np.ndarray, float]:
+                      sch: QuadratureScheme) -> tuple[np.ndarray, float]:
     """E_z u(x + 2 sqrt(r) z, t - r) for every lag in r_mid.
 
     Returns the averages and a bound for what the truncations of this
-    routine discard (band-limit cut for global fields).  ``panel_axes`` is
-    the ``_panel_rules`` of u.
+    routine discard (band-limit cut for global fields).
     """
     out = np.zeros_like(r_mid)
     discard = 0.0
@@ -389,7 +379,7 @@ def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndar
         # is below the feature scale, fixed support panels afterwards
         near = r_mid <= _hermite_reach(u)
         if not np.all(near):
-            pts, w = _tensor_rule(*panel_axes(sch))
+            pts, w = _tensor_rule(*_panel_axes(u, sch))
             out[~near] = _panel_average(u, x, t, r_mid[~near], pts, w)
     if np.any(near):
         out[near] = _gh_average(u, x, t, r_mid[near], sch)
@@ -512,13 +502,11 @@ def _lag_integral(average, u_q: float, heat: float, s: float, sch: QuadratureSch
 
 
 def _master_single_pass(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
-                        sch: QuadratureScheme, average=None,
-                        panel_axes=None) -> tuple[float, float, float]:
+                        sch: QuadratureScheme, average=None) -> tuple[float, float, float]:
     """The lag integral of u at q over the Gaussian average, or over ``average`` when given.
 
     The fold passes its folded average and so shares every other piece:
-    the cells, the inner piece and the tail.  ``panel_axes``, the
-    ``_panel_rules`` of u, lets passes share panel rules.
+    the cells, the inner piece and the tail.
     """
     x, t = q.x, q.t
     r_cut, exact_tail = sch.r_max, False
@@ -526,8 +514,7 @@ def _master_single_pass(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
         # no history before the support: the lag integral ends there exactly
         # (at r_min, with no cells, when the whole history lies outside)
         r_cut, exact_tail = max(t - u.t_support[0], sch.r_min), True
-    panel_axes = panel_axes or _panel_rules(u)
-    average = average or (lambda r_mid: _gaussian_average(u, x, t, r_mid, sch, panel_axes))
+    average = average or (lambda r_mid: _gaussian_average(u, x, t, r_mid, sch))
     # a compact time-independent field has an average decaying like r^{-n/2}
     compact_static = u.time_independent and u.space_support is not None
     return _lag_integral(average, u.at(x, t), _fd_heat(u, x, t), p.s, sch, r_cut, exact_tail,
@@ -535,18 +522,14 @@ def _master_single_pass(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
 
 
 def _checked_bound(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
-                   sch: QuadratureScheme, panel_axes) -> float:
-    """The sup bound of u, after the input checks of master_operator_pointwise.
-
-    ``panel_axes`` is the ``_panel_rules`` of u; the refined pass then
-    finds the rule this check counts already built.
-    """
+                   sch: QuadratureScheme) -> float:
+    """The sup bound of u, after the input checks of master_operator_pointwise."""
     q.validate(p)
     if q.x.shape != (u.n,):
         raise DomainValidationError("point dimension does not match the field")
     sup = u.require_bound()
     if u.space_support is not None:
-        points = math.prod(len(a) for a in panel_axes(sch.refine())[0])
+        points = math.prod(len(a) for a in _panel_axes(u, sch.refine())[0])
         if points > _EVAL_CHUNK:
             raise DomainValidationError(
                 f"the refined pass's panel rule has {points:,} points per lag, more than "
@@ -566,10 +549,8 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
     or the error estimate is not finite or, after the built-in refinement
     pass, the estimate still exceeds ``sch.target_tol``.
     """
-    panel_axes = _panel_rules(u)
-    sup = _checked_bound(u, q, p, sch, panel_axes)
-    return _two_pass(lambda sc: _master_single_pass(u, q, p, sc, panel_axes=panel_axes),
-                     sch, sup, p.s)
+    sup = _checked_bound(u, q, p, sch)
+    return _two_pass(lambda sc: _master_single_pass(u, q, p, sc), sch, sup, p.s)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +558,7 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
 
 
 def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: SpaceTimePoint,
-                    sch: QuadratureScheme, r_mid: np.ndarray, panel_axes=None) -> np.ndarray:
+                    sch: QuadratureScheme, r_mid: np.ndarray) -> np.ndarray:
     """Int_Sigma w(y, t - r) (K_r(x - y) - K_r(x - y^lambda)) dy for every lag r in r_mid.
 
     Sigma is the half-space sign * y[axis] < lam and y^lambda the mirror
@@ -591,8 +572,7 @@ def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Sp
     ``_panel_axes`` beyond, as the Gaussian average does.  One field call
     and one kernel evaluation per run of consecutive lags holding at most
     ``_FIELD_BLOCK`` points; each lag's sum is one ``np.dot`` of its own, so
-    the result does not depend on the grouping.  ``panel_axes``, when
-    given, is the ``_panel_rules`` of w.
+    the result does not depend on the grouping.
     """
     x, t, n = q.x, q.t, w.n
     free = 1 - axis
@@ -604,8 +584,7 @@ def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Sp
         lo_supp, hi_supp = (a, b) if sign > 0 else (-b, -a)
         r_cross = _hermite_reach(w)
         if n == 2:
-            rule_axes = (panel_axes or _panel_rules(w))(sch)
-            panel_nodes, panel_weights = (ax[free] for ax in rule_axes)
+            panel_nodes, panel_weights = (ax[free] for ax in _panel_axes(w, sch))
     hi = min(lam, hi_supp)
     feature = w.space_scale if math.isfinite(w.space_scale) else 1.0
     zn, wn = _gauss_rule("hermite", sch.hermite_order)
@@ -675,15 +654,14 @@ def _fold_passes(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Space
     on sign * y[axis] < lam, with the same cells, inner piece, tail and panel rules.
     """
     whole_passes = []
-    panel_axes = _panel_rules(w)
 
     def whole_pass(sc):
-        whole_passes.append(_master_single_pass(w, q, p, sc, panel_axes=panel_axes))
+        whole_passes.append(_master_single_pass(w, q, p, sc))
         return whole_passes[-1]
 
-    whole = _two_pass(whole_pass, sch, _checked_bound(w, q, p, sch, panel_axes), p.s)
+    whole = _two_pass(whole_pass, sch, _checked_bound(w, q, p, sch), p.s)
     folded_coarse = _master_single_pass(w, q, p, sch, average=lambda r_mid: (
-        _folded_average(w, axis, sign, lam, q, sch, r_mid, panel_axes), 0.0))[0]
+        _folded_average(w, axis, sign, lam, q, sch, r_mid), 0.0))[0]
     return whole, whole_passes[0][0], folded_coarse
 
 

@@ -49,7 +49,9 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
+from numpy.polynomial import polynomial as poly
 
 from .core import FracParams, integrated_kernel_constant
 from .errors import DomainValidationError, GridCoarseError, SingularMatrixError
@@ -100,21 +102,9 @@ class Nonlinearity:
 
 def _custom_polynomial(coeffs) -> Nonlinearity:
     cs = [float(c) for c in (coeffs or [1.0])]
-
-    def f(u):
-        out = np.zeros_like(u)
-        for c in reversed(cs):
-            out = out * u + c
-        return out
-
-    def fp(u):
-        out = np.zeros_like(u)
-        for k, c in reversed(list(enumerate(cs))):
-            if k >= 1:
-                out = out * u + k * c
-        return out
-
-    return Nonlinearity(f, fp, f"custom-polynomial{cs}")
+    der = poly.polyder(cs)
+    return Nonlinearity(lambda u: poly.polyval(u, cs), lambda u: poly.polyval(u, der),
+                        f"custom-polynomial{cs}")
 
 
 # the named right-hand sides, each built from the optional coefficients
@@ -129,7 +119,8 @@ _NONLINEARITIES = {
 
 def nonlinearity_by_name(name: str, coeffs=None) -> Nonlinearity:
     if name not in _NONLINEARITIES:
-        raise DomainValidationError(f"unknown nonlinearity {name!r}")
+        raise DomainValidationError(
+            f"unknown nonlinearity {name!r}; one of {', '.join(_NONLINEARITIES)}")
     return _NONLINEARITIES[name](coeffs)
 
 
@@ -146,7 +137,7 @@ class BallProblem:
             raise DomainValidationError("ball solver supports n in {1, 2}")
         K = self.points_per_axis
         if K < 5 or K % 2 == 0:
-            raise DomainValidationError("points_per_axis must be odd and at least 5")
+            raise DomainValidationError(f"points_per_axis must be odd and at least 5, got {K}")
 
     @property
     def h(self) -> float:
@@ -369,18 +360,6 @@ def _table_rows(problem: BallProblem, table: np.ndarray) -> Callable:
     return lambda rows: flat_table[pos[None, :] - pos[rows, None] + centre]
 
 
-def _fft_len(m: int) -> int:
-    """The least length >= m with no prime factor above 5, where numpy.fft is fastest."""
-    while True:
-        rest = m
-        for prime in (2, 3, 5):
-            while rest % prime == 0:
-                rest //= prime
-        if rest == 1:
-            return m
-        m += 1
-
-
 def _table_product(problem: BallProblem, table: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A u over the interior nodes for the matrix of ``table``, as one FFT correlation.
 
@@ -388,10 +367,11 @@ def _table_product(problem: BallProblem, table: np.ndarray, u: np.ndarray) -> np
     of the K grid values (exterior zero) with the reversed table of 2K - 1
     entries; node a reads entry a + K - 1 of that 3K - 2 long product.  A
     circular convolution of period L >= 2K - 1 wraps only entries outside
-    K - 1 .. 2K - 2 onto each other, so L = ``_fft_len(2K - 1)`` suffices.
+    K - 1 .. 2K - 2 onto each other, so the least 5-smooth L >= 2K - 1
+    (``scipy.fft.next_fast_len``, where numpy.fft is fastest) suffices.
     """
     n, K = problem.p.n, problem.points_per_axis
-    axes, size = tuple(range(n)), (_fft_len(2 * K - 1),) * n
+    axes, size = tuple(range(n)), (scipy.fft.next_fast_len(2 * K - 1, real=True),) * n
     spectrum = (np.fft.rfftn(table[(slice(None, None, -1),) * n], size, axes=axes)
                 * np.fft.rfftn(problem.full_values(u), size, axes=axes))
     conv = np.fft.irfftn(spectrum, size, axes=axes)

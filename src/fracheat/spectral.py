@@ -121,25 +121,21 @@ def _symbol_grid(grid: TorusGrid, p: FracParams) -> np.ndarray:
     return sym
 
 
-def _hermitian_part(arr: np.ndarray) -> np.ndarray:
-    # S(k) -> (S(k) + conj(S(-k))) / 2, with -k taken modulo the grid
-    rev = arr
-    for axis in range(arr.ndim):
-        rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
-    return 0.5 * (arr + np.conj(rev))
-
-
 def apply_operator_spectral(f: GridField, p: FracParams) -> tuple[GridField, float]:
     """Multiply every mode by the space-time symbol; returns (field, imag residue).
 
-    The symbol is Hermitian-symmetrized first (this only touches
-    self-conjugate Nyquist modes, where the imaginary part of the symbol
-    has no real-output counterpart), so real input maps to real output up
-    to roundoff; the leftover imaginary magnitude is reported.
+    The symbol is Hermitian-symmetrized first, S(k) -> (S(k) + conj(S(-k))) / 2,
+    so real input maps to real output up to roundoff; the leftover
+    imaginary magnitude is reported.
     """
     if f.grid.n != p.n:
         raise ShapeMismatchError(f"grid dimension {f.grid.n} != params dimension {p.n}")
-    sym = _hermitian_part(_symbol_grid(f.grid, p))
+    sym = _symbol_grid(f.grid, p)
+    # off the time-Nyquist plane S(-k) is conj(S(k)) already.  On it the time
+    # frequency aliases to itself, so S(-k) = S(k) and the Hermitian part is the
+    # real part; this plane holds the only self-conjugate modes whose symbol is
+    # not real (N_t is even, so the plane exists)
+    sym[..., f.grid.N_t // 2] = sym[..., f.grid.N_t // 2].real
     spectrum = np.fft.fftn(f.values)
     out = np.fft.ifftn(sym * spectrum)
     residue = float(np.max(np.abs(out.imag)))

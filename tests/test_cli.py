@@ -248,6 +248,14 @@ class TestMainExitCodes:
         ({"scenario": "eval", "field": "gaussian-bump", "scheme": {"r_max": "x"}}, "scheme.r_max"),
         ({"scenario": "eval", "field": "gaussian-bump", "point": {"x": ["a"], "t": 0.0}}, "point"),
         ({"scenario": "eval", "field": "gaussian-bump", "point": {"x": [0.0], "t": "z"}}, "point"),
+        # caught by the objects the scenario builds, which parse_config builds too
+        ({"scenario": "liouville", "torus": {"N_x": 9}}, "N_x must be even"),
+        ({"scenario": "eval", "field": "gaussian-bump", "scheme": {"r_min": 600}}, "r_min"),
+        ({"scenario": "solve-ball", "problem": {"h": 0.9}}, "points_per_axis"),  # K = 3
+        ({"scenario": "solve-ball", "n": 3}, "n in {1, 2}"),
+        ({"scenario": "moving-planes", "problem": {"f": "cubic"}}, "one-minus-half-u"),
+        ({"scenario": "eval", "field": "sombrero"}, "gaussian-bump"),
+        ({"scenario": "eval", "field": {"name": "gaussian-bump", "params": {"width": "x"}}}, "'x'"),
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.json"
@@ -257,6 +265,15 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
         assert not out.exists()
+
+    def test_moving_planes_solve_takes_the_problem_settings(self, tmp_path, capsys):
+        # it converges in 22 undamped iterations; one is not enough
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"scenario": "moving-planes", "problem": {
+            "h": 0.125, "f": "one-minus-half-u", "max_iter": 1}}))
+        code = main(["moving-planes", "--config", str(cfg_file), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert "[FAIL] converged" in capsys.readouterr().out
 
     def test_plane_snapped_to_grid_edge(self, tmp_path):
         # at h = 0.5 the default lambda = -0.9 snaps to -1, where no node lies

@@ -156,7 +156,7 @@ class TestProfiles:
 class TestRegistry:
     @pytest.mark.parametrize("name", FIELD_NAMES)
     def test_all_names_build(self, name):
-        field = build_field(name, 1, 0.5, None, np.random.default_rng(0))
+        field = build_field(name, 1, 0.5)
         val = field.eval(np.array([[0.1]]), np.array([0.0]))
         assert np.isfinite(val).all()
 

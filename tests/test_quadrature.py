@@ -598,40 +598,48 @@ class TestCoordinateMajorBlocks:
         self._check(blocks)
 
 
-class TestPanelRulesBuiltOnce:
-    """One operator call builds each scheme's panel rule once."""
+def _direct_average(u, q, sc):
+    """The Gaussian average of a compact field, its panel rule built here from ``_panel_axes``."""
+    pts, w = _tensor_rule(*_panel_axes(u, sc))
 
-    @staticmethod
-    def _builds(monkeypatch):
-        built = []
-        build = quadrature._panel_axes
+    def average(r_mid):
+        near = r_mid <= (0.5 * u.space_scale) ** 2
+        out = np.empty_like(r_mid)
+        out[near] = _gh_average(u, q.x, q.t, r_mid[near], sc)
+        out[~near] = _panel_average(u, q.x, q.t, r_mid[~near], pts, w)
+        return out, 0.0
 
-        def counted(u, sch):
-            built.append(sch.nodes_per_decade)
-            return build(u, sch)
+    return average
 
-        monkeypatch.setattr(quadrature, "_panel_axes", counted)
-        return built
 
-    def test_master_operator(self, monkeypatch):
-        built = self._builds(monkeypatch)
+class TestPanelRulesBuiltPerPass:
+    """Each pass uses the panel rule of its own scheme, as a pass that builds it directly."""
+
+    def test_master_operator(self):
         u, q, p = gaussian_bump(2, width=0.7), SpaceTimePoint([0.3, 0.1], 0.2), FracParams(2, 0.5)
         got = master_operator_pointwise(u, q, p, SCH)
-        # the refined rule for the cost check, then the coarse pass's rule
-        assert built == [32, 16]
-        monkeypatch.undo()
-        # the same value as passes that build their own rules
-        want = _two_pass(lambda sc: quadrature._master_single_pass(u, q, p, sc), SCH, 1.0, 0.5)
+        want = _two_pass(lambda sc: quadrature._master_single_pass(
+            u, q, p, sc, average=_direct_average(u, q, sc)), SCH, 1.0, 0.5)
         assert (got.value, got.est_error) == (want.value, want.est_error)
 
-    def test_fold(self, monkeypatch):
-        built = self._builds(monkeypatch)
-        cfg = PlaneConfig([1.0, 0.0], 0.0)
+    def test_fold(self):
+        cfg, q, p = PlaneConfig([1.0, 0.0], 0.0), SpaceTimePoint([-0.55, 0.0], 0.2), FracParams(2, 0.5)
         base = gaussian_bump(2, center=[-0.65, 0.2], width=0.55, t_width=0.8)
-        antisymmetric_fold_residual(antisymmetrize(base, lambda X: reflect(X, cfg)), cfg,
-                                    SpaceTimePoint([-0.55, 0.0], 0.2), FracParams(2, 0.5), SCH)
-        # the whole-space passes and the folded coarse pass share the two rules
-        assert built == [32, 16]
+        w = antisymmetrize(base, lambda X: reflect(X, cfg))
+        got = antisymmetric_fold_residual(w, cfg, q, p, SCH)
+        passes = []
+
+        def whole_pass(sc):
+            passes.append(quadrature._master_single_pass(
+                w, q, p, sc, average=_direct_average(w, q, sc)))
+            return passes[-1]
+
+        whole = _two_pass(whole_pass, SCH, 2.0, 0.5)
+        folded_coarse = quadrature._master_single_pass(w, q, p, SCH, average=lambda r_mid: (
+            _folded_average(w, 0, 1.0, 0.0, q, SCH, r_mid), 0.0))[0]
+        folded = folded_coarse + (whole.value - passes[0][0])
+        assert (got.whole_space, got.folded, got.combined_tol) == (
+            whole.value, folded, 2.0 * whole.est_error)
 
 
 def _nan_master():

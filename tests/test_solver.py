@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 from fracheat import quadrature, solver
@@ -80,6 +81,21 @@ class TestNonlinearity:
     def test_unknown_name(self):
         with pytest.raises(DomainValidationError):
             nonlinearity_by_name("cubic-banana")
+
+    @pytest.mark.parametrize("coeffs", [None, [2.5], [1.0, -0.25, 0.1], [0.3, -1.0, 0.0, 0.7, -0.05]])
+    def test_polynomial_bits_of_horner(self, coeffs):
+        # the former hand-written Horner pair, against numpy.polynomial's
+        cs = [float(c) for c in (coeffs or [1.0])]
+        u = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.0, -0.0, 1e-300, -1e30]])
+        f_want, fp_want = np.zeros_like(u), np.zeros_like(u)
+        for c in reversed(cs):
+            f_want = f_want * u + c
+        for k, c in reversed(list(enumerate(cs))):
+            if k >= 1:
+                fp_want = fp_want * u + k * c
+        f = nonlinearity_by_name("custom-polynomial", coeffs)
+        assert f.f(u).tobytes() == f_want.tobytes()
+        assert f.f_prime(u).tobytes() == fp_want.tobytes()
 
 
 class TestProblemValidation:
@@ -161,6 +177,22 @@ class TestAssembly1D:
                                       QuadratureScheme(target_tol=1e-9))
         with pytest.raises(GridCoarseError):
             solve_steady(make_problem(K=5), QuadratureScheme(target_tol=1e-9))
+
+
+def _fft_len(m):
+    """The former rule: the least length >= m with no prime factor above 5."""
+    while True:
+        rest = m
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return m
+        m += 1
+
+
+def test_fft_length_is_the_least_five_smooth():
+    assert all(scipy.fft.next_fast_len(m, real=True) == _fft_len(m) for m in range(1, 5001))
 
 
 @pytest.mark.parametrize("n, K", [(1, 17), (2, 9)])

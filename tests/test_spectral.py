@@ -105,7 +105,27 @@ class TestTorusGrid:
             GridField(np.zeros((4, 4)), GRID)
 
 
+def _rolled_hermitian_part(arr):
+    """(S(k) + conj(S(-k))) / 2, -k by rolling and flipping every axis: the former rule."""
+    rev = arr
+    for axis in range(arr.ndim):
+        rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
+    return 0.5 * (arr + np.conj(rev))
+
+
 class TestApplyOperator:
+    # TorusGrid takes even N_x and N_t only; N_t / 2 odd and even, and N_x != N_t
+    @pytest.mark.parametrize("n, N_x, N_t", [(1, 16, 10), (1, 12, 16), (2, 10, 8),
+                                             (2, 8, 14), (3, 8, 10), (3, 10, 8)])
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+    def test_bits_of_the_rolled_hermitian_part(self, n, N_x, N_t, s):
+        grid, p = TorusGrid(n, N_x, 7.3, N_t, 5.1), FracParams(n, s)
+        data = GridField(np.random.default_rng(N_x + N_t).uniform(-1.0, 1.0, grid.shape), grid)
+        want = np.fft.ifftn(_rolled_hermitian_part(_symbol_grid(grid, p)) * np.fft.fftn(data.values))
+        out, residue = apply_operator_spectral(data, p)
+        assert out.values.tobytes() == want.real.tobytes()
+        assert residue == float(np.max(np.abs(want.imag)))
+
     def test_constant_to_zero(self):
         f = GridField(np.full(GRID.shape, 3.0), GRID)
         out, residue = apply_operator_spectral(f, P1)

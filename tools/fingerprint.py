@@ -8,7 +8,8 @@ n = 2; the master also on a time-dependent zero-ball field), fold
 residuals of time-dependent and time-independent fields, `solve_steady`
 results (SHA-256 prefix of the values, hex of the residual, iteration
 count) from the offset table, also at the n = 2 K = 65 size that
-`solve-ball` runs, and from a supplied matrix, the ball-grid symmetry
+`solve-ball` runs, with a `custom-polynomial` right-hand side, and from a
+supplied matrix, the ball-grid symmetry
 report (defect hex, violation count) and every
 narrow-region record (lambda, min_w hex, argmin, strict flag, passed) on
 solved, noisy and shifted-torsion grid data, SHA-256
@@ -16,7 +17,8 @@ prefixes of `residual_field` arrays (all nodes, and the 64 nodes that
 `moving-planes` samples at n = 2 K = 33), of a few kernel, field and
 reflection arrays (also across the four axis planes of n = 2 on points
 with signed-zero coordinates), of the operator symbol on a 1-, 2- and 3-D
-torus, the metadata that `as_spacetime` carries over from
+torus and of `apply_operator_spectral` on random data there (with the hex
+of its imaginary residue), the metadata that `as_spacetime` carries over from
 each library `SpaceField` and a `TimeField` (exterior, sup bound hex,
 ball radius, support digest, feature scale, time support and time
 independence), and of the CSV files of the six determinism configs plus
@@ -76,7 +78,7 @@ from fracheat.solver import (  # noqa: E402
     residual_field,
     solve_steady,
 )
-from fracheat.spectral import TorusGrid, _symbol_grid  # noqa: E402
+from fracheat.spectral import GridField, TorusGrid, _symbol_grid, apply_operator_spectral  # noqa: E402
 
 SCH = QuadratureScheme()
 
@@ -184,6 +186,12 @@ def solves() -> None:
         sol = solve_steady(problem, SCH, matrix=assemble_dirichlet_matrix(problem, SCH))
         print(f"solve_steady n={n} K={points} f={f} matrix= {_digest(sol.values.tobytes())} "
               f"{sol.residual_inf.hex()} {sol.iterations}")
+    # a custom-polynomial right-hand side, f and f' by numpy.polynomial
+    for n, points in ((1, 33), (2, 17)):
+        f = nonlinearity_by_name("custom-polynomial", [1.0, -0.3, 0.05])
+        sol = solve_steady(BallProblem(FracParams(n, 0.5), points, f), SCH)
+        print(f"solve_steady n={n} K={points} f=custom-polynomial[1.0, -0.3, 0.05] "
+              f"{_digest(sol.values.tobytes())} {sol.residual_inf.hex()} {sol.iterations}")
     # the size that n = 2 solve-ball runs (h = 1/32), whose every-row product is an FFT
     problem = BallProblem(FracParams(2, 0.5), 65, nonlinearity_by_name("one"))
     sol = solve_steady(problem, SCH)
@@ -243,8 +251,13 @@ def arrays() -> None:
             _array(f"reflect n=2 signed-zeros e={direction} lam={lam}",
                    reflect(grid, PlaneConfig(direction, lam)))
     for n, points in ((1, 64), (2, 32), (3, 16)):
-        sym = _symbol_grid(TorusGrid(n, points, 7.3, points, 5.1), FracParams(n, 0.3))
+        grid, p = TorusGrid(n, points, 7.3, points, 5.1), FracParams(n, 0.3)
+        sym = _symbol_grid(grid, p)
         print(f"symbol n={n} N={points} s=0.3 {_digest(np.ascontiguousarray(sym).tobytes())}")
+        data = GridField(np.random.default_rng(40 + n).uniform(-1.0, 1.0, grid.shape), grid)
+        out, residue = apply_operator_spectral(data, p)
+        print(f"apply_operator_spectral n={n} N={points} s=0.3 {_digest(out.values.tobytes())} "
+              f"{residue.hex()}")
 
 
 def lifts() -> None:
