@@ -9,9 +9,10 @@ its own; it only calls ``eval``.
 The three field kinds follow one set of metadata rules, checked when a
 field is built: the exterior rule is known, a zero-ball field has a
 positive ``ball_radius`` and, unless it declares one, the ball's bounding
-box as its support box, and ``sup_bound >= 0``.  ``require_bound`` is the
-one gate in front of every tail estimate that needs a finite bound, and
-``_inside_ball`` the one zero-ball mask.
+box as its support box, a support box holds n entries lo < hi, a time
+support (a, b) has a < b, ``space_scale > 0`` and ``sup_bound >= 0``.
+``require_bound`` is the one gate in front of every tail estimate that
+needs a finite bound, and ``_inside_ball`` the one zero-ball mask.
 
 Conventions for the callables:
 
@@ -61,11 +62,15 @@ def _as_points(x, n: int) -> np.ndarray:
 
 
 class _Bounded:
-    """The sup-bound rules of every field kind."""
+    """The sup-bound and time-support rules of every field kind."""
 
     def __post_init__(self):
         if self.sup_bound < 0:
             raise DomainValidationError("sup_bound must be nonnegative")
+        for name in ("t_support", "support"):  # SpaceTimeField's and TimeField's
+            ab = getattr(self, name, None)
+            if ab is not None and not ab[0] < ab[1]:
+                raise DomainValidationError(f"{name} must be an interval (a, b), a < b, got {ab!r}")
 
     def require_bound(self) -> float:
         if not math.isfinite(self.sup_bound):
@@ -74,7 +79,7 @@ class _Bounded:
 
 
 class _OnSpace(_Bounded):
-    """The exterior rules of the two field kinds that live on R^n."""
+    """The exterior, support-box and feature-scale rules of the two field kinds on R^n."""
 
     def __post_init__(self):
         if self.exterior not in (GLOBAL, ZERO_BALL):
@@ -87,6 +92,13 @@ class _OnSpace(_Bounded):
                 object.__setattr__(
                     self, "space_support", (np.full(self.n, -r), np.full(self.n, r))
                 )
+        if not self.space_scale > 0:
+            raise DomainValidationError(f"space_scale must be positive, got {self.space_scale!r}")
+        if self.space_support is not None:
+            lo, hi = (np.atleast_1d(np.asarray(e, dtype=float)) for e in self.space_support)
+            if lo.shape != (self.n,) or hi.shape != (self.n,) or not np.all(lo < hi):
+                raise DomainValidationError(
+                    f"space_support must be two arrays (lo, hi) of n = {self.n} entries, lo < hi")
         super().__post_init__()
 
     def _inside_ball(self, pts: np.ndarray) -> np.ndarray:
@@ -506,10 +518,12 @@ def antisymmetrize(field: SpaceTimeField, reflect_fn) -> SpaceTimeField:
 
     support = None
     if field.space_support is not None:
+        # the bounding box of the support box and of its mirror image, whose extremes an
+        # oblique plane may take from any of the 2^n corners, not only from lo and hi
         lo, hi = field.space_support
-        lo_r = np.minimum(lo, np.min(reflect_fn(np.vstack([lo, hi])), axis=0))
-        hi_r = np.maximum(hi, np.max(reflect_fn(np.vstack([lo, hi])), axis=0))
-        support = (lo_r, hi_r)
+        pick = (np.arange(2 ** field.n)[:, None] >> np.arange(field.n)) & 1
+        mirror = reflect_fn(np.where(pick == 1, hi, lo))
+        support = (np.minimum(lo, np.min(mirror, axis=0)), np.maximum(hi, np.max(mirror, axis=0)))
     return SpaceTimeField(
         func=f,
         n=field.n,

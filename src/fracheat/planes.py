@@ -466,10 +466,6 @@ def unbounded_mp_probe(w: SpaceTimeField, cfg: PlaneConfig, sample_points,
     w_vals = np.array([w.at(x, t) for x, t in pts])
     max_w = float(np.max(w_vals))
     positive = [i for i, v in enumerate(w_vals) if v > 0.0]
-    if positive:
-        i_top = int(np.argmax(w_vals))
-        if i_top not in positive:
-            positive.append(i_top)
     ops, ests = [], []
     for i in positive:
         x, t = pts[i]

@@ -38,16 +38,16 @@ passes (``_fold_passes``); ``planes`` supplies the plane and checks w.
   built as the transpose of a row-major (n, m) array, so each coordinate
   column ``X[:, k]`` is contiguous and the fields' column passes run at
   full speed; the values are those of the row-major (m, n) block,
-* blocks versus chunks: every field call holds at most ``_FIELD_BLOCK``
-  (62,500) points, so the field's temporaries stay in cache, unless one
-  lag's rule (or one sweep point) alone holds more.  The Gaussian averages
-  share one loop (``_chunked_average``): it splits the lags into chunks of
-  at most ``_EVAL_CHUNK`` (2,000,000) kernel entries and fills each
-  chunk's matrix in place, one block of lags and one field call at a
-  time; the chunk then takes one matrix-vector product.
-  That product stays per chunk because its rounding depends on the row
-  count: split into blocks it would move the bits.  The fold sums each lag
-  with one ``np.dot`` of its own, so its runs of lags are simply blocks,
+* per-axis sums: the heat kernel is a product of one factor per axis, so
+  each rule of the Gaussian average is one (nodes, weights) pair per axis
+  (``_hermite_axis``: x_k + 2 sqrt(r) z; ``_panel_axis``: support panels
+  whose weights carry the axis's kernel factor).  ``_axis_average`` calls
+  the field once per block of at most ``_FIELD_BLOCK`` (62,500) points, so
+  its temporaries stay in cache (a lag or sweep point holding more takes a
+  call of its own), and sums each lag's values one axis at a time; the
+  fold's free axis takes the same rules and its normal-axis weights the
+  kernel difference.  Each lag is summed on its own, so no value depends
+  on the blocks,
 * graded edges: cells graded toward known kinks (support-sphere cusps,
   breakpoints, q and its mirror image in the fold) take the base edges
   plus each kink and its dyadic steps strictly inside the interval.
@@ -87,9 +87,8 @@ _FIELD_BLOCK = 62_500
 # Gauss-Legendre points per panel of every composite rule: the far-lag panel
 # axes of the Gaussian average and the normal axis of the folded average
 _PANEL_ORDER = 8
-# kernel-matrix entries per lag chunk of the Gaussian averages, each chunk one
-# matrix-vector product; also the most panel points per lag that
-# master_operator_pointwise accepts
+# the most panel points per lag that master_operator_pointwise accepts; each
+# such lag is one field call
 _EVAL_CHUNK = 2_000_000
 
 
@@ -343,7 +342,7 @@ def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme):
     for a, b in zip(np.atleast_1d(np.asarray(lo, dtype=float)),
                     np.atleast_1d(np.asarray(hi, dtype=float))):
         span = b - a
-        count = max(1, int(math.ceil(span / max(scale, 1e-12))))
+        count = max(1, int(math.ceil(span / scale)))
         edges = np.linspace(a, b, count + 1)
         inside = [c for c in cusps if a < c < b]
         if inside:
@@ -355,6 +354,66 @@ def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme):
         axes_nodes.append(nodes)
         axes_weights.append(weights)
     return axes_nodes, axes_weights
+
+
+def _hermite_axis(x_k: float, rb: np.ndarray, order: int):
+    """Hermite nodes x_k + 2 sqrt(r) z of the lags rb, a row per lag, and weights w / sqrt(pi)."""
+    zn, wn = _gauss_rule("hermite", order)
+    return x_k + (2.0 * np.sqrt(rb))[:, None] * zn, wn / math.sqrt(math.pi)
+
+
+def _panel_axis(x_k: float, rb: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
+    """Shared nodes y and, per lag of rb, the weights w exp(-(y - x_k)^2 / 4r) / sqrt(4 pi r)."""
+    kern = np.empty((len(rb), len(nodes)))
+    np.divide(-np.square(nodes - x_k), (4.0 * rb)[:, None], out=kern)
+    np.exp(kern, out=kern)
+    kern *= weights
+    kern /= np.sqrt(4.0 * math.pi * rb)[:, None]
+    return nodes, kern
+
+
+def _axis_average(u: SpaceTimeField, t: float, r_mid: np.ndarray, rule) -> np.ndarray:
+    """The tensor-rule average of u(., t - r) for every lag r of r_mid, summed one axis at a time.
+
+    ``rule(rb)`` returns one (nodes, weights) pair per axis for the lags rb, each a row
+    per lag or one row for all.  The field is called once per block of at most
+    ``_FIELD_BLOCK`` points (a lag holding more takes a call of its own), or once for all
+    lags of a time-independent field on shared nodes; each lag is then contracted with
+    its weights, last axis first, by ``np.einsum``, so no value depends on the blocks.
+    """
+    out = np.empty_like(r_mid)
+    axes = rule(r_mid[:1])
+    n, sizes = len(axes), tuple(np.shape(w)[-1] for _, w in axes)
+    npts = math.prod(sizes)
+    block = max(1, _FIELD_BLOCK // npts)
+
+    def points(axes, lags):
+        # coordinate k of node (j_1, ..., j_n) at lag i sits at [k, i, j_1, ..., j_n]
+        pts = np.empty((n, lags) + sizes)
+        for k, (nodes, _) in enumerate(axes):
+            pts[k] = np.reshape(nodes, (-1,) + (1,) * k + (sizes[k],) + (1,) * (n - 1 - k))
+        return pts.reshape(n, -1)
+
+    shared = tiled = None
+    if all(np.ndim(nodes) == 1 for nodes, _ in axes):
+        # nodes shared by every lag: one field call for all lags of a time-independent
+        # field, else the nodes tiled once for a full block (a shorter one takes a prefix)
+        if u.time_independent:
+            shared, block = u.eval(points(axes, 1).T, np.full(npts, t)).reshape(sizes), len(r_mid)
+        else:
+            tiled = points(axes, min(block, len(r_mid)))
+    for i0 in range(0, len(r_mid), block):
+        rb = r_mid[i0:i0 + block]
+        axes = rule(rb)
+        vals = shared
+        if vals is None:
+            pts = points(axes, len(rb)) if tiled is None else tiled[:, :len(rb) * npts]
+            vals = u.eval(pts.T, np.repeat(t - rb, npts)).reshape((len(rb),) + sizes)
+        for k in reversed(range(n)):
+            vals = np.einsum("...mj,...j->...m", vals.reshape(-1, math.prod(sizes[:k]), sizes[k]),
+                             np.reshape(axes[k][1], (-1, sizes[k])))
+        out[i0:i0 + len(rb)] = vals.ravel()
+    return out
 
 
 def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray,
@@ -372,86 +431,20 @@ def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndar
         # still resolves oscillation at the declared feature scale; the true
         # average beyond that lag is <= M exp(-a_max^2/4)
         near = r_mid <= (0.5 * a_max * u.space_scale) ** 2
-        if not np.all(near) and math.isfinite(u.sup_bound):
+        if not np.all(near):
             discard = u.sup_bound * math.exp(-0.25 * a_max * a_max)
     else:
         # field with an essential-support box: Hermite while the kernel scale
         # is below the feature scale, fixed support panels afterwards
         near = r_mid <= _hermite_reach(u)
         if not np.all(near):
-            pts, w = _tensor_rule(*_panel_axes(u, sch))
-            out[~near] = _panel_average(u, x, t, r_mid[~near], pts, w)
+            axes = list(zip(x, *_panel_axes(u, sch)))
+            out[~near] = _axis_average(u, t, r_mid[~near], lambda rb: [
+                _panel_axis(x_k, rb, nodes, weights) for x_k, nodes, weights in axes])
     if np.any(near):
-        out[near] = _gh_average(u, x, t, r_mid[near], sch)
+        out[near] = _axis_average(u, t, r_mid[near], lambda rb: [
+            _hermite_axis(x_k, rb, sch.hermite_order) for x_k in x])
     return out, discard
-
-
-def _block_lags(npts: int) -> int:
-    """Lags per field call of a rule with ``npts`` points per lag (at least one)."""
-    return max(1, _FIELD_BLOCK // npts)
-
-
-def _chunked_average(r_mid: np.ndarray, w: np.ndarray, fill) -> np.ndarray:
-    """rows @ w for every lag of r_mid, the rows filled one block of lags at a time.
-
-    ``fill(rb, rows)`` writes the rows of the lags rb in place; each block
-    holds at most ``_block_lags`` lags and each chunk at most
-    ``_EVAL_CHUNK`` matrix entries.
-    """
-    npts = len(w)
-    out = np.empty_like(r_mid)
-    step = max(1, _EVAL_CHUNK // npts)
-    block = _block_lags(npts)
-    rows = np.empty((min(step, len(r_mid)), npts))
-    for i0 in range(0, len(r_mid), step):
-        rs = r_mid[i0:i0 + step]
-        for j0 in range(0, len(rs), block):
-            rb = rs[j0:j0 + block]
-            fill(rb, rows[j0:j0 + len(rb)])
-        # one product per chunk: the rounding of the matrix-vector product
-        # depends on its row count, so the blocks must not split it
-        out[i0:i0 + step] = rows[:len(rs)] @ w
-    return out
-
-
-def _gh_average(u: SpaceTimeField, x: np.ndarray, t: float,
-                r_mid: np.ndarray, sch: QuadratureScheme) -> np.ndarray:
-    n = u.n
-    zn, wn = _gauss_rule("hermite", sch.hermite_order)
-    z_pts, z_w = _tensor_rule([zn] * n, [wn] * n)
-    nz = len(z_w)
-
-    def fill(rb, rows):
-        # coordinate k of node j at lag i sits at [k, i, j]
-        pts = np.multiply((2.0 * np.sqrt(rb))[None, :, None], z_pts.T[:, None, :])
-        pts += x[:, None, None]
-        rows[:] = u.eval(pts.reshape(n, -1).T, np.repeat(t - rb, nz)).reshape(len(rb), nz)
-
-    return _chunked_average(r_mid, z_w / math.pi ** (n / 2.0), fill)
-
-
-def _panel_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndarray,
-                   pts: np.ndarray, w: np.ndarray) -> np.ndarray:
-    neg_dist_sq = -sq_dist(pts, x)
-    npts = len(w)
-    # a time-independent field has the same panel values at every lag: one
-    # row, evaluated once, multiplies every lag's kernel row
-    static = u.eval(pts, np.full(npts, t)) if u.time_independent else None
-    # the panel points once per lag of a full block, coordinate-major; a
-    # shorter block takes a prefix
-    blocks = min(_block_lags(npts), len(r_mid))
-    tiled = None if static is not None else np.tile(pts.T, (1, blocks)).T
-
-    def fill(rb, kb):
-        np.divide(neg_dist_sq, 4.0 * rb[:, None], out=kb)
-        np.exp(kb, out=kb)
-        kb *= (4.0 * math.pi * rb[:, None]) ** (-u.n / 2.0)
-        if static is None:
-            kb *= u.eval(tiled[:len(rb) * npts], np.repeat(t - rb, npts)).reshape(len(rb), npts)
-        else:
-            kb *= static
-
-    return _chunked_average(r_mid, w, fill)
 
 
 def _lag_integral(average, u_q: float, heat: float, s: float, sch: QuadratureScheme,
@@ -533,7 +526,7 @@ def _checked_bound(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
         if points > _EVAL_CHUNK:
             raise DomainValidationError(
                 f"the refined pass's panel rule has {points:,} points per lag, more than "
-                f"the {_EVAL_CHUNK:,} that one lag chunk of the panel average holds")
+                f"the {_EVAL_CHUNK:,} that one field call of the panel average may hold")
     return sup
 
 
@@ -544,8 +537,8 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
     Raises AdmissibilityError when the field carries no finite sup bound,
     DomainValidationError, before any field evaluation, when the refined
     pass's panel rule would hold more than 2,000,000 points per lag, the
-    most that one lag chunk of the panel average's kernel matrix holds (the
-    default Gaussian at n = 3 has 192^3), and ToleranceError when the value
+    most that one field call of the panel average may hold (the default
+    Gaussian at n = 3 has 192^3), and ToleranceError when the value
     or the error estimate is not finite or, after the built-in refinement
     pass, the estimate still exceeds ``sch.target_tol``.
     """
@@ -563,16 +556,16 @@ def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Sp
 
     Sigma is the half-space sign * y[axis] < lam and y^lambda the mirror
     image of y across its plane; K_r is the heat kernel (4 pi r)^{-n/2}
-    exp(-|z|^2 / (4 r)).  For an antisymmetric w this is the Gaussian
-    average E_z w(x + 2 sqrt(r) z, t - r) written over Sigma alone.  Along
-    the plane normal, ``_gl_panels`` cover Sigma within eight kernel widths
-    of q, clipped to the support and graded toward q and q^lambda, the
-    panels of all lags built in one ``_refine_rows`` call.  At n = 2 the free
-    axis takes Hermite nodes up to ``_hermite_reach`` and the panel axis of
-    ``_panel_axes`` beyond, as the Gaussian average does.  One field call
-    and one kernel evaluation per run of consecutive lags holding at most
-    ``_FIELD_BLOCK`` points; each lag's sum is one ``np.dot`` of its own, so
-    the result does not depend on the grouping.
+    exp(-|z|^2 / (4 r)), a product of one factor per axis, and K_r(x - y^lambda)
+    differs from K_r(x - y) only along the normal.  For an antisymmetric w this is
+    the Gaussian average E_z w(x + 2 sqrt(r) z, t - r) written over Sigma alone.
+    Along the normal, ``_gl_panels`` cover Sigma within eight kernel widths of q,
+    clipped to the support and graded toward q and q^lambda, the panels of all lags
+    built in one ``_refine_rows`` call, with weights that carry the kernel difference
+    and (4 pi r)^{-1/2}.  At n = 2 the free axis is ``_hermite_axis`` up to
+    ``_hermite_reach`` and ``_panel_axis`` beyond.  One field call per run of
+    consecutive lags holding at most ``_FIELD_BLOCK`` points; each lag's sum is one
+    ``np.dot`` of its own, so the result does not depend on the grouping.
     """
     x, t, n = q.x, q.t, w.n
     free = 1 - axis
@@ -587,7 +580,6 @@ def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Sp
             panel_nodes, panel_weights = (ax[free] for ax in _panel_axes(w, sch))
     hi = min(lam, hi_supp)
     feature = w.space_scale if math.isfinite(w.space_scale) else 1.0
-    zn, wn = _gauss_rule("hermite", sch.hermite_order)
 
     out = np.zeros_like(r_mid)
     sigma = 2.0 * np.sqrt(r_mid)
@@ -610,8 +602,12 @@ def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Sp
                             (c[:, None] + offsets).reshape(live.size, -1)], axis=1)
     edges, n_edges = _refine_rows(grid, count + 1, lo_live, hi, extra)
     nodes, weights = _gl_panels(edges, n_edges)
-    nodes = sign * nodes
     lag_nodes = _PANEL_ORDER * (n_edges - 1)
+    four_r = np.repeat(4.0 * r_mid[live], lag_nodes)
+    weights *= (np.exp(-np.square(q_par - nodes) / four_r)
+                - np.exp(-np.square(q_refl - nodes) / four_r))
+    weights /= np.sqrt(math.pi * four_r)
+    nodes = sign * nodes
     ends = np.cumsum(lag_nodes)
 
     def lag_rules():
@@ -619,29 +615,20 @@ def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Sp
             if n == 1:
                 yield i, nodes[a:b, None], weights[a:b]
                 continue
-            axes = {axis: (nodes[a:b], weights[a:b])}
-            if r_mid[i] <= r_cross:
-                # Hermite nodes y2 = x2 + sigma * z absorb the free axis's
-                # Gaussian factor exactly
-                axes[free] = (x[free] + sigma[i] * zn, wn * sigma[i])
-            else:
-                axes[free] = (panel_nodes, panel_weights
-                              * np.exp(-((panel_nodes - x[free]) ** 2) / (4.0 * r_mid[i])))
+            rb = r_mid[i:i + 1]
+            free_axis = (_hermite_axis(x[free], rb, sch.hermite_order) if rb[0] <= r_cross
+                         else _panel_axis(x[free], rb, panel_nodes, panel_weights))
+            axes = {axis: (nodes[a:b], weights[a:b]), free: tuple(np.ravel(v) for v in free_axis)}
             yield (i,) + _tensor_rule(*zip(*(axes[k] for k in range(n))))
 
     for run in _runs(lag_rules(), _FIELD_BLOCK):
         idx, pts, wtss = zip(*run)
         sizes = [len(wts) for wts in wtss]
         pts = np.concatenate([rule.T for rule in pts], axis=1).T
-        r = np.repeat(r_mid[list(idx)], sizes)
-        y_par = sign * pts[:, axis]
-        kern = (np.exp(-((q_par - y_par) ** 2) / (4.0 * r))
-                - np.exp(-((q_refl - y_par) ** 2) / (4.0 * r)))
-        terms = w.eval(pts, t - r) * kern
+        terms = w.eval(pts, t - np.repeat(r_mid[list(idx)], sizes))
         for i, wts, b in zip(idx, wtss, np.cumsum(sizes)):
             # a padded row or np.add.reduceat would round the sum differently
-            dot = float(np.dot(wts, terms[b - len(wts):b]))
-            out[i] = (4.0 * math.pi * r_mid[i]) ** (-n / 2.0) * dot
+            out[i] = float(np.dot(wts, terms[b - len(wts):b]))
     return out
 
 

@@ -256,6 +256,13 @@ class TestMainExitCodes:
         ({"scenario": "moving-planes", "problem": {"f": "cubic"}}, "one-minus-half-u"),
         ({"scenario": "eval", "field": "sombrero"}, "gaussian-bump"),
         ({"scenario": "eval", "field": {"name": "gaussian-bump", "params": {"width": "x"}}}, "'x'"),
+        # inverted or mis-sized field metadata, which the field kinds reject when built
+        ({"scenario": "eval", "field": {"name": "gaussian-bump", "params": {"t_width": -1.0}}},
+         "t_support"),
+        ({"scenario": "eval", "field": {"name": "gaussian-bump", "params": {"width": -0.5}}},
+         "space_scale"),
+        ({"scenario": "eval", "field": {"name": "gaussian-bump", "params": {"center": [1, 2]}}},
+         "space_support"),
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.json"

@@ -116,6 +116,30 @@ class TestMetadataRules:
         with pytest.raises(DomainValidationError, match="sup_bound"):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        # the first three once gave 564.19 for 1.3402, 3.654 for 2.374 and a broadcast error
+        (lambda: gaussian_bump(1, t_width=-1.0), "t_support"),
+        (lambda: gaussian_bump(1, width=-0.5), "space_scale"),
+        (lambda: gaussian_bump(1, center=[1.0, 2.0]), "space_support"),
+        (lambda: SpaceTimeField(lambda X, t: np.zeros(len(X)), n=1, t_support=(0.0, math.nan)),
+         "t_support"),
+        (lambda: SpaceTimeField(lambda X, t: np.zeros(len(X)), n=1, space_scale=0.0),
+         "space_scale"),
+        (lambda: SpaceField(lambda X: np.zeros(len(X)), n=1, space_scale=math.nan), "space_scale"),
+        (lambda: SpaceField(lambda X: np.zeros(len(X)), n=2,
+                            space_support=(np.zeros(2), np.array([1.0, 0.0]))), "space_support"),
+        (lambda: SpaceField(lambda X: np.zeros(len(X)), n=2,
+                            space_support=(np.zeros(3), np.ones(3))), "space_support"),
+        (lambda: SpaceField(lambda X: np.zeros(len(X)), n=1, exterior=ZERO_BALL, ball_radius=1.0,
+                            space_support=(np.array([0.5]), np.array([-0.5]))), "space_support"),
+        (lambda: TimeField(lambda t: np.zeros_like(t), support=(1.0, 1.0)), "support"),
+        (lambda: TimeField(lambda t: np.zeros_like(t), support=(2.0, -2.0)), "support"),
+    ], ids=["t-width", "width", "center", "t-support-nan", "scale-zero", "scale-nan",
+            "box-inverted", "box-size", "zero-ball-box", "time-empty", "time-inverted"])
+    def test_inverted_metadata(self, build, message):
+        with pytest.raises(DomainValidationError, match=message):
+            build()
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_zero_ball_support_box_survives_the_lift(self, n):
         g = SpaceField(lambda X: np.zeros(X.shape[0]), n=n, exterior=ZERO_BALL, ball_radius=0.75)

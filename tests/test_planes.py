@@ -445,6 +445,36 @@ class TestFoldResidual:
             antisymmetric_fold_residual(w, self.CFG, SpaceTimePoint([0.5], 0.0), P1, SCH)
 
 
+class TestObliqueAntisymmetrize:
+    """About an oblique plane the support box of w covers the mirror images of all corners."""
+
+    CFG = PlaneConfig([math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)], 0.0)
+
+    def _field(self):
+        base = gaussian_bump(2, center=[0.8, 0.8], width=0.1, t_width=None)
+        return antisymmetrize(base, lambda X: reflect(X, self.CFG)), base
+
+    def test_box_holds_both_lobes(self):
+        w, base = self._field()
+        lo, hi = base.space_support
+        corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])
+        boxed = np.concatenate([corners, reflect(corners, self.CFG)])
+        w_lo, w_hi = w.space_support
+        assert np.all(boxed >= w_lo) and np.all(boxed <= w_hi)
+        # the corner (hi_x, lo_y) maps below y = -1.1; lo and hi alone reach only -0.51
+        assert w_lo[1] < -1.1
+
+    def test_operator_is_antisymmetric(self):
+        w, _ = self._field()
+        centre = np.array([0.8, 0.8])
+        p = FracParams(2, 0.5)
+        at_centre = master_operator_pointwise(w, SpaceTimePoint(centre, 0.0), p, SCH).value
+        at_mirror = master_operator_pointwise(
+            w, SpaceTimePoint(reflect(centre, self.CFG), 0.0), p, SCH).value
+        # a box that missed part of the mirror lobe broke this by 1.8e-5
+        assert abs(at_centre + at_mirror) <= 1e-9 * abs(at_centre)
+
+
 def test_planes_reaches_the_fold_quadrature_through_one_entry():
     """planes imports no private quadrature name but ``_fold_passes``, nor the module itself."""
     tree = ast.parse(Path(planes.__file__).read_text())
@@ -458,7 +488,12 @@ def test_planes_reaches_the_fold_quadrature_through_one_entry():
 
 
 def _per_lag_folded_average(w, cfg, q, sch, r_mid):
-    """The folded average with one field call per lag, each lag's sum kept."""
+    """The folded average with one field call per lag, each lag's sum kept.
+
+    The kernel factors by axis: the normal-axis weights carry the kernel
+    difference and (4 pi r)^{-1/2}; at n = 2 the free axis takes Hermite
+    weights w / sqrt(pi) or panel weights w exp(-(y - x)^2 / 4r) / sqrt(4 pi r).
+    """
     axis_idx, sign = cfg.axis()
     x, t = q.x, q.t
     free = 1 - axis_idx
@@ -480,18 +515,18 @@ def _per_lag_folded_average(w, cfg, q, sch, r_mid):
                                  sigma * np.arange(1, 9))
         y_mid = 0.5 * (edges_y[:-1] + edges_y[1:])
         y_half = 0.5 * np.diff(edges_y)
-        axes = {axis_idx: (sign * (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel(),
-                           (y_half[:, None] * gl_w[None, :]).ravel())}
+        y = (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()
+        kern = np.exp(-((q_par - y) ** 2) / (4.0 * r)) - np.exp(-((q_refl - y) ** 2) / (4.0 * r))
+        axes = {axis_idx: (sign * y, (y_half[:, None] * gl_w[None, :]).ravel() * kern
+                           / math.sqrt(4.0 * math.pi * r))}
         if w.n == 2 and r <= r_cross:
-            axes[free] = (x[free] + sigma * zn, wn * sigma)
+            axes[free] = (x[free] + sigma * zn, wn / math.sqrt(math.pi))
         elif w.n == 2:
             nodes, weights = (ax[free] for ax in _panel_axes(w, sch))
-            axes[free] = (nodes, weights * np.exp(-((nodes - x[free]) ** 2) / (4.0 * r)))
+            axes[free] = (nodes, np.exp(-((nodes - x[free]) ** 2) / (4.0 * r)) * weights
+                          / math.sqrt(4.0 * math.pi * r))
         pts, wts = _tensor_rule(*zip(*(axes[k] for k in range(w.n))))
-        y_par = sign * pts[:, axis_idx]
-        vals = w.eval(pts, np.full(pts.shape[0], t - r))
-        kern = np.exp(-((q_par - y_par) ** 2) / (4.0 * r)) - np.exp(-((q_refl - y_par) ** 2) / (4.0 * r))
-        out[i] = (4.0 * math.pi * r) ** (-w.n / 2.0) * float(np.dot(wts, vals * kern))
+        out[i] = float(np.dot(wts, w.eval(pts, np.full(pts.shape[0], t - r))))
     return out
 
 

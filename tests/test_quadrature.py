@@ -12,7 +12,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from fracheat import quadrature, solver
-from fracheat.core import FracParams, SpaceTimePoint, integrated_kernel_constant, sq_dist
+from fracheat.core import FracParams, SpaceTimePoint, integrated_kernel_constant
 from fracheat.errors import AdmissibilityError, DomainValidationError, ToleranceError
 from fracheat.fields import (
     ZERO_BALL,
@@ -31,14 +31,14 @@ from fracheat.fields import (
 )
 from fracheat.planes import PlaneConfig, antisymmetric_fold_residual, reflect
 from fracheat.quadrature import (
-    _EVAL_CHUNK,
     QuadratureScheme,
+    _axis_average,
     _capped_edges,
     _fd_laplacian,
     _folded_average,
     _gauss_rule,
-    _gh_average,
-    _panel_average,
+    _hermite_axis,
+    _panel_axis,
     _panel_axes,
     _tensor_rule,
     _two_pass,
@@ -338,43 +338,41 @@ def _torsion_in_time(n):
                           exterior=ZERO_BALL, ball_radius=1.0, space_scale=0.5)
 
 
-def _one_call_panel_average(u, x, t, r_mid, pts, w, n):
-    """The panel average with one field call and one kernel matrix per lag chunk."""
-    dist_sq = sq_dist(pts, x)
-    out = np.empty_like(r_mid)
-    npts = len(w)
-    static = u.eval(pts, np.full(npts, t))[None, :] if u.time_independent else None
-    step = max(1, quadrature._EVAL_CHUNK // npts)
-    for i0 in range(0, len(r_mid), step):
-        rs = r_mid[i0:i0 + step]
-        kern = np.exp(-dist_sq[None, :] / (4.0 * rs[:, None]))
-        kern *= (4.0 * math.pi * rs[:, None]) ** (-n / 2.0)
-        vals = static
-        if vals is None:
-            ts = np.repeat(t - rs, npts)
-            vals = u.eval(np.tile(pts, (len(rs), 1)), ts).reshape(len(rs), npts)
-        kern *= vals
-        out[i0:i0 + step] = kern @ w
-    return out
-
-
-def _one_call_gh_average(u, x, t, r_mid, sch):
-    """The Gauss-Hermite average with one field call per lag chunk."""
-    n = u.n
+def _hermite_rule(x, sch):
+    """Per lag r: one Gauss-Hermite axis x_k + 2 sqrt(r) z per coordinate, weights w / sqrt(pi)."""
     zn, wn = hermgauss(sch.hermite_order)
-    z_pts, z_w = _tensor_rule([zn] * n, [wn] * n)
-    z_w = z_w / math.pi ** (n / 2.0)
-    nz = len(z_w)
+    return lambda r: [(x_k + 2.0 * math.sqrt(r) * zn, wn / math.sqrt(math.pi)) for x_k in x]
+
+
+def _panel_rule(u, x, sch):
+    """Per lag r: the panel axes of u, weights w exp(-(y - x_k)^2 / 4r) / sqrt(4 pi r)."""
+    axes = list(zip(x, *_panel_axes(u, sch)))
+    return lambda r: [(y, np.exp(-np.square(y - x_k) / (4.0 * r)) * w
+                       / math.sqrt(4.0 * math.pi * r)) for x_k, y, w in axes]
+
+
+def _per_lag_average(u, t, r_mid, rule):
+    """The tensor-rule average with one field call per lag, summed one axis at a time."""
     out = np.empty_like(r_mid)
-    step = max(1, quadrature._EVAL_CHUNK // nz)
-    for i0 in range(0, len(r_mid), step):
-        rs = r_mid[i0:i0 + step]
-        scal = 2.0 * np.sqrt(rs)
-        pts = x[None, None, :] + scal[:, None, None] * z_pts[None, :, :]
-        ts = np.repeat(t - rs, nz)
-        vals = u.eval(pts.reshape(-1, n), ts).reshape(len(rs), nz)
-        out[i0:i0 + step] = vals @ z_w
+    for i, r in enumerate(r_mid):
+        axes = rule(r)
+        pts, _ = _tensor_rule([y for y, _ in axes], [w for _, w in axes])
+        vals = u.eval(pts, np.full(len(pts), t - r)).reshape([len(w) for _, w in axes])
+        for _, w in reversed(axes):
+            vals = np.einsum("...j,j->...", vals, w)
+        out[i] = vals
     return out
+
+
+def _hermite_axes(x, sch):
+    """The library's Hermite rule at x, as ``_axis_average`` takes it."""
+    return lambda rb: [_hermite_axis(x_k, rb, sch.hermite_order) for x_k in x]
+
+
+def _panel_axes_of(u, x, sch):
+    """The library's panel rule of u at x, as ``_axis_average`` takes it."""
+    axes = list(zip(x, *_panel_axes(u, sch)))
+    return lambda rb: [_panel_axis(x_k, rb, y, w) for x_k, y, w in axes]
 
 
 class TestOneEvaluationPerPoint:
@@ -409,13 +407,13 @@ class TestOneEvaluationPerPoint:
 
     def test_static_panel_values_match_per_lag_values(self):
         u = gaussian_bump(2, center=[0.1, -0.2], width=0.8, t_width=None)
-        pts, w = _tensor_rule(*_panel_axes(u, SCH))
-        # enough lags that the per-lag evaluation takes more than one chunk
-        r_mid = np.geomspace(0.2, 500.0, 2 * _EVAL_CHUNK // len(w) + 7)
         x = np.array([0.3, 0.1])
-        static = _panel_average(u, x, 0.5, r_mid, pts, w)
-        per_lag = _panel_average(dataclasses.replace(u, time_independent=False), x, 0.5, r_mid,
-                                 pts, w)
+        npts = len(_tensor_rule(*_panel_axes(u, SCH))[1])
+        # enough lags that the per-lag evaluation takes more than one block
+        r_mid = np.geomspace(0.2, 500.0, 2 * quadrature._FIELD_BLOCK // npts + 7)
+        static = _axis_average(u, 0.5, r_mid, _panel_axes_of(u, x, SCH))
+        per_lag = _axis_average(dataclasses.replace(u, time_independent=False), 0.5, r_mid,
+                                _panel_axes_of(u, x, SCH))
         assert static.tobytes() == per_lag.tobytes()
 
     def test_static_master_one_panel_call_per_pass(self):
@@ -451,14 +449,12 @@ _AVERAGE_CASES = {
 
 
 class TestFieldBlocks:
-    """The Gaussian averages call the field on blocks of lags, with the bits of one call per chunk."""
+    """The axis average calls the field on blocks of lags, with the bits of one call per lag."""
 
     @staticmethod
-    def _constants(monkeypatch, small, per_lag):
-        # small: seven lags per chunk and two per block, so chunks end in a
-        # partial block and a few lags take several chunks
+    def _block(monkeypatch, small, per_lag):
+        # small: two lags per block, so the last block of 23 lags holds one
         if small:
-            monkeypatch.setattr(quadrature, "_EVAL_CHUNK", 7 * per_lag)
             monkeypatch.setattr(quadrature, "_FIELD_BLOCK", 3 * per_lag - 1)
         return max(quadrature._FIELD_BLOCK, per_lag)
 
@@ -466,48 +462,46 @@ class TestFieldBlocks:
     @pytest.mark.parametrize("case", list(_AVERAGE_CASES))
     def test_panel_average_bits(self, monkeypatch, case, small):
         build, x = _AVERAGE_CASES[case]
-        u = build()
-        n = u.n
-        rule_field = u if u.space_support is not None else gaussian_bump(n)
-        pts, w = _tensor_rule(*_panel_axes(rule_field, SCH))
-        # 300 lags span two default chunks of the n = 2 Gaussian's 10,816-point rule
+        u, x = build(), np.asarray(x)
+        rule_field = u if u.space_support is not None else gaussian_bump(u.n)
+        npts = len(_tensor_rule(*_panel_axes(rule_field, SCH))[1])
         r_mid = np.geomspace(0.05, 400.0, 23 if small else 300)
-        cap = self._constants(monkeypatch, small, len(w))
+        cap = self._block(monkeypatch, small, npts)
         sizes = []
-        got = _panel_average(_counting(u, sizes), np.asarray(x), 0.1, r_mid, pts, w)
-        want = _one_call_panel_average(u, np.asarray(x), 0.1, r_mid, pts, w, n)
+        got = _axis_average(_counting(u, sizes), 0.1, r_mid, _panel_axes_of(rule_field, x, SCH))
+        want = _per_lag_average(u, 0.1, r_mid, _panel_rule(rule_field, x, SCH))
         assert got.tobytes() == want.tobytes()
         assert max(sizes) <= cap
         if u.time_independent:
-            assert sizes == [len(w)]
+            assert sizes == [npts]
         elif small and u.exterior != ZERO_BALL:
-            assert len(sizes) == 4 * 3 + 1  # three chunks of blocks 2, 2, 2, 1; then two lags
+            assert len(sizes) == 12  # eleven blocks of two lags, then one
 
     @pytest.mark.parametrize("small", [False, True], ids=["default-blocks", "small-blocks"])
     @pytest.mark.parametrize("case", list(_AVERAGE_CASES))
     def test_gh_average_bits(self, monkeypatch, case, small):
         build, x = _AVERAGE_CASES[case]
-        u = build()
+        u, x = build(), np.asarray(x)
         r_mid = np.geomspace(1e-6, 0.5, 23 if small else 300)
-        cap = self._constants(monkeypatch, small, SCH.hermite_order ** u.n)
+        cap = self._block(monkeypatch, small, SCH.hermite_order ** u.n)
         sizes = []
-        got = _gh_average(_counting(u, sizes), np.asarray(x), 0.1, r_mid, SCH)
-        want = _one_call_gh_average(u, np.asarray(x), 0.1, r_mid, SCH)
+        got = _axis_average(_counting(u, sizes), 0.1, r_mid, _hermite_axes(x, SCH))
+        want = _per_lag_average(u, 0.1, r_mid, _hermite_rule(x, SCH))
         assert got.tobytes() == want.tobytes()
         assert max(sizes) <= cap
 
     def test_lag_larger_than_a_block(self):
         # the refined panel rule of this packet holds 211,584 points per lag
         u = random_spacetime_bump(np.random.default_rng(13), 2)
-        pts, w = _tensor_rule(*_panel_axes(u, SCH.refine()))
-        assert len(w) > quadrature._FIELD_BLOCK
+        npts = len(_tensor_rule(*_panel_axes(u, SCH.refine()))[1])
+        assert npts > quadrature._FIELD_BLOCK
         x = np.array([0.1, -0.2])
-        # eleven lags: a chunk of nine and one of two
         r_mid = np.geomspace(0.3, 40.0, 11)
         sizes = []
-        got = _panel_average(_counting(u, sizes), x, 0.1, r_mid, pts, w)
-        assert got.tobytes() == _one_call_panel_average(u, x, 0.1, r_mid, pts, w, 2).tobytes()
-        assert sizes == [len(w)] * len(r_mid)
+        got = _axis_average(_counting(u, sizes), 0.1, r_mid, _panel_axes_of(u, x, SCH.refine()))
+        want = _per_lag_average(u, 0.1, r_mid, _panel_rule(u, x, SCH.refine()))
+        assert got.tobytes() == want.tobytes()
+        assert sizes == [npts] * len(r_mid)
 
     @pytest.mark.parametrize("field, x, parent_points", [
         (lambda: gaussian_bump(1), [0.0], 100_040),
@@ -523,6 +517,26 @@ class TestFieldBlocks:
         assert max(sizes) <= max(quadrature._FIELD_BLOCK, one_lag)
         # the same points as with one field call per 2,000,000-point chunk
         assert sum(sizes) == parent_points
+
+    @pytest.mark.parametrize("block", [1, 10**9], ids=["one-point", "unbounded"])
+    def test_values_do_not_depend_on_the_blocks(self, monkeypatch, block):
+        # each lag is summed on its own, so any block size gives the default's bits; the
+        # coarser n = 2 fold keeps a one-call pass small
+        cfg, p2 = PlaneConfig([1.0, 0.0], 0.0), FracParams(2, 0.5)
+        w = antisymmetrize(gaussian_bump(2, center=[-0.65, 0.2], width=0.55, t_width=0.8),
+                           lambda X: reflect(X, cfg))
+
+        def values():
+            return (master_operator_pointwise(_torsion_in_time(1), SpaceTimePoint([0.3], 0.1),
+                                              P1, SCH),
+                    master_operator_pointwise(gaussian_bump(2, width=0.7, t_width=None),
+                                              SpaceTimePoint([0.3, -0.2], 0.1), p2, SCH),
+                    antisymmetric_fold_residual(w, cfg, SpaceTimePoint([-0.55, 0.0], 0.2), p2,
+                                                QuadratureScheme(nodes_per_decade=8)))
+
+        default = values()
+        monkeypatch.setattr(quadrature, "_FIELD_BLOCK", block)
+        assert values() == default
 
     def test_traced_peak_of_a_default_n2_call(self):
         tracemalloc.start()
@@ -600,13 +614,13 @@ class TestCoordinateMajorBlocks:
 
 def _direct_average(u, q, sc):
     """The Gaussian average of a compact field, its panel rule built here from ``_panel_axes``."""
-    pts, w = _tensor_rule(*_panel_axes(u, sc))
+    panels = _panel_axes_of(u, q.x, sc)
 
     def average(r_mid):
         near = r_mid <= (0.5 * u.space_scale) ** 2
         out = np.empty_like(r_mid)
-        out[near] = _gh_average(u, q.x, q.t, r_mid[near], sc)
-        out[~near] = _panel_average(u, q.x, q.t, r_mid[~near], pts, w)
+        out[near] = _axis_average(u, q.t, r_mid[near], _hermite_axes(q.x, sc))
+        out[~near] = _axis_average(u, q.t, r_mid[~near], panels)
         return out, 0.0
 
     return average

@@ -4,7 +4,8 @@
 
 Prints one line per output: the hex of value and est_error of pointwise
 operator values (master, fractional Laplacian and Marchaud at n = 1 and
-n = 2; the master also on a time-dependent zero-ball field), fold
+n = 2; the master also on a time-dependent zero-ball field and on a bump
+antisymmetrised about a plane at 30 degrees), fold
 residuals of time-dependent and time-independent fields, `solve_steady`
 results (SHA-256 prefix of the values, hex of the residual, iteration
 count) from the offset table, also at the n = 2 K = 65 size that
@@ -141,6 +142,12 @@ def pointwise() -> None:
     _value("laplacian n=2 torsion x=[0.25, -0.5] breakpoints=(0.1, 0.4)",
            lambda: fractional_laplacian_pointwise(tor, [0.25, -0.5], p2, SCH,
                                                   breakpoints=(0.1, 0.4)))
+    # about an oblique plane the support box of w must hold the mirror images of all corners
+    oblique = PlaneConfig([np.cos(np.pi / 6.0), np.sin(np.pi / 6.0)], 0.0)
+    w = antisymmetrize(gaussian_bump(2, center=[0.8, 0.8], width=0.1, t_width=None),
+                       lambda X: reflect(X, oblique))
+    _value("master n=2 s=0.5 antisymmetrized-30deg",
+           lambda: master_operator_pointwise(w, SpaceTimePoint([0.8, 0.8], 0.0), p2, SCH))
     h = random_time_field(np.random.default_rng(7))
     for s in (0.3, 0.5, 0.8):
         _value(f"marchaud-left s={s}", lambda: marchaud_left(h, 0.2, s, SCH))
