@@ -160,7 +160,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
         if key == "h":
             data.setdefault("problem", {})
             data["problem"]["h"] = value
-        elif key in ("r_max", "target_tol", "nodes_per_decade"):
+        elif key in ("r_max", "target_tol"):
             data.setdefault("scheme", {})
             data["scheme"][key] = value
         elif key == "field_name":

@@ -32,8 +32,8 @@ passes (``_fold_passes``); ``planes`` supplies the plane and checks w.
   a time-independent field serve every lag, and the fractional-Laplacian
   sweep builds the cells of all directions at a point in one sort and
   gathers the points of all directions, and in ``residual_field`` of all
-  nodes of a run, into one field call; each (point, direction) row is
-  summed on its own, so the runs leave the bits alone,
+  nodes of a run, into one field call; a run's rows are one segment sum and
+  a point's directions one weighted sum, so the runs leave the bits alone,
 * coordinate-major blocks: every block of points handed to a field is
   built as the transpose of a row-major (n, m) array, so each coordinate
   column ``X[:, k]`` is contiguous and the fields' column passes run at
@@ -114,6 +114,14 @@ class QuadratureScheme:
     target_tol: float = 10.0
 
     def __post_init__(self):
+        for name in ("nodes_per_decade", "hermite_order"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float, np.integer, np.floating))
+                    and float(value).is_integer()):
+                raise DomainValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise DomainValidationError("r_min and r_max must be finite")
         if not self.r_min < self.r_max:
             raise DomainValidationError("r_min must be smaller than r_max")
         if self.r_min <= 0:
@@ -522,6 +530,8 @@ def _checked_bound(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
         raise DomainValidationError("point dimension does not match the field")
     sup = u.require_bound()
     if u.space_support is not None:
+        if not all(np.isfinite(side).all() for side in u.space_support):
+            raise DomainValidationError("the support box of the field must have finite sides")
         points = math.prod(len(a) for a in _panel_axes(u, sch.refine())[0])
         if points > _EVAL_CHUNK:
             raise DomainValidationError(
@@ -667,30 +677,30 @@ def _sweep_directions(n: int, sch: QuadratureScheme) -> tuple[np.ndarray, np.nda
     raise DomainValidationError("fractional Laplacian quadrature supports n in {1, 2}")
 
 
-def _support_cusps(g: SpaceField, x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Radii z where x + z theta or x - z theta crosses the support sphere, shape (directions, 4).
+def _support_cusps(g: SpaceField, X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Radii z where x + z theta or x - z theta crosses the support sphere, per row x of X.
 
-    NaN where the line through x misses the sphere.
+    Shape (points, directions, 4), NaN where the line through x misses the
+    sphere.  x . theta is summed coordinate by coordinate, with no matrix
+    product, so each point's cusps are the ones it has alone.
     """
-    # np.dot per direction, as the sweep has always computed b: a matrix
-    # product may round b differently and move the cusps
-    b = np.array([float(np.dot(x, theta)) for theta in thetas])
-    disc = g.ball_radius**2 - (float(np.dot(x, x)) - b * b)
+    b = sum(X[:, k, None] * thetas[:, k] for k in range(X.shape[1]))
+    disc = g.ball_radius**2 - (np.sum(X * X, axis=1)[:, None] - b * b)
     root = np.sqrt(np.where(disc > 0, disc, np.nan))
     return np.abs(np.stack([-b + root, -b - root, b + root, b - root], axis=-1))
 
 
-def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.ndarray],
-                           p: FracParams, sch: QuadratureScheme,
-                           curvature: Optional[np.ndarray]) -> tuple:
+def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: np.ndarray, p: FracParams,
+                           sch: QuadratureScheme, curvature: Optional[np.ndarray]) -> tuple:
     """One paired sweep at every row of X: (values, inner_remainder, discard_bound).
 
-    ``centres[i]`` holds the kink radii of each direction at X[i], one row
-    per direction (NaN for none).  ``curvature``, when given, holds one
-    Laplacian per row of X for the inner Taylor cell.  Field calls take
-    runs of consecutive points holding at most ``_FIELD_BLOCK`` field
-    points, and every (point, direction) row is summed on its own, so the
-    values do not depend on the runs.
+    ``centres[i, j]`` holds the kink radii of direction j at X[i] (NaN for
+    none).  ``curvature``, when given, holds one Laplacian per row of X for
+    the inner Taylor cell.  Field calls take runs of consecutive points
+    holding at most ``_FIELD_BLOCK`` field points; each run's (point,
+    direction) rows are summed by one ``np.add.reduceat``, one segment per
+    row, and each point's directions by one weighted row sum, so no value
+    depends on the runs.
     """
     n, s = p.n, p.s
     a_ns = integrated_kernel_constant(p)
@@ -701,10 +711,10 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.nd
     shifts = np.concatenate([[0.0], -steps, steps])  # c + (-step) rounds as c - step
 
     exact_tail = g.exterior == ZERO_BALL
-    if exact_tail:
-        z_star = [g.ball_radius + float(np.linalg.norm(x)) for x in X]
-    else:
-        z_star = [2.0 * math.sqrt(sch.r_max)] * len(X)
+    z_star = (g.ball_radius + np.linalg.norm(X, axis=1) if exact_tail
+              else np.full(len(X), 2.0 * math.sqrt(sch.r_max)))
+    inside = (centres > z_min) & (centres < z_star[:, None, None])
+    rows_n = len(thetas)
 
     def point_cells():
         # the radial edges depend on x alone; each direction adds its kinks
@@ -712,20 +722,18 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.nd
         # of cells
         for i, hi in enumerate(z_star):
             base = _capped_edges(z_min, hi, npd)
-            inside = (centres[i] > z_min) & (centres[i] < hi)
-            rows_n = len(inside)
-            if not inside.any():
+            if not inside[i].any():
                 mid, width = 0.5 * (base[:-1] + base[1:]), np.diff(base)
                 yield i, np.tile(mid, rows_n), np.tile(width, rows_n), np.full(rows_n, mid.size)
                 continue
-            c = np.where(inside, centres[i], np.nan)
+            c = np.where(inside[i], centres[i], np.nan)
             edges, counts = _refine_rows(base[None, :], base.size, z_min, hi,
                                          (c[:, :, None] + shifts).reshape(rows_n, -1))
             yield (i,) + _cells(edges, counts) + (counts - 1,)
 
     g_x = np.empty(len(X))
     pair_peak = np.empty(len(X))
-    total = np.zeros(len(X))
+    total = np.empty(len(X))
     for run in _runs(point_cells(), _FIELD_BLOCK, lambda cells: 1 + 2 * len(cells[1])):
         idx, mids, widths, counts = zip(*run)
         idx, k = list(idx), len(idx)
@@ -740,14 +748,10 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.nd
         g_x[idx] = vals[:k]
         s_pair = 2.0 * np.repeat(vals[:k], per_point) - vals[k:k + len(zm)] - vals[k + len(zm):]
         pair_peak[idx] = np.maximum.reduceat(np.abs(s_pair), np.cumsum(per_point) - per_point)
-        integrand = s_pair * zm ** (-1.0 - 2.0 * s)
-        ends = np.cumsum(counts).tolist()
-        row_sums = np.array([np.dot(zw[a:b], integrand[a:b])
-                             for a, b in zip([0] + ends[:-1], ends)]).reshape(k, -1)
-        run_total = np.zeros(k)
-        for tw, row_sum in zip(th_w, row_sums.T):
-            run_total += tw * row_sum
-        total[idx] = run_total
+        # one segment per row, none empty: every row holds at least one cell
+        row_sums = np.add.reduceat(zw * s_pair * zm ** (-1.0 - 2.0 * s),
+                                   np.cumsum(counts) - counts).reshape(k, -1)
+        total[idx] = (row_sums * th_w).sum(axis=1)
     val = a_ns * total
 
     # inner Taylor piece over |z| < z_min (paired, so odd parts vanish)
@@ -759,13 +763,10 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: Sequence[np.nd
     val -= a_ns * omega_half * (lap / n) * z_min ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
 
     # far field; a globally constant field has no far contribution at all
-    far_pow = np.array([z ** (-2.0 * s) for z in z_star])
+    far_pow = z_star ** (-2.0 * s)
     far = pair_peak > 1e-14 * np.maximum(1.0, np.abs(g_x))
     val[far] += (2.0 * g_x * a_ns * omega_half * far_pow / (2.0 * s))[far]
-    if exact_tail:
-        discard = 0.0
-    else:
-        discard = 2.0 * g.sup_bound * a_ns * omega_half * far_pow / (2.0 * s)
+    discard = 0.0 if exact_tail else 2.0 * g.sup_bound * a_ns * omega_half * far_pow / (2.0 * s)
     return val, 0.0, discard
 
 
@@ -775,16 +776,15 @@ def _fractional_laplacian(g: SpaceField, X: np.ndarray, p: FracParams, sch: Quad
     """``fractional_laplacian_pointwise`` at every row of X: value and est_error arrays.
 
     ``curvature`` holds one value per row when given; the input checks are
-    the caller's.  The kinks of each direction, the breakpoints and where
-    its line crosses the support sphere, serve both passes.
+    the caller's.  The kinks, one (points, directions, kinks) array of the
+    breakpoints and where each direction's line crosses the support
+    sphere, serve both passes.
     """
     thetas = _sweep_directions(p.n, sch)[0]
-    shared = np.tile(np.asarray(breakpoints if breakpoints is not None else [], dtype=float),
-                     (len(thetas), 1))
+    shared = np.asarray(breakpoints if breakpoints is not None else [], dtype=float)
+    centres = np.broadcast_to(shared, (len(X), len(thetas), shared.size))
     if g.exterior == ZERO_BALL:
-        centres = [np.concatenate([shared, _support_cusps(g, x, thetas)], axis=1) for x in X]
-    else:
-        centres = [shared] * len(X)
+        centres = np.concatenate([centres, _support_cusps(g, X, thetas)], axis=2)
     return _two_pass(lambda sc: _laplacian_single_pass(g, X, centres, p, sc, curvature),
                      sch, g.sup_bound, p.s)
 

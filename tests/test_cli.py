@@ -286,6 +286,13 @@ class TestMainExitCodes:
         # at h = 0.5 the default lambda = -0.9 snaps to -1, where no node lies
         assert main(["moving-planes", "--h", "0.5", "--out", str(tmp_path / "e")]) == 0
 
+    def test_integral_float_scheme_setting_runs(self, tmp_path):
+        # 20.0 passes the config's integer check, so the scheme must take it as 20
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"scenario": "eval", "field": "gaussian-bump",
+                                        "scheme": {"hermite_order": 20.0}}))
+        assert main(["eval", "--config", str(cfg_file), "--out", str(tmp_path / "f")]) == 0
+
     def test_numerical_error_is_three(self, tmp_path, capsys):
         # an unattainable quadrature tolerance raises through run_scenario
         code = main(["eval", "--field", "plane-wave", "--tol", "1e-9",

@@ -74,6 +74,23 @@ class TestScheme:
     def test_refine_doubles(self):
         assert SCH.refine().nodes_per_decade == 2 * SCH.nodes_per_decade
 
+    def test_infinite_r_max_rejected(self):
+        # the lag cells of the first pass would overflow
+        with pytest.raises(DomainValidationError, match="finite"):
+            QuadratureScheme(r_max=math.inf)
+
+    @pytest.mark.parametrize("kwargs", [{"hermite_order": 20.5}, {"nodes_per_decade": 16.5},
+                                        {"hermite_order": "20"}])
+    def test_fractional_rule_sizes_rejected(self, kwargs):
+        with pytest.raises(DomainValidationError, match="must be an integer"):
+            QuadratureScheme(**kwargs)
+
+    def test_integral_floats_stored_as_int(self):
+        sch = QuadratureScheme(hermite_order=20.0, nodes_per_decade=np.int64(16))
+        assert sch == SCH and type(sch.hermite_order) is type(sch.nodes_per_decade) is int
+        u, q = gaussian_bump(1), SpaceTimePoint([0.1], 0.0)
+        assert master_operator_pointwise(u, q, P1, sch) == master_operator_pointwise(u, q, P1, SCH)
+
 
 class TestTailBound:
     def test_zero_bound(self):
@@ -276,25 +293,28 @@ def _refine_toward(edges, lo, hi, centres, steps):
 
 
 def _reference_laplacian_pass(g, x, p, sch, breakpoints, curvature):
-    """The Laplacian sweep direction by direction, two field calls per direction."""
+    """The Laplacian sweep direction by direction, two field calls per direction.
+
+    Each direction's row is one segment sum, and the directions one weighted sum.
+    """
     n, s = p.n, p.s
     a_ns = integrated_kernel_constant(p)
     g_x = float(g.eval(x.reshape(1, -1))[0])
     z_min = math.sqrt(sch.r_min)
     if g.exterior == ZERO_BALL:
-        z_star = g.ball_radius + float(np.linalg.norm(x))
+        z_star = g.ball_radius + math.sqrt(x[0] * x[0] + x[1] * x[1])
     else:
         z_star = 2.0 * math.sqrt(sch.r_max)
     m_ang = 2 * sch.hermite_order
     ang = (np.arange(m_ang) + 0.5) * math.pi / m_ang
     thetas = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    total = 0.0
+    row_sums = []
     pair_peak = 0.0
     for theta in thetas:
         cusps = list(breakpoints) if breakpoints is not None else []
         if g.exterior == ZERO_BALL:
-            b = float(np.dot(x, theta))
-            disc = g.ball_radius**2 - (float(np.dot(x, x)) - b * b)
+            b = x[0] * theta[0] + x[1] * theta[1]
+            disc = g.ball_radius**2 - ((x[0] * x[0] + x[1] * x[1]) - b * b)
             if disc > 0:
                 root = math.sqrt(disc)
                 cusps.extend([abs(-b + root), abs(-b - root), abs(b + root), abs(b - root)])
@@ -307,8 +327,8 @@ def _reference_laplacian_pass(g, x, p, sch, breakpoints, curvature):
         s_pair = (2.0 * g_x - g.eval(x[None, :] + zm[:, None] * theta[None, :])
                   - g.eval(x[None, :] - zm[:, None] * theta[None, :]))
         pair_peak = max(pair_peak, float(np.max(np.abs(s_pair))))
-        total += math.pi / m_ang * float(np.dot(zw, s_pair * zm ** (-1.0 - 2.0 * s)))
-    val = a_ns * total
+        row_sums.append(np.add.reduceat(zw * s_pair * zm ** (-1.0 - 2.0 * s), [0])[0])
+    val = a_ns * np.sum(np.array(row_sums) * (math.pi / m_ang))
     lap = _fd_laplacian(g.eval, x, max(1e-4, 0.5 * z_min)) if curvature is None else curvature
     val -= a_ns * math.pi * (lap / n) * z_min ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     if pair_peak > 1e-14 * max(1.0, abs(g_x)):
@@ -398,6 +418,31 @@ class TestOneEvaluationPerPoint:
                              sch, field.sup_bound, p2.s)
             assert (got.value, got.est_error) == (want.value, want.est_error)
 
+    @pytest.mark.parametrize("small_runs", [False, True], ids=["default-runs", "small-runs"])
+    def test_kink_free_batch_matches_each_point_alone(self, monkeypatch, small_runs):
+        # a global field without breakpoints: every point keeps the tiled shared cells
+        sizes = []
+        g = _counting(SpaceField(_gauss_sum, n=2, sup_bound=1.4, space_scale=0.6), sizes)
+        X = np.array([[0.0, 0.0], [0.5, -0.3], [-0.7, 0.2], [0.1, 0.9], [1.3, -1.1]])
+        p2 = FracParams(2, 0.5)
+        # 8 directions: 785 field points per point, 1,569 in the refined pass
+        sch = QuadratureScheme(r_min=1e-4, r_max=4.0, nodes_per_decade=8, hermite_order=4)
+        if small_runs:
+            monkeypatch.setattr(quadrature, "_FIELD_BLOCK", 2_000)
+        curv = np.linspace(-2.0, 1.0, len(X))  # no finite-difference calls
+        batch = quadrature._fractional_laplacian(g, X, p2, sch, curvature=curv)
+        # one call per pass, or runs of two, two and one points, then of one point each
+        assert len(sizes) == (8 if small_runs else 2)
+        for i, x in enumerate(X):
+            alone = quadrature._fractional_laplacian(g, x[None, :], p2, sch, curvature=curv[i:i + 1])
+            assert (batch.value[i], batch.est_error[i]) == (alone.value[0], alone.est_error[0])
+
+    def test_breakpoint_containers_give_the_same_bits(self):
+        g, x, p2 = torsion_profile(2, 0.5), np.array([0.25, -0.5]), FracParams(2, 0.5)
+        got = {kind: fractional_laplacian_pointwise(g, x, p2, SCH, breakpoints=kind((0.1, 0.4)))
+               for kind in (tuple, list, np.array)}
+        assert got[tuple] == got[list] == got[np.array]
+
     def test_laplacian_one_field_call_per_pass(self):
         sizes = []
         g = _counting(torsion_profile(2, 0.5), sizes)
@@ -430,6 +475,15 @@ class TestOneEvaluationPerPoint:
         u = _counting(gaussian_bump(3), sizes)
         with pytest.raises(DomainValidationError, match="7,077,888 points"):
             master_operator_pointwise(u, SpaceTimePoint([0.0] * 3, 0.0), FracParams(3, 0.5), SCH)
+        assert sizes == []
+
+    def test_infinite_support_box_rejected_before_any_evaluation(self):
+        # the panel rule of such a box would overflow
+        sizes = []
+        u = _counting(dataclasses.replace(gaussian_bump(2), space_support=([-3.0, -3.0],
+                                                                           [3.0, math.inf])), sizes)
+        with pytest.raises(DomainValidationError, match="finite sides"):
+            master_operator_pointwise(u, SpaceTimePoint([0.0, 0.0], 0.0), FracParams(2, 0.5), SCH)
         assert sizes == []
 
 

@@ -15,7 +15,8 @@ report (defect hex, violation count) and every
 narrow-region record (lambda, min_w hex, argmin, strict flag, passed) on
 solved, noisy and shifted-torsion grid data, SHA-256
 prefixes of `residual_field` arrays (all nodes, and the 64 nodes that
-`moving-planes` samples at n = 2 K = 33), of a few kernel, field and
+`moving-planes` samples at n = 2 K = 33; with the hex of each array's
+largest entry and of its sum), of a few kernel, field and
 reflection arrays (also across the four axis planes of n = 2 on points
 with signed-zero coordinates), of the operator symbol on a 1-, 2- and 3-D
 torus and of `apply_operator_spectral` on random data there (with the hex
@@ -213,7 +214,9 @@ def residuals() -> None:
         sol = solve_steady(problem, SCH, theta=1.0)
         nodes = np.linspace(0, len(sol.values) - 1, 64).astype(int) if subset else None
         label = f"residual_field n={n} K={points}" + (" nodes=64" if subset else "")
-        _array(label, residual_field(problem, sol, SCH, node_subset=nodes))
+        res = residual_field(problem, sol, SCH, node_subset=nodes)
+        # the largest entry and the sum show how far a rounding change moves the array
+        print(f"{label} {_digest(res.tobytes())} max={res.max().hex()} sum={res.sum().hex()}")
 
 
 def grid_diagnostics() -> None:
