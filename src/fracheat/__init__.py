@@ -9,13 +9,11 @@ diagnostics) and ``cli`` (scenario harness).
 
 from .core import (
     FracParams,
-    KernelConstants,
     SpaceTimePoint,
     gamma_abs_neg,
     heat_kernel,
     integrated_kernel_constant,
     integrated_time_kernel,
-    kernel_constants,
     normalization_constant,
 )
 from .fields import SpaceField, SpaceTimeField, TimeField
@@ -38,8 +36,6 @@ from .quadrature import (
     marchaud_left,
     marchaud_right,
     master_operator_pointwise,
-    parabolic_holder_seminorm,
-    slowly_increasing_membership,
     truncation_tail_bound,
 )
 from .solver import (
@@ -61,7 +57,6 @@ from .spectral import (
 
 __all__ = [
     "FracParams",
-    "KernelConstants",
     "SpaceTimePoint",
     "SpaceField",
     "SpaceTimeField",
@@ -72,14 +67,11 @@ __all__ = [
     "heat_kernel",
     "integrated_kernel_constant",
     "integrated_time_kernel",
-    "kernel_constants",
     "normalization_constant",
     "fractional_laplacian_pointwise",
     "marchaud_left",
     "marchaud_right",
     "master_operator_pointwise",
-    "parabolic_holder_seminorm",
-    "slowly_increasing_membership",
     "truncation_tail_bound",
     "GridField",
     "TorusGrid",

@@ -200,10 +200,12 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
                             for f in dc_fields(ScenarioConfig) if f.name in data})
     if not 0.0 < cfg.s < 1.0:
         raise ConfigError(f"s must lie in (0,1), got {cfg.s}")
+    # integer settings are stored as int, so 20 and 20.0 give one config hash
     for sub in ("scheme", "torus"):
         for key, value in getattr(cfg, sub).items():
             if key in ("nodes_per_decade", "hermite_order", "N_x", "N_t"):
                 _check_integer(value, f"{sub}.{key}", 1)
+                getattr(cfg, sub)[key] = int(value)
             else:
                 _check_number(value, f"{sub}.{key}", positive=True)
     x = cfg.point.get("x", [])
@@ -220,6 +222,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
     for key in ("points_per_axis", "max_iter"):
         if key in cfg.problem:
             _check_integer(cfg.problem[key], f"problem.{key}", 1)
+            cfg.problem[key] = int(cfg.problem[key])
     if cfg.scenario == "eval" and "name" not in cfg.field:
         raise ConfigError(f"scenario 'eval' needs field.name (one of {FIELD_NAMES})")
     try:

@@ -51,15 +51,6 @@ class FracParams:
 
 
 @dataclass(frozen=True)
-class KernelConstants:
-    """Derived kernel normalizations for a given (n, s)."""
-
-    c_ns: float
-    a_ns: float
-    gamma_abs_neg_s: float
-
-
-@dataclass(frozen=True)
 class SpaceTimePoint:
     """A point (x, t); x is a length-n vector."""
 
@@ -88,14 +79,6 @@ def integrated_kernel_constant(p: FracParams) -> float:
         4.0**p.s
         * math.gamma(p.n / 2.0 + p.s)
         / (math.pi ** (p.n / 2.0) * gamma_abs_neg(p.s))
-    )
-
-
-def kernel_constants(p: FracParams) -> KernelConstants:
-    return KernelConstants(
-        c_ns=normalization_constant(p),
-        a_ns=integrated_kernel_constant(p),
-        gamma_abs_neg_s=gamma_abs_neg(p.s),
     )
 
 

@@ -135,8 +135,8 @@ class SpaceTimeField(_OnSpace):
         zero outside the ball of radius ``ball_radius``); the rule is
         enforced bit-exactly at evaluation time.
     sup_bound : float
-        Known bound M with |u| <= M; ``math.inf`` marks an unbounded field
-        (only the membership probe accepts those).
+        Known bound M with |u| <= M; ``math.inf`` marks an unbounded field,
+        which every operator rejects (``require_bound``).
     ball_radius : float, optional
         Radius for the zero-ball rule.
     space_support : (lo, hi) arrays, optional

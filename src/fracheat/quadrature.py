@@ -44,9 +44,10 @@ passes (``_fold_passes``); ``planes`` supplies the plane and checks w.
   whose weights carry the axis's kernel factor).  ``_axis_average`` calls
   the field once per block of at most ``_FIELD_BLOCK`` (62,500) points, so
   its temporaries stay in cache (a lag or sweep point holding more takes a
-  call of its own), and sums each lag's values one axis at a time; the
-  fold's free axis takes the same rules and its normal-axis weights the
-  kernel difference.  Each lag is summed on its own, so no value depends
+  call of its own), and sums each lag's values one axis at a time; so does
+  the fold, whose free axis takes the same rules and is summed first, and
+  whose normal-axis weights carry the kernel difference.  No product
+  weights are built.  Each lag is summed on its own, so no value depends
   on the blocks,
 * graded edges: cells graded toward known kinks (support-sphere cusps,
   breakpoints, q and its mirror image in the fold) take the base edges
@@ -75,7 +76,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .core import FracParams, SpaceTimePoint, gamma_abs_neg, integrated_kernel_constant, sq_dist
+from .core import FracParams, SpaceTimePoint, gamma_abs_neg, integrated_kernel_constant
 from .errors import DomainValidationError, ToleranceError
 from .fields import SpaceField, SpaceTimeField, TimeField, ZERO_BALL
 
@@ -130,7 +131,7 @@ class QuadratureScheme:
             raise DomainValidationError("nodes_per_decade must be at least 4")
         if self.hermite_order < 4:
             raise DomainValidationError("hermite_order must be at least 4")
-        if self.target_tol <= 0:
+        if not self.target_tol > 0:
             raise DomainValidationError("target_tol must be positive")
 
     def refine(self) -> "QuadratureScheme":
@@ -289,16 +290,6 @@ def _gauss_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-def _tensor_rule(axes_nodes: Sequence[np.ndarray], axes_weights: Sequence[np.ndarray]):
-    """Tensor product of 1-D rules: coordinate-major points of shape (m, d) and their weights."""
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids]).T
-    w = axes_weights[0]
-    for aw in axes_weights[1:]:
-        w = np.outer(w, aw).ravel()
-    return pts, w
 
 
 def _fd_laplacian(evaluate, x: np.ndarray, delta: float) -> float:
@@ -573,9 +564,12 @@ def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Sp
     clipped to the support and graded toward q and q^lambda, the panels of all lags
     built in one ``_refine_rows`` call, with weights that carry the kernel difference
     and (4 pi r)^{-1/2}.  At n = 2 the free axis is ``_hermite_axis`` up to
-    ``_hermite_reach`` and ``_panel_axis`` beyond.  One field call per run of
-    consecutive lags holding at most ``_FIELD_BLOCK`` points; each lag's sum is one
-    ``np.dot`` of its own, so the result does not depend on the grouping.
+    ``_hermite_reach`` and ``_panel_axis`` beyond, and each lag's points are laid
+    out normal-major with the free axis fastest.  One field call per run of
+    consecutive lags holding at most ``_FIELD_BLOCK`` points.  Each lag is summed on
+    its own: at n = 2 over the free axis first (``np.einsum``), then, at both n, by
+    one ``np.dot`` over the normal-axis weights, so the result does not depend on the
+    grouping.
     """
     x, t, n = q.x, q.t, w.n
     free = 1 - axis
@@ -621,24 +615,33 @@ def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Sp
     ends = np.cumsum(lag_nodes)
 
     def lag_rules():
+        # (lag, coordinate-major points, normal-axis weights, free-axis weights or None)
         for i, a, b in zip(live, ends - lag_nodes, ends):
             if n == 1:
-                yield i, nodes[a:b, None], weights[a:b]
+                yield i, nodes[None, a:b], weights[a:b], None
                 continue
             rb = r_mid[i:i + 1]
-            free_axis = (_hermite_axis(x[free], rb, sch.hermite_order) if rb[0] <= r_cross
-                         else _panel_axis(x[free], rb, panel_nodes, panel_weights))
-            axes = {axis: (nodes[a:b], weights[a:b]), free: tuple(np.ravel(v) for v in free_axis)}
-            yield (i,) + _tensor_rule(*zip(*(axes[k] for k in range(n))))
+            free_nodes, free_weights = (
+                _hermite_axis(x[free], rb, sch.hermite_order) if rb[0] <= r_cross
+                else _panel_axis(x[free], rb, panel_nodes, panel_weights))
+            free_weights = np.ravel(free_weights)
+            # normal-major, the free axis fastest
+            pts = np.empty((2, b - a, free_weights.size))
+            pts[axis] = nodes[a:b, None]
+            pts[free] = np.ravel(free_nodes)
+            yield i, pts.reshape(2, -1), weights[a:b], free_weights
 
-    for run in _runs(lag_rules(), _FIELD_BLOCK):
-        idx, pts, wtss = zip(*run)
-        sizes = [len(wts) for wts in wtss]
-        pts = np.concatenate([rule.T for rule in pts], axis=1).T
-        terms = w.eval(pts, t - np.repeat(r_mid[list(idx)], sizes))
-        for i, wts, b in zip(idx, wtss, np.cumsum(sizes)):
+    for run in _runs(lag_rules(), _FIELD_BLOCK, lambda rule: rule[1].shape[1]):
+        idx, pts, wtss, free_wtss = zip(*run)
+        sizes = [rule.shape[1] for rule in pts]
+        terms = w.eval(np.concatenate(pts, axis=1).T, t - np.repeat(r_mid[list(idx)], sizes))
+        for i, wts, free_wts, b, m in zip(idx, wtss, free_wtss, np.cumsum(sizes), sizes):
+            vals = terms[b - m:b]
+            if free_wts is not None:
+                # the free axis first, as _axis_average sums one axis at a time
+                vals = np.einsum("mj,j->m", vals.reshape(len(wts), -1), free_wts)
             # a padded row or np.add.reduceat would round the sum differently
-            out[i] = float(np.dot(wts, terms[b - len(wts):b]))
+            out[i] = float(np.dot(wts, vals))
     return out
 
 
@@ -837,98 +840,3 @@ def marchaud_left(h: TimeField, t: float, s: float, sch: QuadratureScheme) -> Op
 def marchaud_right(h: TimeField, t: float, s: float, sch: QuadratureScheme) -> OperatorValue:
     """Marchaud right derivative: integrates over future times tau > t."""
     return _marchaud(h, t, s, sch, side=-1)
-
-
-# ---------------------------------------------------------------------------
-# function-space membership and seminorm probes
-
-
-@dataclass(frozen=True)
-class MembershipVerdict:
-    verdict: str  # "member" | "diverges" | "inconclusive"
-    estimates: tuple
-
-
-def slowly_increasing_membership(u: SpaceTimeField, t: float, p: FracParams,
-                                 truncation_ladder: Sequence[float]) -> MembershipVerdict:
-    """Probe the defining weighted integral on nested truncations.
-
-    A finite declared sup bound settles membership outright (the integrand
-    is dominated by a convergent majorant); otherwise the ladder estimates
-    decide: stabilized estimates mean "member", superlinear growth in the
-    ladder index (or overflow) means "diverges", anything else is
-    "inconclusive".
-    """
-    ladder = [float(R) for R in truncation_ladder]
-    if len(ladder) < 2 or any(R <= 0 for R in ladder) or sorted(ladder) != ladder:
-        raise DomainValidationError("truncation_ladder must be >= 2 increasing positive radii")
-
-    zn, wn = _gauss_rule("hermite", 48)
-    z_pts, w = _tensor_rule([zn] * p.n, [wn] * p.n)
-    estimates = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for R in ladder:
-            edges = np.geomspace(1e-4, R * R, 240)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            width = np.diff(edges)
-            total = 0.0
-            for gmid, gw in zip(mid, width):
-                scal = 2.0 * math.sqrt(gmid)
-                pts = scal * z_pts
-                keep = sq_dist(pts, 0.0) <= R * R
-                if not np.any(keep):
-                    continue
-                vals = np.abs(u.eval(pts[keep], np.full(int(keep.sum()), t - gmid)))
-                space_int = scal**p.n * float(np.dot(w[keep], vals))
-                total += gw * space_int / (1.0 + gmid ** (p.n / 2.0 + 1.0 + p.s))
-            estimates.append(total)
-
-    est = np.asarray(estimates)
-    if np.all(est == 0.0):
-        return MembershipVerdict("member", tuple(estimates))
-    if math.isfinite(u.sup_bound):
-        return MembershipVerdict("member", tuple(estimates))
-    if np.any(~np.isfinite(est)):
-        return MembershipVerdict("diverges", tuple(estimates))
-    ratios = est[1:] / np.maximum(est[:-1], 1e-300)
-    if np.all(ratios >= 4.0):
-        return MembershipVerdict("diverges", tuple(estimates))
-    rel_change = np.abs(np.diff(est)) / np.maximum(np.abs(est[1:]), 1e-300)
-    if np.all(rel_change < 1e-3):
-        return MembershipVerdict("member", tuple(estimates))
-    return MembershipVerdict("inconclusive", tuple(estimates))
-
-
-def parabolic_holder_seminorm(u: SpaceTimeField, sample_box, alpha: float,
-                              pair_budget: int = 10_000) -> float:
-    """Max sampled ratio |u(x,t)-u(y,tau)| / (|x-y| + |t-tau|^{1/2})^{2 alpha}.
-
-    ``sample_box`` is ((x_lo, x_hi), (t_lo, t_hi)) with vector bounds for x.
-    The samples form a lattice, so axis-aligned pairs (equal times) are
-    always present and the estimate is a genuine lower bound that converges
-    to the seminorm under refinement.
-    """
-    if not 0.0 < alpha <= 0.5:
-        raise DomainValidationError("alpha must lie in (0, 1/2]")
-    (x_lo, x_hi), (t_lo, t_hi) = sample_box
-    x_lo = np.atleast_1d(np.asarray(x_lo, dtype=float))
-    x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))
-    if np.any(x_hi <= x_lo) or not t_hi > t_lo:
-        raise DomainValidationError("sample_box must have positive extent on every axis")
-    n = u.n
-    total_pts = max(8, int((1 + math.isqrt(1 + 8 * pair_budget)) // 2))
-    per_axis = max(3, int(round(total_pts ** (1.0 / (n + 1)))))
-    axes = [np.linspace(a, b, per_axis) for a, b in zip(x_lo, x_hi)]
-    axes.append(np.linspace(t_lo, t_hi, per_axis))
-    pts, _ = _tensor_rule(axes, [np.ones(per_axis)] * (n + 1))
-    vals = u.eval(pts[:, :n], pts[:, n])
-    best = 0.0
-    for i in range(len(pts) - 1):
-        dx = np.linalg.norm(pts[i + 1:, :n] - pts[i, :n], axis=-1)
-        dt = np.abs(pts[i + 1:, n] - pts[i, n])
-        denom = (dx + np.sqrt(dt)) ** (2.0 * alpha)
-        good = denom > 0
-        if np.any(good):
-            ratio = np.abs(vals[i + 1:][good] - vals[i]) / denom[good]
-            best = max(best, float(ratio.max()))
-    return best

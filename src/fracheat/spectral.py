@@ -39,7 +39,7 @@ class TorusGrid:
         for name, N in (("N_x", self.N_x), ("N_t", self.N_t)):
             if N < 8 or N % 2 != 0:
                 raise DomainValidationError(f"{name} must be even and at least 8, got {N}")
-        if self.L_x <= 0 or self.L_t <= 0:
+        if not (self.L_x > 0 and self.L_t > 0):
             raise DomainValidationError("periods must be positive")
 
     @property

@@ -147,6 +147,23 @@ class TestScenarios:
         report = run_scenario(cfg)
         assert not report.overall_pass
 
+    @pytest.mark.parametrize("scenario, sub, key, value", [
+        ("eval", "scheme", "hermite_order", 20),
+        ("solve-ball", "problem", "points_per_axis", 33),
+    ])
+    def test_integral_float_settings_share_hash_and_csv_bytes(self, tmp_path, scenario, sub,
+                                                              key, value):
+        # 20 and 20.0 run the same computation, so they write one config hash and one CSV
+        outs = []
+        for spelling in (value, float(value)):
+            out = tmp_path / repr(spelling)
+            cfg = parse_config(None, {"scenario": scenario, "field_name": "gaussian-bump" if scenario == "eval" else None,
+                                      sub: {key: spelling}, "output_dir": str(out)})
+            run_scenario(cfg)
+            outs.append((cfg.config_hash(), {f.name: f.read_bytes() for f in sorted(out.iterdir())
+                                             if f.suffix == ".csv"}))
+        assert outs[0] == outs[1] and outs[0][1]
+
     def test_eval_scenario(self, tmp_path):
         cfg = ScenarioConfig(scenario="eval", output_dir=str(tmp_path / "out"),
                              field={"name": "plane-wave", "params": {"xi": [1.0], "rho": 1.0}},

@@ -15,7 +15,6 @@ from fracheat.core import (
     heat_kernel,
     integrated_kernel_constant,
     integrated_time_kernel,
-    kernel_constants,
     normalization_constant,
     sq_dist,
 )
@@ -88,12 +87,11 @@ class TestNormalization:
 
     def test_constants_invariants(self):
         p = FracParams(2, 0.3)
-        kc = kernel_constants(p)
-        assert kc.c_ns == pytest.approx(
-            1.0 / ((4 * math.pi) ** (p.n / 2) * kc.gamma_abs_neg_s), rel=1e-12
+        assert normalization_constant(p) == pytest.approx(
+            1.0 / ((4 * math.pi) ** (p.n / 2) * gamma_abs_neg(p.s)), rel=1e-12
         )
-        assert kc.gamma_abs_neg_s == pytest.approx(math.gamma(1 - p.s) / p.s, rel=1e-12)
-        assert kc.a_ns > 0.0
+        assert gamma_abs_neg(p.s) == pytest.approx(math.gamma(1 - p.s) / p.s, rel=1e-12)
+        assert integrated_kernel_constant(p) > 0.0
 
 
 class TestHeatKernel:

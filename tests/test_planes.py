@@ -45,7 +45,6 @@ from fracheat.quadrature import (
     QuadratureScheme,
     _master_single_pass,
     _panel_axes,
-    _tensor_rule,
     master_operator_pointwise,
 )
 from fracheat.solver import BallProblem, nonlinearity_by_name, solve_steady
@@ -493,6 +492,8 @@ def _per_lag_folded_average(w, cfg, q, sch, r_mid):
     The kernel factors by axis: the normal-axis weights carry the kernel
     difference and (4 pi r)^{-1/2}; at n = 2 the free axis takes Hermite
     weights w / sqrt(pi) or panel weights w exp(-(y - x)^2 / 4r) / sqrt(4 pi r).
+    Each n = 2 lag's points are laid out normal-major, and its values are
+    summed over the free axis first, then over the normal axis.
     """
     axis_idx, sign = cfg.axis()
     x, t = q.x, q.t
@@ -517,16 +518,22 @@ def _per_lag_folded_average(w, cfg, q, sch, r_mid):
         y_half = 0.5 * np.diff(edges_y)
         y = (y_mid[:, None] + y_half[:, None] * gl_x[None, :]).ravel()
         kern = np.exp(-((q_par - y) ** 2) / (4.0 * r)) - np.exp(-((q_refl - y) ** 2) / (4.0 * r))
-        axes = {axis_idx: (sign * y, (y_half[:, None] * gl_w[None, :]).ravel() * kern
-                           / math.sqrt(4.0 * math.pi * r))}
-        if w.n == 2 and r <= r_cross:
-            axes[free] = (x[free] + sigma * zn, wn / math.sqrt(math.pi))
-        elif w.n == 2:
-            nodes, weights = (ax[free] for ax in _panel_axes(w, sch))
-            axes[free] = (nodes, np.exp(-((nodes - x[free]) ** 2) / (4.0 * r)) * weights
-                          / math.sqrt(4.0 * math.pi * r))
-        pts, wts = _tensor_rule(*zip(*(axes[k] for k in range(w.n))))
-        out[i] = float(np.dot(wts, w.eval(pts, np.full(pts.shape[0], t - r))))
+        normal_w = (y_half[:, None] * gl_w[None, :]).ravel() * kern / math.sqrt(4.0 * math.pi * r)
+        if w.n == 1:
+            vals = w.eval(sign * y[:, None], np.full(y.size, t - r))
+            out[i] = float(np.dot(normal_w, vals))
+            continue
+        if r <= r_cross:
+            free_y, free_w = x[free] + sigma * zn, wn / math.sqrt(math.pi)
+        else:
+            free_y, weights = (ax[free] for ax in _panel_axes(w, sch))
+            free_w = (np.exp(-((free_y - x[free]) ** 2) / (4.0 * r)) * weights
+                      / math.sqrt(4.0 * math.pi * r))
+        pts = np.empty((y.size, free_y.size, 2))
+        pts[..., axis_idx] = sign * y[:, None]
+        pts[..., free] = free_y
+        vals = w.eval(pts.reshape(-1, 2), np.full(pts.shape[0] * pts.shape[1], t - r))
+        out[i] = float(np.dot(normal_w, np.einsum("mj,j->m", vals.reshape(y.size, -1), free_w)))
     return out
 
 
@@ -620,6 +627,26 @@ class TestChunkedFold:
         assert np.array_equal(single, grouped)
         assert sum(single_sizes) == sum(grouped_sizes)
         assert len(single_sizes) == len(r_mid) > len(grouped_sizes)
+
+    def test_n2_runs_hold_at_most_a_block(self, monkeypatch):
+        # runs are sized by field points, not by the coordinates of an axis: a call holds
+        # several lags only within the block, and a lag larger than the block alone
+        cfg, w = _fold_field([1.0, 0.0], [-0.65, 0.2], 0.8)
+        q, r_mid = SpaceTimePoint([-0.55, 0.0], 0.2), np.geomspace(1e-4, 50.0, 40)
+
+        def call_sizes(block):
+            monkeypatch.setattr(quadrature, "_FIELD_BLOCK", block)
+            sizes = []
+            quadrature._folded_average(_counting(w, sizes), *cfg.axis(), cfg.lam, q, SCH, r_mid)
+            return sizes
+
+        per_lag, calls = call_sizes(1), call_sizes(10_000)
+        ends = np.cumsum(per_lag)
+        last_lag = np.searchsorted(ends, np.cumsum(calls))
+        assert np.array_equal(ends[last_lag], np.cumsum(calls))
+        lags_per_call = np.diff(last_lag, prepend=-1)
+        assert all(m <= 10_000 or k == 1 for m, k in zip(calls, lags_per_call))
+        assert max(calls) > 10_000 and max(lags_per_call) > 1
 
     def test_n1_fold_makes_few_field_calls(self):
         cfg, w = _fold_field([1.0], [-0.65], 0.8)

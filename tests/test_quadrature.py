@@ -40,14 +40,11 @@ from fracheat.quadrature import (
     _hermite_axis,
     _panel_axis,
     _panel_axes,
-    _tensor_rule,
     _two_pass,
     fractional_laplacian_pointwise,
     marchaud_left,
     marchaud_right,
     master_operator_pointwise,
-    parabolic_holder_seminorm,
-    slowly_increasing_membership,
     truncation_tail_bound,
 )
 from fracheat.solver import (
@@ -78,6 +75,11 @@ class TestScheme:
         # the lag cells of the first pass would overflow
         with pytest.raises(DomainValidationError, match="finite"):
             QuadratureScheme(r_max=math.inf)
+
+    def test_nan_target_tol_rejected(self):
+        # nan <= 0 is False, and worst > nan is False too, so the gate would never fire
+        with pytest.raises(DomainValidationError, match="target_tol"):
+            QuadratureScheme(target_tol=math.nan)
 
     @pytest.mark.parametrize("kwargs", [{"hermite_order": 20.5}, {"nodes_per_decade": 16.5},
                                         {"hermite_order": "20"}])
@@ -376,12 +378,18 @@ def _per_lag_average(u, t, r_mid, rule):
     out = np.empty_like(r_mid)
     for i, r in enumerate(r_mid):
         axes = rule(r)
-        pts, _ = _tensor_rule([y for y, _ in axes], [w for _, w in axes])
+        grids = np.meshgrid(*[y for y, _ in axes], indexing="ij")
+        pts = np.stack([g.ravel() for g in grids]).T
         vals = u.eval(pts, np.full(len(pts), t - r)).reshape([len(w) for _, w in axes])
         for _, w in reversed(axes):
             vals = np.einsum("...j,j->...", vals, w)
         out[i] = vals
     return out
+
+
+def _panel_points(u, sch):
+    """Points per lag of the panel rule of u, counted as ``_checked_bound`` counts them."""
+    return math.prod(len(y) for y in _panel_axes(u, sch)[0])
 
 
 def _hermite_axes(x, sch):
@@ -453,7 +461,7 @@ class TestOneEvaluationPerPoint:
     def test_static_panel_values_match_per_lag_values(self):
         u = gaussian_bump(2, center=[0.1, -0.2], width=0.8, t_width=None)
         x = np.array([0.3, 0.1])
-        npts = len(_tensor_rule(*_panel_axes(u, SCH))[1])
+        npts = _panel_points(u, SCH)
         # enough lags that the per-lag evaluation takes more than one block
         r_mid = np.geomspace(0.2, 500.0, 2 * quadrature._FIELD_BLOCK // npts + 7)
         static = _axis_average(u, 0.5, r_mid, _panel_axes_of(u, x, SCH))
@@ -465,8 +473,8 @@ class TestOneEvaluationPerPoint:
         sizes = []
         u = _counting(gaussian_bump(2, t_width=None), sizes)
         master_operator_pointwise(u, SpaceTimePoint([0.2, 0.1], 0.0), FracParams(2, 0.5), SCH)
-        coarse = len(_tensor_rule(*_panel_axes(u, SCH))[1])
-        fine = len(_tensor_rule(*_panel_axes(u, SCH.refine()))[1])
+        coarse = _panel_points(u, SCH)
+        fine = _panel_points(u, SCH.refine())
         # Gauss-Hermite calls hold 400 points per lag, never a multiple of the panel size
         assert [m for m in sizes if m % coarse == 0] == [coarse, fine]
 
@@ -518,7 +526,7 @@ class TestFieldBlocks:
         build, x = _AVERAGE_CASES[case]
         u, x = build(), np.asarray(x)
         rule_field = u if u.space_support is not None else gaussian_bump(u.n)
-        npts = len(_tensor_rule(*_panel_axes(rule_field, SCH))[1])
+        npts = _panel_points(rule_field, SCH)
         r_mid = np.geomspace(0.05, 400.0, 23 if small else 300)
         cap = self._block(monkeypatch, small, npts)
         sizes = []
@@ -547,7 +555,7 @@ class TestFieldBlocks:
     def test_lag_larger_than_a_block(self):
         # the refined panel rule of this packet holds 211,584 points per lag
         u = random_spacetime_bump(np.random.default_rng(13), 2)
-        npts = len(_tensor_rule(*_panel_axes(u, SCH.refine()))[1])
+        npts = _panel_points(u, SCH.refine())
         assert npts > quadrature._FIELD_BLOCK
         x = np.array([0.1, -0.2])
         r_mid = np.geomspace(0.3, 40.0, 11)
@@ -567,7 +575,7 @@ class TestFieldBlocks:
         sizes = []
         master_operator_pointwise(_counting(u, sizes), SpaceTimePoint(x, 0.1),
                                   FracParams(u.n, 0.5), SCH)
-        one_lag = len(_tensor_rule(*_panel_axes(u, SCH.refine()))[1])
+        one_lag = _panel_points(u, SCH.refine())
         assert max(sizes) <= max(quadrature._FIELD_BLOCK, one_lag)
         # the same points as with one field call per 2,000,000-point chunk
         assert sum(sizes) == parent_points
@@ -947,69 +955,3 @@ class TestRefineRows:
             mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
             assert got_x.tobytes() == (mid[:, None] + half[:, None] * gl_x).ravel().tobytes()
             assert got_w.tobytes() == (half[:, None] * gl_w).ravel().tobytes()
-
-
-class TestMembership:
-    def test_bounded_is_member(self):
-        u = gaussian_bump(1, width=1.0, t_width=None)
-        verdict = slowly_increasing_membership(u, 0.0, P1, [10.0, 20.0, 40.0])
-        assert verdict.verdict == "member"
-
-    def test_zero_is_member(self):
-        u = SpaceTimeField(lambda X, t: np.zeros(X.shape[0]), n=1, sup_bound=0.0)
-        verdict = slowly_increasing_membership(u, 0.0, P1, [10.0, 20.0, 40.0])
-        assert verdict.verdict == "member"
-        assert all(e == 0.0 for e in verdict.estimates)
-
-    def test_log_divergent_is_inconclusive(self):
-        # u = |x| makes the weighted integral log-divergent: the ladder rises
-        # too slowly for the divergence call and never stabilizes either
-        u = SpaceTimeField(lambda X, t: np.abs(X[:, 0]), n=1, sup_bound=math.inf,
-                           space_scale=1.0)
-        verdict = slowly_increasing_membership(u, 0.0, P1, [10.0, 20.0, 40.0])
-        assert verdict.verdict == "inconclusive"
-
-    def test_gaussian_growth_diverges(self):
-        u = SpaceTimeField(lambda X, t: np.exp(np.sum(X * X, -1)), n=1,
-                           sup_bound=math.inf, space_scale=1.0)
-        verdict = slowly_increasing_membership(u, 0.0, P1, [10.0, 20.0, 40.0])
-        assert verdict.verdict == "diverges"
-        finite = [e for e in verdict.estimates if math.isfinite(e)]
-        for lo, hi in zip(finite[:-1], finite[1:]):
-            assert hi / lo > 10.0
-
-    def test_ladder_validation(self):
-        u = constant_field(1, 1.0)
-        with pytest.raises(DomainValidationError):
-            slowly_increasing_membership(u, 0.0, P1, [10.0])
-        with pytest.raises(DomainValidationError):
-            slowly_increasing_membership(u, 0.0, P1, [20.0, 10.0])
-
-
-class TestHolderSeminorm:
-    BOX = ((np.array([-1.0]), np.array([1.0])), (-1.0, 1.0))
-
-    def test_constant(self):
-        u = constant_field(1, 4.0)
-        assert parabolic_holder_seminorm(u, self.BOX, 0.5) == 0.0
-
-    def test_linear_field(self):
-        u = SpaceTimeField(lambda X, t: X[:, 0], n=1, sup_bound=1.0)
-        got = parabolic_holder_seminorm(u, self.BOX, 0.5, pair_budget=10_000)
-        assert got == pytest.approx(1.0, abs=1e-12)
-
-    def test_monotone_in_alpha(self):
-        # with parabolic pair distances below one, d^{2 alpha} shrinks as
-        # alpha grows, so the sampled seminorm is nondecreasing in alpha
-        u = SpaceTimeField(lambda X, t: np.sin(2 * X[:, 0]) * np.cos(t), n=1, sup_bound=1.0)
-        box = ((np.array([-0.2]), np.array([0.2])), (-0.04, 0.04))
-        hi = parabolic_holder_seminorm(u, box, 0.5, pair_budget=4000)
-        lo = parabolic_holder_seminorm(u, box, 0.3, pair_budget=4000)
-        assert hi >= lo - 1e-12
-
-    def test_degenerate_box(self):
-        u = constant_field(1, 1.0)
-        with pytest.raises(DomainValidationError):
-            parabolic_holder_seminorm(u, ((np.array([0.0]), np.array([0.0])), (-1.0, 1.0)), 0.5)
-        with pytest.raises(DomainValidationError):
-            parabolic_holder_seminorm(u, self.BOX, 0.7)

@@ -100,6 +100,12 @@ class TestTorusGrid:
         with pytest.raises(DomainValidationError):
             TorusGrid(1, 8, -1.0, 8, 1.0)
 
+    @pytest.mark.parametrize("L_x, L_t", [(math.nan, 10.0), (10.0, math.nan)])
+    def test_nan_period_rejected(self, L_x, L_t):
+        # a NaN period passed a "<= 0" test and gave NaN frequencies
+        with pytest.raises(DomainValidationError, match="periods"):
+            TorusGrid(1, 16, L_x, 16, L_t)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             GridField(np.zeros((4, 4)), GRID)
