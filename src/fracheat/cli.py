@@ -3,9 +3,12 @@
 The only I/O layer of the package.  A scenario is selected on the command
 line, configured from an optional JSON file plus flag overrides (flags
 win), and produces a ``report.json`` and plain two-column CSV series in
-the output directory.  Every artifact carries the hash of the resolved
-configuration in a single '#'-prefixed header line, and the seed fully
-determines all randomized sampling, so reruns are byte-identical.
+the output directory.  ``parse_config`` only reads the file and the flags;
+a ``ScenarioConfig`` checks itself when built, however it is built, so
+every malformed configuration is a ConfigError before anything runs.
+Every artifact carries the hash of the resolved configuration in a single
+'#'-prefixed header line, and the seed fully determines all randomized
+sampling, so reruns are byte-identical.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error,
 3 runtime/numerical error.
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FracParams, SpaceTimePoint
+from .core import FracParams, SpaceTimePoint, as_int
 from .errors import ConfigError, FracHeatError
 from .fields import (
     FIELD_NAMES,
@@ -39,6 +42,7 @@ from .fields import (
 )
 from .planes import (
     narrow_region_check,
+    scaling_radii,
     snap_lambda,
     symmetry_and_monotonicity_report,
     verify_lemma_scaling,
@@ -60,8 +64,49 @@ from .spectral import (
     spacetime_symbol,
 )
 
+# each section's settings: the integers with their least value, the positive reals, and
+# the keys that the objects the scenario builds check themselves
+_SECTIONS = {
+    "scheme": ({"nodes_per_decade": 1, "hermite_order": 1}, ("r_min", "r_max", "target_tol"), ()),
+    "problem": ({"points_per_axis": 1, "max_iter": 1}, ("h", "theta", "tol"), ("f", "coeffs")),
+    "field": ({}, (), ("name", "params")),
+    "point": ({}, (), ("x", "t")),
+    "torus": ({"N_x": 1, "N_t": 1}, ("L_x", "L_t"), ()),
+}
+_DEFAULT_RADII = (0.5, 1.0, 2.0, 5.0)  # lemma-scaling's radii when the config gives none
+
+
+def _check_keys(mapping: dict, allowed: set, where: str) -> None:
+    unknown = set(mapping) - allowed
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
+
+
+def _check_number(value, where: str, positive: bool = False) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            or positive and value <= 0):
+        raise ConfigError(f"{where} must be a finite{' positive' * positive} number, got {value!r}")
+
+
+def _check_integer(value, where: str, least: int) -> int:
+    if as_int(value, where) < least:
+        raise ConfigError(f"{where} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ScenarioConfig:
+    """A scenario and its settings, checked when built, from a file or in Python alike.
+
+    Unknown section keys are rejected with the list of accepted ones and every
+    number is checked.  Integer settings are stored as int, so 20 and 20.0 give
+    one config hash; sections are stored as copies without defaults, so the hash
+    covers the settings as given.  Last, the scheme, evaluation point, lemma
+    radii, torus grid, ball problem and named field the scenario runs on are
+    built once, so the library's own checks reject a bad setting here.  Every
+    rejection is a ConfigError.
+    """
+
     scenario: str
     n: int = 1
     s: float = 0.5
@@ -75,6 +120,50 @@ class ScenarioConfig:
     r_list: list = dc_field(default_factory=list)
     kind: str = "time-cutoff"
     torus: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {self.scenario!r}; one of {SCENARIOS}")
+        try:
+            self.n, self.seed = _check_integer(self.n, "n", 1), _check_integer(self.seed, "seed", 0)
+            _check_number(self.s, "s")
+            if not 0.0 < self.s < 1.0:
+                raise ConfigError(f"s must lie in (0,1), got {self.s}")
+            for name, (integers, reals, others) in _SECTIONS.items():
+                if not isinstance(getattr(self, name), dict):
+                    raise ConfigError(f"'{name}' must be an object")
+                section = dict(getattr(self, name))  # a copy: callers may reuse their dicts
+                _check_keys(section, {*integers, *reals, *others}, f"config.{name}")
+                for key in section.keys() & integers.keys():
+                    section[key] = _check_integer(section[key], f"{name}.{key}", integers[key])
+                for key in section.keys() & reals:
+                    _check_number(section[key], f"{name}.{key}", positive=True)
+                setattr(self, name, section)
+            if self.problem.get("theta", 1) > 1:
+                raise ConfigError(f"problem.theta must lie in (0, 1], got {self.problem['theta']!r}")
+            for name in ("lambdas", "r_list"):
+                if not isinstance(getattr(self, name), (list, tuple)):
+                    raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
+                for value in getattr(self, name):
+                    _check_number(value, f"every entry of {name}")
+            x = self.point.get("x", [])
+            for value in [*(x if isinstance(x, (list, tuple)) else [x]), self.point.get("t", 0.0)]:
+                _check_number(value, "every entry of point")
+            if self.scenario == "eval" and not self.field.get("name"):
+                raise ConfigError(f"scenario 'eval' needs field.name (one of {FIELD_NAMES})")
+            self.quadrature_scheme()
+            if self.scenario == "eval":
+                self.eval_point().validate(self.frac_params())
+            if self.scenario == "lemma-scaling":
+                scaling_radii(self.kind, self.r_list or _DEFAULT_RADII)
+            if self.scenario == "liouville":
+                self.torus_grid()
+            if self.scenario in ("solve-ball", "moving-planes"):
+                self.ball_problem()
+            if self.field.get("name"):
+                build_field(self.field["name"], self.n, self.s, self.field.get("params"))
+        except (ArithmeticError, TypeError, ValueError) as exc:  # e.g. a DomainValidationError
+            raise ConfigError(str(exc)) from exc
 
     def resolved(self) -> dict:
         """Every setting but ``output_dir``: what the hash covers and report.json records."""
@@ -92,12 +181,14 @@ class ScenarioConfig:
     def quadrature_scheme(self) -> QuadratureScheme:
         return QuadratureScheme(**self.scheme)
 
+    def eval_point(self) -> SpaceTimePoint:
+        return SpaceTimePoint(self.point.get("x", [0.0] * self.n), self.point.get("t", 0.0))
+
     def ball_problem(self) -> BallProblem:
         if "points_per_axis" in self.problem:
-            K = int(self.problem["points_per_axis"])
+            K = self.problem["points_per_axis"]
         else:
-            h = float(self.problem.get("h", 1.0 / 32.0))
-            K = int(round(2.0 / h)) + 1
+            K = int(round(2.0 / self.problem.get("h", 1.0 / 32.0))) + 1
             if K % 2 == 0:
                 K += 1
         f = nonlinearity_by_name(self.problem.get("f", "one"), self.problem.get("coeffs"))
@@ -105,43 +196,23 @@ class ScenarioConfig:
 
     def torus_grid(self) -> TorusGrid:
         t = self.torus
-        return TorusGrid(self.n, int(t.get("N_x", 32)), float(t.get("L_x", 10.0)),
-                         int(t.get("N_t", 32)), float(t.get("L_t", 10.0)))
+        return TorusGrid(self.n, t.get("N_x", 32), t.get("L_x", 10.0), t.get("N_t", 32),
+                         t.get("L_t", 10.0))
 
 
 _TOP_KEYS = {f.name for f in dc_fields(ScenarioConfig)}
-_SCHEME_KEYS = {f.name for f in dc_fields(QuadratureScheme)}
-_PROBLEM_KEYS = {"h", "points_per_axis", "f", "coeffs", "theta", "max_iter", "tol"}
-_FIELD_KEYS = {"name", "params"}
-_TORUS_KEYS = {f.name for f in dc_fields(TorusGrid)} - {"n"}
-
-
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
-
-
-def _check_number(value, where: str, positive: bool = False) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
-            or positive and value <= 0):
-        raise ConfigError(f"{where} must be a finite{' positive' * positive} number, got {value!r}")
-
-
-def _check_integer(value, where: str, smallest: int) -> None:
-    _check_number(value, where)
-    if value != int(value) or value < smallest:
-        raise ConfigError(f"{where} must be an integer >= {smallest}, got {value!r}")
+# the flags that set one key of a section
+_FLAG_KEYS = {"h": ("problem", "h"), "r_max": ("scheme", "r_max"),
+              "target_tol": ("scheme", "target_tol"), "field_name": ("field", "name")}
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ScenarioConfig:
-    """Load and validate a scenario configuration.
+    """Read a scenario configuration: the JSON file, its shorthand forms, then ``overrides``.
 
-    ``overrides`` wins over file contents.  Unknown keys are rejected with
-    the list of accepted ones; scenario-specific requirements are checked
-    with actionable messages.  Last, the scheme, torus grid, ball problem
-    and named field that the scenario runs on are built once, so the
-    library's own checks reject a bad setting here, as a ConfigError.
+    ``overrides`` wins over file contents, also inside the shorthand forms (a
+    bare field name, a flat point [x..., t]).  Unknown top-level keys are
+    rejected with the list of accepted ones; every other check runs when the
+    ScenarioConfig is built.
     """
     data: dict = {}
     if path is not None:
@@ -154,88 +225,21 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Scen
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "h":
-            data.setdefault("problem", {})
-            data["problem"]["h"] = value
-        elif key in ("r_max", "target_tol"):
-            data.setdefault("scheme", {})
-            data["scheme"][key] = value
-        elif key == "field_name":
-            data.setdefault("field", {})
-            data["field"]["name"] = value
-        else:
-            data[key] = value
-
-    _check_keys(data, _TOP_KEYS, "config")
-    _check_integer(data.get("n", 1), "n", 1)
-    _check_number(data.get("s", 0.5), "s")
-    _check_integer(data.get("seed", 12345), "seed", 0)
-    if "scenario" not in data:
-        raise ConfigError(f"missing required key 'scenario'; one of {SCENARIOS}")
-    if data["scenario"] not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {data['scenario']!r}; one of {SCENARIOS}")
-    # shorthand forms: a bare field name, and a point given as [x..., t]
     if isinstance(data.get("field"), str):
         data["field"] = {"name": data["field"]}
-    if isinstance(data.get("point"), (list, tuple)):
-        flat = list(data["point"])
-        if len(flat) < 2:
-            raise ConfigError("a flat point needs at least [x, t]")
-        data["point"] = {"x": flat[:-1], "t": flat[-1]}
-    for sub, allowed in (("scheme", _SCHEME_KEYS), ("problem", _PROBLEM_KEYS),
-                         ("field", _FIELD_KEYS), ("torus", _TORUS_KEYS)):
-        if sub in data:
-            if not isinstance(data[sub], dict):
-                raise ConfigError(f"'{sub}' must be an object")
-            _check_keys(data[sub], allowed, f"config.{sub}")
-    if "point" in data:
-        _check_keys(data["point"], {"x", "t"}, "config.point")
-
-    # every given setting as its field's (string) annotation says; the rest take the defaults
-    convert = {"int": int, "float": float, "str": str, "dict": dict, "list": list}
-    cfg = ScenarioConfig(**{f.name: convert[f.type](data[f.name])
-                            for f in dc_fields(ScenarioConfig) if f.name in data})
-    if not 0.0 < cfg.s < 1.0:
-        raise ConfigError(f"s must lie in (0,1), got {cfg.s}")
-    # integer settings are stored as int, so 20 and 20.0 give one config hash
-    for sub in ("scheme", "torus"):
-        for key, value in getattr(cfg, sub).items():
-            if key in ("nodes_per_decade", "hermite_order", "N_x", "N_t"):
-                _check_integer(value, f"{sub}.{key}", 1)
-                getattr(cfg, sub)[key] = int(value)
-            else:
-                _check_number(value, f"{sub}.{key}", positive=True)
-    x = cfg.point.get("x", [])
-    for value in [*(x if isinstance(x, (list, tuple)) else [x]), cfg.point.get("t", 0.0)]:
-        _check_number(value, "every entry of point")
-    for key in ("lambdas", "r_list"):
-        for value in getattr(cfg, key):
-            _check_number(value, f"every entry of {key}")
-    for key in ("h", "theta", "tol"):
-        if key in cfg.problem:
-            _check_number(cfg.problem[key], f"problem.{key}", positive=True)
-    if cfg.problem.get("theta", 1) > 1:
-        raise ConfigError(f"problem.theta must lie in (0, 1], got {cfg.problem['theta']!r}")
-    for key in ("points_per_axis", "max_iter"):
-        if key in cfg.problem:
-            _check_integer(cfg.problem[key], f"problem.{key}", 1)
-            cfg.problem[key] = int(cfg.problem[key])
-    if cfg.scenario == "eval" and "name" not in cfg.field:
-        raise ConfigError(f"scenario 'eval' needs field.name (one of {FIELD_NAMES})")
-    try:
-        cfg.quadrature_scheme()
-        if cfg.scenario == "liouville":
-            cfg.torus_grid()
-        if cfg.scenario in ("solve-ball", "moving-planes"):
-            cfg.ball_problem()
-        if cfg.field.get("name"):
-            build_field(cfg.field["name"], cfg.n, cfg.s, cfg.field.get("params"))
-    except (TypeError, ValueError) as exc:  # a DomainValidationError, or a malformed param
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    if isinstance(data.get("point"), list) and len(data["point"]) >= 2:
+        data["point"] = {"x": data["point"][:-1], "t": data["point"][-1]}
+    for key, value in (overrides or {}).items():
+        if value is not None and key in _FLAG_KEYS:
+            sub, name = _FLAG_KEYS[key]
+            if isinstance(data.setdefault(sub, {}), dict):  # a non-object is the config's to reject
+                data[sub][name] = value
+        elif value is not None:
+            data[key] = value
+    _check_keys(data, _TOP_KEYS, "config")
+    if "scenario" not in data:
+        raise ConfigError(f"missing required key 'scenario'; one of {SCENARIOS}")
+    return ScenarioConfig(**data)
 
 
 @dataclass
@@ -314,9 +318,7 @@ def _scenario_eval(cfg: ScenarioConfig, rng):
     field = build_field(cfg.field["name"], cfg.n, cfg.s, cfg.field.get("params"))
     # a generator of its own, so the scenario's draws and CSV bytes stay as they were
     spot_check(field, np.random.default_rng(0))
-    x = cfg.point.get("x", [0.0] * cfg.n)
-    t = float(cfg.point.get("t", 0.0))
-    ov = master_operator_pointwise(field, SpaceTimePoint(x, t), p, sch)
+    ov = master_operator_pointwise(field, cfg.eval_point(), p, sch)
     # the quadrature raises ToleranceError on a non-finite value or an
     # estimate above target_tol, so an evaluation that returns has no check left
     series = {"eval.csv": (("value", "est_error"), [(ov.value, ov.est_error)])}
@@ -381,8 +383,7 @@ def _scenario_reduce_check(cfg: ScenarioConfig, rng):
 def _scenario_lemma_scaling(cfg: ScenarioConfig, rng):
     p = cfg.frac_params()
     sch = cfg.quadrature_scheme()
-    r_list = cfg.r_list or [0.5, 1.0, 2.0, 5.0]
-    fit = verify_lemma_scaling(cfg.kind, r_list, cfg.s, p, sch)
+    fit = verify_lemma_scaling(cfg.kind, cfg.r_list or _DEFAULT_RADII, cfg.s, p, sch)
     target = -2.0 * cfg.s
     dev = abs(fit.slope - target)
     records = [CheckRecord(f"{cfg.kind}-slope", fit.slope, 0.15, dev <= 0.15)]
@@ -394,9 +395,9 @@ def _scenario_lemma_scaling(cfg: ScenarioConfig, rng):
 def _scenario_solve_ball(cfg: ScenarioConfig, rng):
     sch = cfg.quadrature_scheme()
     problem = cfg.ball_problem()
-    tol = float(cfg.problem.get("tol", 1e-8))
-    sol = solve_steady(problem, sch, theta=float(cfg.problem.get("theta", 0.8)),
-                       max_iter=int(cfg.problem.get("max_iter", 200)), tol=tol)
+    tol = cfg.problem.get("tol", 1e-8)
+    sol = solve_steady(problem, sch, theta=cfg.problem.get("theta", 0.8),
+                       max_iter=cfg.problem.get("max_iter", 200), tol=tol)
     full = sol.full_values(problem)
     sym = symmetry_and_monotonicity_report(problem, full)
     records = [
@@ -432,9 +433,9 @@ def _scenario_moving_planes(cfg: ScenarioConfig, rng):
         full = problem.full_values(fld.eval(nodes, np.zeros(len(nodes))))
         disc_est = 1e-3
     else:
-        sol = solve_steady(problem, sch, theta=float(cfg.problem.get("theta", 1.0)),
-                           max_iter=int(cfg.problem.get("max_iter", 200)),
-                           tol=float(cfg.problem.get("tol", 1e-8)))
+        sol = solve_steady(problem, sch, theta=cfg.problem.get("theta", 1.0),
+                           max_iter=cfg.problem.get("max_iter", 200),
+                           tol=cfg.problem.get("tol", 1e-8))
         solved = [CheckRecord("converged", float(sol.converged), 1.0, sol.converged)]
         full = sol.full_values(problem)
         n_int = len(sol.values)

@@ -13,6 +13,7 @@ both constants are exposed here together with the kernel evaluations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,14 @@ def gamma_abs_neg(s: float) -> float:
     return math.gamma(1.0 - s) / s
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an int when it is an integral number, 20 or 20.0; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise DomainValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Space dimension n >= 1 and fractional order s in (0, 1)."""
@@ -44,7 +53,7 @@ class FracParams:
     s: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise DomainValidationError(f"dimension n must be a positive integer, got {self.n}")
         if not 0.0 < self.s < 1.0:
             raise DomainValidationError(f"order s must lie strictly in (0, 1), got {self.s}")

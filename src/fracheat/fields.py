@@ -96,9 +96,10 @@ class _OnSpace(_Bounded):
             raise DomainValidationError(f"space_scale must be positive, got {self.space_scale!r}")
         if self.space_support is not None:
             lo, hi = (np.atleast_1d(np.asarray(e, dtype=float)) for e in self.space_support)
-            if lo.shape != (self.n,) or hi.shape != (self.n,) or not np.all(lo < hi):
-                raise DomainValidationError(
-                    f"space_support must be two arrays (lo, hi) of n = {self.n} entries, lo < hi")
+            if (lo.shape != (self.n,) or hi.shape != (self.n,) or not np.all(lo < hi)
+                    or not np.isfinite([lo, hi]).all()):
+                raise DomainValidationError(f"space_support must be two arrays (lo, hi) of "
+                                            f"n = {self.n} finite entries, lo < hi")
         super().__post_init__()
 
     def _inside_ball(self, pts: np.ndarray) -> np.ndarray:

@@ -353,6 +353,20 @@ class ScalingFit:
     intercept: float
 
 
+def scaling_radii(kind: str, r_list: Sequence[float]) -> list:
+    """The radii of ``verify_lemma_scaling``, sorted, once its kind and radii pass its checks."""
+    if kind not in ("time-cutoff", "spacetime-cutoff"):
+        raise DomainValidationError("kind must be 'time-cutoff' or 'spacetime-cutoff'")
+    rs = sorted(float(r) for r in r_list)
+    if len(rs) < 4 or len(np.unique(rs)) < 4:
+        raise DomainValidationError("need at least four distinct radii")
+    # one decade nominally; 8x admits the canonical 0.5-1-2-4 doubling list
+    if not rs[0] > 0 or rs[-1] / rs[0] < 8.0 - 1e-9:
+        raise DomainValidationError("radii must be positive and span close to a decade "
+                                    "(factor >= 8)")
+    return rs
+
+
 def verify_lemma_scaling(kind: str, r_list: Sequence[float], s: float, p: FracParams,
                          sch: Optional[QuadratureScheme] = None) -> ScalingFit:
     """Fit log sup|op(cutoff_r)| against log r; the dilation law gives slope -2s.
@@ -361,13 +375,9 @@ def verify_lemma_scaling(kind: str, r_list: Sequence[float], s: float, p: FracPa
     of width r^2; "spacetime-cutoff" drives the full operator on the
     product bump over B_r x (-r^2, r^2).  Sample points ride the dilation
     (fixed in scaled coordinates), so the scaling is exact up to quadrature.
+    ``scaling_radii`` checks the kind and the radii.
     """
-    rs = sorted(float(r) for r in r_list)
-    if len(rs) < 4 or len(np.unique(rs)) < 4:
-        raise DomainValidationError("need at least four distinct radii")
-    # one decade nominally; 8x admits the canonical 0.5-1-2-4 doubling list
-    if rs[-1] / rs[0] < 8.0 - 1e-9:
-        raise DomainValidationError("radii must span close to a decade (factor >= 8)")
+    rs = scaling_radii(kind, r_list)
     sch = sch or QuadratureScheme()
     sups = []
     if kind == "time-cutoff":
@@ -376,7 +386,7 @@ def verify_lemma_scaling(kind: str, r_list: Sequence[float], s: float, p: FracPa
             eta = build_cutoff_eta(0.0, r)
             vals = [abs(marchaud_left(eta, float(r * r * th), s, sch).value) for th in t_hat]
             sups.append(max(vals))
-    elif kind == "spacetime-cutoff":
+    else:
         params = FracParams(p.n, s)
         x_hat = [0.0, 0.35, 0.7]
         t_hat = [0.0, 0.6]
@@ -390,8 +400,6 @@ def verify_lemma_scaling(kind: str, r_list: Sequence[float], s: float, p: FracPa
                     q = SpaceTimePoint(x, th * r * r)
                     vals.append(abs(master_operator_pointwise(bump, q, params, sch).value))
             sups.append(max(vals))
-    else:
-        raise DomainValidationError("kind must be 'time-cutoff' or 'spacetime-cutoff'")
     if min(sups) <= 0.0:
         raise DomainValidationError("sample suprema vanished; below quadrature noise floor")
     slope, intercept = np.polyfit(np.log(rs), np.log(sups), 1)

@@ -76,7 +76,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .core import FracParams, SpaceTimePoint, gamma_abs_neg, integrated_kernel_constant
+from .core import FracParams, SpaceTimePoint, as_int, gamma_abs_neg, integrated_kernel_constant
 from .errors import DomainValidationError, ToleranceError
 from .fields import SpaceField, SpaceTimeField, TimeField, ZERO_BALL
 
@@ -116,11 +116,7 @@ class QuadratureScheme:
 
     def __post_init__(self):
         for name in ("nodes_per_decade", "hermite_order"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float, np.integer, np.floating))
-                    and float(value).is_integer()):
-                raise DomainValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
             raise DomainValidationError("r_min and r_max must be finite")
         if not self.r_min < self.r_max:
@@ -521,8 +517,6 @@ def _checked_bound(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
         raise DomainValidationError("point dimension does not match the field")
     sup = u.require_bound()
     if u.space_support is not None:
-        if not all(np.isfinite(side).all() for side in u.space_support):
-            raise DomainValidationError("the support box of the field must have finite sides")
         points = math.prod(len(a) for a in _panel_axes(u, sch.refine())[0])
         if points > _EVAL_CHUNK:
             raise DomainValidationError(

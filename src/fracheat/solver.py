@@ -53,7 +53,7 @@ import scipy.fft
 import scipy.linalg
 from numpy.polynomial import polynomial as poly
 
-from .core import FracParams, integrated_kernel_constant
+from .core import FracParams, as_int, integrated_kernel_constant
 from .errors import DomainValidationError, GridCoarseError, SingularMatrixError
 from .fields import SpaceField, ZERO_BALL
 from .quadrature import QuadratureScheme, _fractional_laplacian, _gauss_rule
@@ -135,7 +135,8 @@ class BallProblem:
     def __post_init__(self):
         if self.p.n not in (1, 2):
             raise DomainValidationError("ball solver supports n in {1, 2}")
-        K = self.points_per_axis
+        K = as_int(self.points_per_axis, "points_per_axis")
+        object.__setattr__(self, "points_per_axis", K)
         if K < 5 or K % 2 == 0:
             raise DomainValidationError(f"points_per_axis must be odd and at least 5, got {K}")
 

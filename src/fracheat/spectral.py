@@ -15,11 +15,12 @@ here in their discrete analogue and reported as such.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FracParams
+from .core import FracParams, as_int
 from .errors import DomainValidationError, ShapeMismatchError
 
 
@@ -36,11 +37,13 @@ class TorusGrid:
     def __post_init__(self):
         if self.n < 1:
             raise DomainValidationError("n must be at least 1")
-        for name, N in (("N_x", self.N_x), ("N_t", self.N_t)):
+        for name in ("N_x", "N_t"):
+            N = as_int(getattr(self, name), name)
+            object.__setattr__(self, name, N)
             if N < 8 or N % 2 != 0:
                 raise DomainValidationError(f"{name} must be even and at least 8, got {N}")
-        if not (self.L_x > 0 and self.L_t > 0):
-            raise DomainValidationError("periods must be positive")
+        if not (0 < self.L_x < math.inf and 0 < self.L_t < math.inf):
+            raise DomainValidationError("periods must be positive and finite")
 
     @property
     def shape(self) -> tuple:

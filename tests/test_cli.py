@@ -72,6 +72,18 @@ class TestParseConfig:
         scaling = parse_config(None, {"scenario": "lemma-scaling", "r_list": [0.5, 1, 2.0, 5.0]})
         assert (planes.config_hash(), scaling.config_hash()) == ("2108602b753f", "1e2e8788fdcc")
 
+    def test_a_config_built_in_python_is_checked(self):
+        with pytest.raises(ConfigError, match="field.name"):
+            ScenarioConfig(scenario="eval")
+        with pytest.raises(ConfigError, match="points_per_axis must be an integer"):
+            ScenarioConfig(scenario="solve-ball", problem={"points_per_axis": 9.5})
+        # N_x is stored as int in a copy, so 16.0 hashes like 16 and the caller's dict is kept
+        torus = {"N_x": 16.0}
+        cfg = ScenarioConfig(scenario="liouville", torus=torus)
+        assert cfg.config_hash() == ScenarioConfig(scenario="liouville",
+                                                   torus={"N_x": 16}).config_hash()
+        assert type(cfg.torus["N_x"]) is int and type(torus["N_x"]) is float
+
     def test_flat_shorthand_forms(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({
@@ -280,6 +292,18 @@ class TestMainExitCodes:
          "space_scale"),
         ({"scenario": "eval", "field": {"name": "gaussian-bump", "params": {"center": [1, 2]}}},
          "space_support"),
+        # a list or object of the wrong kind, a mis-sized point, and lemma-scaling's own checks
+        ({"scenario": "moving-planes", "lambdas": 5}, "lambdas must be a list"),
+        ({"scenario": "eval", "field": "gaussian-bump", "point": "x"}, "'point' must be an object"),
+        ({"scenario": "eval", "field": "gaussian-bump", "point": {"x": [0, 0], "t": 0}},
+         "expected (1,)"),
+        ({"scenario": "lemma-scaling", "kind": "bogus"}, "kind must"),
+        ({"scenario": "lemma-scaling", "r_list": [1, 2]}, "four distinct radii"),
+        ({"scenario": "lemma-scaling", "r_list": [0.5, 1, 2, 3]}, "decade"),
+        ({"scenario": "lemma-scaling", "r_list": [0, 1, 2, 8]}, "positive"),
+        # numbers beyond float range: 2 / h overflows, and math.isfinite cannot take 10**400
+        ({"scenario": "solve-ball", "problem": {"h": 1e-320}}, "infinity"),
+        ({"scenario": "solve-ball", "problem": {"h": 10**400}}, "too large"),
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.json"
@@ -288,6 +312,22 @@ class TestMainExitCodes:
         assert main([config["scenario"], "--config", str(cfg_file), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
+        assert not out.exists()
+
+    def test_flags_apply_inside_the_shorthand_forms(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"scenario": "eval", "field": "gaussian-bump"}))
+        out = tmp_path / "wave"
+        assert main(["eval", "--config", str(cfg_file), "--field", "plane-wave",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["field"] == {
+            "name": "plane-wave"}
+        # the flag does not turn a malformed section into a crash
+        cfg_file.write_text(json.dumps({"scenario": "solve-ball", "problem": "x"}))
+        out = tmp_path / "ball"
+        assert main(["solve-ball", "--config", str(cfg_file), "--h", "0.25",
+                     "--out", str(out)]) == 2
+        assert "'problem' must be an object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_moving_planes_solve_takes_the_problem_settings(self, tmp_path, capsys):

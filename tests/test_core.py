@@ -61,6 +61,11 @@ class TestFracParams:
         with pytest.raises(DomainValidationError):
             FracParams(0, 0.5)
 
+    def test_rejects_a_bool_dimension(self):
+        # True == 1, but a bool is not a dimension
+        with pytest.raises(DomainValidationError, match="dimension n"):
+            FracParams(True, 0.5)
+
     def test_point_dimension(self):
         q = SpaceTimePoint([0.0, 1.0], 0.0)
         with pytest.raises(DomainValidationError):

@@ -486,13 +486,9 @@ class TestOneEvaluationPerPoint:
         assert sizes == []
 
     def test_infinite_support_box_rejected_before_any_evaluation(self):
-        # the panel rule of such a box would overflow
-        sizes = []
-        u = _counting(dataclasses.replace(gaussian_bump(2), space_support=([-3.0, -3.0],
-                                                                           [3.0, math.inf])), sizes)
-        with pytest.raises(DomainValidationError, match="finite sides"):
-            master_operator_pointwise(u, SpaceTimePoint([0.0, 0.0], 0.0), FracParams(2, 0.5), SCH)
-        assert sizes == []
+        # the panel rule of such a box would overflow, so the field is not built at all
+        with pytest.raises(DomainValidationError, match="finite entries"):
+            dataclasses.replace(gaussian_bump(2), space_support=([-3.0, -3.0], [3.0, math.inf]))
 
 
 # (field, evaluation point): global Gaussians, time-dependent zero-ball

@@ -107,6 +107,13 @@ class TestProblemValidation:
         with pytest.raises(DomainValidationError):
             BallProblem(FracParams(3, 0.5), 9, nonlinearity_by_name("one"))
 
+    def test_points_per_axis_is_stored_as_int(self):
+        prob = BallProblem(FracParams(1, 0.5), 9.0, nonlinearity_by_name("one"))
+        assert type(prob.points_per_axis) is int and prob.shape == (9,) and len(prob.axis) == 9
+        for K in (9.5, "9", True):
+            with pytest.raises(DomainValidationError, match="points_per_axis must be an integer"):
+                BallProblem(FracParams(1, 0.5), K, nonlinearity_by_name("one"))
+
     def test_grid_symmetry(self):
         prob = make_problem(K=17)
         ax = prob.axis

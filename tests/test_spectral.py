@@ -106,6 +106,21 @@ class TestTorusGrid:
         with pytest.raises(DomainValidationError, match="periods"):
             TorusGrid(1, 16, L_x, 16, L_t)
 
+    @pytest.mark.parametrize("L_x, L_t", [(math.inf, 10.0), (10.0, math.inf)])
+    def test_infinite_period_rejected(self, L_x, L_t):
+        # an infinite period gave all-zero frequencies
+        with pytest.raises(DomainValidationError, match="periods"):
+            TorusGrid(1, 16, L_x, 16, L_t)
+
+    def test_grid_sizes_are_stored_as_int(self):
+        grid = TorusGrid(1, 16.0, 10.0, np.int64(16), 10.0)
+        assert grid == TorusGrid(1, 16, 10.0, 16, 10.0)
+        assert type(grid.N_x) is type(grid.N_t) is int
+        assert grid.frequencies()[0].shape == (16,)
+        for N_x in (16.5, "16", True):
+            with pytest.raises(DomainValidationError, match="N_x must be an integer"):
+                TorusGrid(1, N_x, 10.0, 16, 10.0)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             GridField(np.zeros((4, 4)), GRID)
