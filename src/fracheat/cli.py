@@ -188,7 +188,10 @@ class ScenarioConfig:
         if "points_per_axis" in self.problem:
             K = self.problem["points_per_axis"]
         else:
-            K = int(round(2.0 / self.problem.get("h", 1.0 / 32.0))) + 1
+            h = self.problem.get("h", 1.0 / 32.0)
+            if not math.isfinite(2.0 / h):
+                raise ConfigError(f"problem.h = {h!r} is too small: 2 / h overflows to infinity")
+            K = int(round(2.0 / h)) + 1
             if K % 2 == 0:
                 K += 1
         f = nonlinearity_by_name(self.problem.get("f", "one"), self.problem.get("coeffs"))

@@ -8,9 +8,10 @@ its own; it only calls ``eval``.
 
 The three field kinds follow one set of metadata rules, checked when a
 field is built: the exterior rule is known, a zero-ball field has a
-positive ``ball_radius`` and, unless it declares one, the ball's bounding
-box as its support box, a support box holds n entries lo < hi, a time
-support (a, b) has a < b, ``space_scale > 0`` and ``sup_bound >= 0``.
+positive ``ball_radius`` and a support box that ends at the ball's box
+[-r, r]^n (that box unless it declares one), a support box holds n finite
+entries lo < hi, a time support (a, b) has a < b, ``space_scale > 0`` and
+``sup_bound >= 0``.
 ``require_bound`` is the one gate in front of every tail estimate that
 needs a finite bound, and ``_inside_ball`` the one zero-ball mask.
 
@@ -84,11 +85,11 @@ class _OnSpace(_Bounded):
     def __post_init__(self):
         if self.exterior not in (GLOBAL, ZERO_BALL):
             raise DomainValidationError(f"unknown exterior rule {self.exterior!r}")
+        r = self.ball_radius
         if self.exterior == ZERO_BALL:
-            if self.ball_radius is None or self.ball_radius <= 0:
+            if r is None or r <= 0:
                 raise DomainValidationError("zero-ball exterior rule needs a positive ball_radius")
             if self.space_support is None:
-                r = self.ball_radius
                 object.__setattr__(
                     self, "space_support", (np.full(self.n, -r), np.full(self.n, r))
                 )
@@ -96,8 +97,12 @@ class _OnSpace(_Bounded):
             raise DomainValidationError(f"space_scale must be positive, got {self.space_scale!r}")
         if self.space_support is not None:
             lo, hi = (np.atleast_1d(np.asarray(e, dtype=float)) for e in self.space_support)
-            if (lo.shape != (self.n,) or hi.shape != (self.n,) or not np.all(lo < hi)
-                    or not np.isfinite([lo, hi]).all()):
+            shaped = lo.shape == (self.n,) == hi.shape and np.isfinite([lo, hi]).all()
+            if shaped and self.exterior == ZERO_BALL and (np.any(lo < -r) or np.any(hi > r)):
+                # the field vanishes outside the ball, so its box ends at the ball's
+                lo, hi = np.maximum(lo, -r), np.minimum(hi, r)
+                object.__setattr__(self, "space_support", (lo, hi))
+            if not (shaped and np.all(lo < hi)):
                 raise DomainValidationError(f"space_support must be two arrays (lo, hi) of "
                                             f"n = {self.n} finite entries, lo < hi")
         super().__post_init__()
@@ -142,7 +147,8 @@ class SpaceTimeField(_OnSpace):
         Radius for the zero-ball rule.
     space_support : (lo, hi) arrays, optional
         Essential-support box: |u| is negligible outside it.  Enables the
-        large-lag panel rule in the semigroup quadrature.
+        large-lag panel rule in the semigroup quadrature.  A zero-ball
+        field stores the part inside [-r, r]^n (a box inside is kept).
     space_scale : float
         Smallest spatial feature length (1/max frequency for oscillatory
         fields, bump width for localized ones, ``inf`` if constant in space).

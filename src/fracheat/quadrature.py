@@ -54,8 +54,7 @@ passes (``_fold_passes``); ``planes`` supplies the plane and checks w.
   plus each kink and its dyadic steps strictly inside the interval.
   ``_refine_rows`` is the one implementation, one row-wise sort per call:
   the sweep's directions at a point and the fold's normal-axis panels of
-  all lags are the rows of one call each, and an axis of the panel rule
-  with a cusp inside is a call of one row.
+  all lags are the rows of one call each.
 
 The Gaussian average switches representation at large lag: Gauss-Hermite
 nodes ride the kernel scale 2 sqrt(r) and lose the field once that scale
@@ -324,27 +323,18 @@ def _hermite_reach(u: SpaceTimeField) -> float:
 def _panel_axes(u: SpaceTimeField, sch: QuadratureScheme):
     """Per-axis nodes and weights of the far-lag panel rule of ``u``.
 
-    A composite Gauss-Legendre rule (``_gl_panels``) on panels of width
-    ``space_scale * 16 / nodes_per_decade`` over the essential-support box.
-    The support sphere of a zero-ball field, where such profiles have a
-    root-type cusp, becomes a panel edge with a short dyadic refinement
-    toward it.  The rule is the tensor product of these axes.
+    A composite Gauss-Legendre rule (``_gl_panels``) on uniform panels of
+    width at most ``space_scale * 16 / nodes_per_decade`` over the
+    essential-support box, which ends at the ball of a zero-ball field.  The
+    rule is the tensor product of these axes.
     """
     lo, hi = u.space_support
     scale = u.space_scale * 16.0 / sch.nodes_per_decade
-    cusps = (-u.ball_radius, u.ball_radius) if u.exterior == ZERO_BALL else ()
     axes_nodes, axes_weights = [], []
     for a, b in zip(np.atleast_1d(np.asarray(lo, dtype=float)),
                     np.atleast_1d(np.asarray(hi, dtype=float))):
-        span = b - a
-        count = max(1, int(math.ceil(span / scale)))
+        count = max(1, int(math.ceil((b - a) / scale)))
         edges = np.linspace(a, b, count + 1)
-        inside = [c for c in cusps if a < c < b]
-        if inside:
-            c = np.array(inside)[:, None]
-            steps = span / count / 2.0 ** np.arange(1, 6)
-            extra = np.concatenate([c, c - steps, c + steps], axis=1).reshape(1, -1)
-            edges = _refine_rows(edges[None, :], edges.size, a, b, extra)[0]
         nodes, weights = _gl_panels(edges, [edges.size])
         axes_nodes.append(nodes)
         axes_weights.append(weights)
@@ -443,7 +433,7 @@ def _gaussian_average(u: SpaceTimeField, x: np.ndarray, t: float, r_mid: np.ndar
 
 
 def _lag_integral(average, u_q: float, heat: float, s: float, sch: QuadratureScheme,
-                  r_cut: float, exact_tail: bool = False, static: bool = False,
+                  horizon: Optional[float], static: bool = False,
                   decay: Optional[float] = None) -> tuple[float, float, float]:
     """One sweep of (1/|Gamma(-s)|) Int_0^inf r^{-1-s} [u_q - avg(r)] dr.
 
@@ -451,11 +441,15 @@ def _lag_integral(average, u_q: float, heat: float, s: float, sch: QuadratureSch
     and the fold.  Callers supply ``average(r_mid) -> (avg, discard)``, the
     average at the cell midpoints and a bound for what it discards, and
     ``heat``, the slope of u_q - avg at r = 0, for the inner piece below
-    ``r_min``.  ``static`` drops the cells' width cap.  Beyond ``r_cut`` the
-    average vanishes when ``exact_tail`` and decays like r^{-decay} when
-    ``decay`` is given.  Returns (value, inner_remainder, discard_bound).
+    ``r_min``.  ``static`` drops the cells' width cap.  ``horizon`` is the lag
+    where the history leaves the support, or None: below ``r_max`` the cells
+    end at ``max(horizon, r_min)`` and the tail is exact, else they end at
+    ``r_max`` and the average beyond decays like r^{-decay} when ``decay``
+    is given.  Returns (value, inner_remainder, discard_bound).
     """
     gam = gamma_abs_neg(s)
+    exact_tail = horizon is not None and horizon < sch.r_max
+    r_cut = max(horizon, sch.r_min) if exact_tail else sch.r_max
     val, discard, invariant = 0.0, 0.0, False
     if r_cut > sch.r_min:
         # a time-independent field has a smooth, monotone-tailed lag
@@ -497,15 +491,12 @@ def _master_single_pass(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
     the cells, the inner piece and the tail.
     """
     x, t = q.x, q.t
-    r_cut, exact_tail = sch.r_max, False
-    if u.t_support is not None and t - u.t_support[0] < sch.r_max:
-        # no history before the support: the lag integral ends there exactly
-        # (at r_min, with no cells, when the whole history lies outside)
-        r_cut, exact_tail = max(t - u.t_support[0], sch.r_min), True
+    # the history leaves the time support at lag t - a
+    horizon = None if u.t_support is None else t - u.t_support[0]
     average = average or (lambda r_mid: _gaussian_average(u, x, t, r_mid, sch))
     # a compact time-independent field has an average decaying like r^{-n/2}
     compact_static = u.time_independent and u.space_support is not None
-    return _lag_integral(average, u.at(x, t), _fd_heat(u, x, t), p.s, sch, r_cut, exact_tail,
+    return _lag_integral(average, u.at(x, t), _fd_heat(u, x, t), p.s, sch, horizon,
                          u.time_independent, p.n / 2.0 if compact_static else None)
 
 
@@ -688,12 +679,12 @@ def _support_cusps(g: SpaceField, X: np.ndarray, thetas: np.ndarray) -> np.ndarr
 
 
 def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: np.ndarray, p: FracParams,
-                           sch: QuadratureScheme, curvature: Optional[np.ndarray]) -> tuple:
+                           sch: QuadratureScheme, curvature: np.ndarray) -> tuple:
     """One paired sweep at every row of X: (values, inner_remainder, discard_bound).
 
     ``centres[i, j]`` holds the kink radii of direction j at X[i] (NaN for
-    none).  ``curvature``, when given, holds one Laplacian per row of X for
-    the inner Taylor cell.  Field calls take runs of consecutive points
+    none).  ``curvature`` holds one Laplacian per row of X for the inner
+    Taylor cell.  Field calls take runs of consecutive points
     holding at most ``_FIELD_BLOCK`` field points; each run's (point,
     direction) rows are summed by one ``np.add.reduceat``, one segment per
     row, and each point's directions by one weighted row sum, so no value
@@ -720,7 +711,7 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: np.ndarray, p:
         for i, hi in enumerate(z_star):
             base = _capped_edges(z_min, hi, npd)
             if not inside[i].any():
-                mid, width = 0.5 * (base[:-1] + base[1:]), np.diff(base)
+                mid, width = _cells(base, [base.size])
                 yield i, np.tile(mid, rows_n), np.tile(width, rows_n), np.full(rows_n, mid.size)
                 continue
             c = np.where(inside[i], centres[i], np.nan)
@@ -752,12 +743,8 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: np.ndarray, p:
     val = a_ns * total
 
     # inner Taylor piece over |z| < z_min (paired, so odd parts vanish)
-    if curvature is None:
-        lap = np.array([_fd_laplacian(g.eval, x, max(1e-4, 0.5 * z_min)) for x in X])
-    else:
-        lap = np.asarray(curvature, dtype=float)
     omega_half = math.pi ** (n / 2.0) / math.gamma(n / 2.0)  # |S^{n-1}| / 2
-    val -= a_ns * omega_half * (lap / n) * z_min ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    val -= a_ns * omega_half * (curvature / n) * z_min ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
 
     # far field; a globally constant field has no far contribution at all
     far_pow = z_star ** (-2.0 * s)
@@ -772,16 +759,20 @@ def _fractional_laplacian(g: SpaceField, X: np.ndarray, p: FracParams, sch: Quad
                           curvature: Optional[np.ndarray] = None) -> OperatorValue:
     """``fractional_laplacian_pointwise`` at every row of X: value and est_error arrays.
 
-    ``curvature`` holds one value per row when given; the input checks are
-    the caller's.  The kinks, one (points, directions, kinks) array of the
-    breakpoints and where each direction's line crosses the support
-    sphere, serve both passes.
+    ``curvature`` holds one value per row, by finite differences when not
+    given; the input checks are the caller's.  The kinks, one (points,
+    directions, kinks) array of the breakpoints and where each direction's
+    line crosses the support sphere, and the curvature serve both passes.
     """
     thetas = _sweep_directions(p.n, sch)[0]
     shared = np.asarray(breakpoints if breakpoints is not None else [], dtype=float)
     centres = np.broadcast_to(shared, (len(X), len(thetas), shared.size))
     if g.exterior == ZERO_BALL:
         centres = np.concatenate([centres, _support_cusps(g, X, thetas)], axis=2)
+    if curvature is None:
+        delta = max(1e-4, 0.5 * math.sqrt(sch.r_min))
+        curvature = [_fd_laplacian(g.eval, x, delta) for x in X]
+    curvature = np.asarray(curvature, dtype=float)
     return _two_pass(lambda sc: _laplacian_single_pass(g, X, centres, p, sc, curvature),
                      sch, g.sup_bound, p.s)
 
@@ -811,18 +802,16 @@ def _marchaud(h: TimeField, t: float, s: float, sch: QuadratureScheme, side: int
     if not 0.0 < s < 1.0:
         raise DomainValidationError(f"order s must lie in (0, 1), got {s}")
     h.require_bound()
-    r_cut = sch.r_max
+    horizon = None
     if h.support is not None:
         horizon = (t - h.support[0]) if side > 0 else (h.support[1] - t)
-        if horizon < sch.r_max:
-            r_cut = max(horizon, 2.0 * sch.r_min)
     h_t = float(h.eval(np.array([t]))[0])
     heat = side * _fd_slope(h.eval, t, 1e-4)
 
     def average(r_mid):
         return h.eval(t - side * r_mid), 0.0
 
-    return _two_pass(lambda sc: _lag_integral(average, h_t, heat, s, sc, r_cut),
+    return _two_pass(lambda sc: _lag_integral(average, h_t, heat, s, sc, horizon),
                      sch, h.sup_bound, s)
 
 

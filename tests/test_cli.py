@@ -304,6 +304,7 @@ class TestMainExitCodes:
         # numbers beyond float range: 2 / h overflows, and math.isfinite cannot take 10**400
         ({"scenario": "solve-ball", "problem": {"h": 1e-320}}, "infinity"),
         ({"scenario": "solve-ball", "problem": {"h": 10**400}}, "too large"),
+        ({"scenario": "solve-ball", "problem": {"h": 1e-310}}, "problem.h"),
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.json"

@@ -148,6 +148,18 @@ class TestMetadataRules:
         lifted = g.as_spacetime().space_support
         assert all(np.array_equal(a, b) for a, b in zip(g.space_support, lifted))
 
+    def test_zero_ball_box_ends_at_the_ball(self):
+        def build(box):
+            return SpaceField(lambda X: np.zeros(X.shape[0]), n=2, exterior=ZERO_BALL,
+                              ball_radius=0.75, space_support=box)
+
+        lo, hi = build((np.array([-2.0, 0.1]), np.array([0.5, 3.0]))).space_support
+        assert np.array_equal(lo, [-0.75, 0.1]) and np.array_equal(hi, [0.5, 0.75])
+        inside = (np.array([-0.5, -0.5]), np.array([0.5, 0.25]))
+        assert build(inside).space_support is inside
+        with pytest.raises(DomainValidationError, match="space_support"):
+            build((np.array([0.8, 0.0]), np.array([2.0, 1.0])))  # misses the ball
+
     def test_lift_copies_every_shared_field(self):
         g = random_space_bump(np.random.default_rng(4), 2)
         u = g.as_spacetime()

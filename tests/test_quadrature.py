@@ -1,8 +1,10 @@
 """Pointwise operator quadratures against analytic and spectral oracles."""
 
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,6 +453,13 @@ class TestOneEvaluationPerPoint:
                for kind in (tuple, list, np.array)}
         assert got[tuple] == got[list] == got[np.array]
 
+    def test_laplacian_stencil_once_per_call(self):
+        # refine keeps r_min, so both passes share one finite-difference curvature
+        sizes = []
+        g = _counting(torsion_profile(2, 0.5), sizes)
+        fractional_laplacian_pointwise(g, np.array([0.3, 0.2]), FracParams(2, 0.5), SCH)
+        assert sizes.count(5) == 1 and len(sizes) == 3
+
     def test_laplacian_one_field_call_per_pass(self):
         sizes = []
         g = _counting(torsion_profile(2, 0.5), sizes)
@@ -714,6 +723,70 @@ class TestPanelRulesBuiltPerPass:
             whole.value, folded, 2.0 * whole.est_error)
 
 
+
+def _time_hump(a, b):
+    """(t - a)(b - t) on (a, b), zero elsewhere: a TimeField with support (a, b)."""
+    return TimeField(lambda t: np.where((t > a) & (t < b), (t - a) * (b - t), 0.0),
+                     sup_bound=0.25 * (b - a) ** 2, support=(a, b))
+
+
+class TestSupportDeclarations:
+    """Each support declaration is one rule, read in one place."""
+
+    @pytest.mark.parametrize("npd", [8, 16, 32])
+    def test_wide_zero_ball_box_ends_at_the_ball(self, npd):
+        # a zero-ball box wider than the ball is stored as the ball's box, so the
+        # panel rule and the master value are those of the ball-box field
+        ball = dataclasses.replace(_torsion_in_time(2), t_support=(-6.0, 6.0))
+        wide = dataclasses.replace(ball, space_support=(np.array([-1.5, -1.2]),
+                                                        np.array([1.3, 1.5])))
+        assert all(np.array_equal(e, [v, v]) for e, v in zip(wide.space_support, (-1.0, 1.0)))
+        sch = QuadratureScheme(nodes_per_decade=npd)
+        for got, want in zip(_panel_axes(wide, sch), _panel_axes(ball, sch)):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        q, p2 = SpaceTimePoint([0.3, 0.2], 0.5), FracParams(2, 0.5)
+        got = master_operator_pointwise(wide, q, p2, sch)
+        want = master_operator_pointwise(ball, q, p2, sch)
+        assert (got.value, got.est_error) == (want.value, want.est_error)
+
+    def test_lag_cells_end_at_the_horizon(self, monkeypatch):
+        # the support starts 1.5 r_min before t: Marchaud and the master operator of
+        # the lifted field both end their lag cells there, at max(horizon, r_min)
+        sch, t = QuadratureScheme(), 0.0
+        h = _time_hump(t - 1.5 * sch.r_min, 1.0)
+        horizon = t - h.support[0]
+        ends = []
+
+        def capped_edges(lo, hi, npd, cap_width=True):
+            edges = _capped_edges(lo, hi, npd, cap_width)
+            ends.append(edges[-1])
+            return edges
+
+        monkeypatch.setattr(quadrature, "_capped_edges", capped_edges)
+        marchaud_left(h, t, 0.5, sch)
+        assert ends == [max(horizon, sch.r_min)] * 2
+        ends.clear()
+        master_operator_pointwise(h.as_spacetime(1), SpaceTimePoint([0.0], t), P1, sch)
+        assert ends == [max(horizon, sch.r_min)] * 2
+
+    def test_one_reader_of_each_rule(self):
+        # the exterior rule is read only by the fractional-Laplacian sweep, and the
+        # lag cut is set only in _lag_integral
+        tree = ast.parse(Path(quadrature.__file__).read_text())
+        readers, cutters = set(), set()
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "exterior":
+                    readers.add(fn.name)
+                if isinstance(node, ast.Name) and node.id == "r_cut" and isinstance(
+                        node.ctx, ast.Store):
+                    cutters.add(fn.name)
+        assert readers == {"_laplacian_single_pass", "_fractional_laplacian"}
+        assert cutters == {"_lag_integral"}
+
+
 def _nan_master():
     u = SpaceTimeField(lambda X, t: np.full(X.shape[0], np.nan), n=1, sup_bound=1.0)
     return master_operator_pointwise(u, SpaceTimePoint([0.0], 0.0), P1, SCH)
@@ -933,21 +1006,3 @@ class TestRefineRows:
                            (np.linspace(0.0, 1.0, 5), 5, 0.0, 1.0, [0.3], np.array([0.1]))])
         assert got[0].tobytes() == big.tobytes() and got[1].tobytes() == ulp.tobytes()
         assert got[2].size == 8
-
-    @pytest.mark.parametrize("npd", [8, 16, 32])
-    def test_panel_axes_graded_toward_the_sphere(self, npd):
-        # a zero-ball field whose support box is wider than the ball: the sphere
-        # lies inside every axis, and the panels are graded toward it
-        lo, hi = np.array([-1.5, -1.2]), np.array([1.3, 1.5])
-        u = SpaceTimeField(lambda X, t: np.zeros(len(X)), n=2, exterior=ZERO_BALL,
-                           ball_radius=1.0, space_scale=0.3, space_support=(lo, hi))
-        gl_x, gl_w = leggauss(8)
-        nodes, weights = _panel_axes(u, QuadratureScheme(nodes_per_decade=npd))
-        for a, b, got_x, got_w in zip(lo, hi, nodes, weights):
-            count = int(math.ceil((b - a) / (0.3 * 16.0 / npd)))
-            edges = _refine_toward(np.linspace(a, b, count + 1), a, b, [-1.0, 1.0],
-                                   (b - a) / count / 2.0 ** np.arange(1, 6))
-            assert edges.size > count + 1
-            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-            assert got_x.tobytes() == (mid[:, None] + half[:, None] * gl_x).ravel().tobytes()
-            assert got_w.tobytes() == (half[:, None] * gl_w).ravel().tobytes()
