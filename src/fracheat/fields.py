@@ -34,13 +34,17 @@ row (``d = X - c; np.sum(d * d, axis=-1)``) gives the same bits but is the
 slow pattern: NumPy then loops over a length-n inner axis for every point.
 A matrix product ``X @ v`` rounds differently with the layout and the
 number of rows, so ``plane_wave`` and ``planes.reflect`` hand BLAS the
-row-major points.
+row-major points.  A block holds one time per lag, in consecutive runs
+(one run for a lag that fills a block alone), so the library fields
+compute their time factor once per run of equal times (``_time_gauss``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -66,7 +70,7 @@ class _Bounded:
     """The sup-bound and time-support rules of every field kind."""
 
     def __post_init__(self):
-        if self.sup_bound < 0:
+        if not self.sup_bound >= 0:  # NaN too
             raise DomainValidationError("sup_bound must be nonnegative")
         for name in ("t_support", "support"):  # SpaceTimeField's and TimeField's
             ab = getattr(self, name, None)
@@ -379,10 +383,50 @@ def _gauss(sq: np.ndarray, width: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
-def _time_gauss(t, centre: float, width: float) -> np.ndarray:
-    """exp(-(t - centre)^2 / width^2) in one new buffer; ``t`` may be a scalar."""
-    d = np.subtract(t, centre, out=np.empty(np.shape(t)))
-    return _gauss(np.square(d, out=d), width)
+def _time_gauss(val: np.ndarray, t, centre: float, width: float) -> np.ndarray:
+    """Multiply ``val`` in place by exp(-(t - centre)^2 / width^2) and return it.
+
+    ``t`` is a scalar or has the shape (m,) of ``val``, a contiguous buffer.  The
+    quadratures hand a field one time per lag, in consecutive runs, so the factor is
+    computed once per run of equal times (a NaN time is a run of its own; +0.0 and
+    -0.0 give the same factor) and applied run by run: a reshape when all runs have
+    one length, else a repeat.  Each point gets the bits of the pointwise formula.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.shape != val.shape:  # one time for all points
+        t = np.broadcast_to(t, val.shape)
+    if not t.size:
+        return val
+    starts = np.empty(t.shape, dtype=bool)
+    starts[0] = True
+    np.not_equal(t[1:], t[:-1], out=starts[1:])
+    starts = starts.nonzero()[0]
+    d = t[starts]
+    d -= centre
+    factor = _gauss(np.square(d, out=d), width)
+    # k distinct multiples of size below k * size are 0, size, ..., (k - 1) size
+    size = t.size // starts.size
+    if size * starts.size == t.size and not (starts % size).any():
+        runs = val.reshape(starts.size, size)
+        runs *= factor[:, None]
+    else:
+        val *= np.repeat(factor, np.diff(starts, append=t.size))
+    return val
+
+
+def _checked_width(value, name: str) -> float:
+    """``value`` as a float: a real number, not a bool, whose square is a normal float.
+
+    A nonpositive or NaN width passes here and fails the field's own rules
+    (``space_scale`` and ``t_support``).
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainValidationError(f"{name} must be a real number, got {value!r}")
+    w = float(value)
+    if w > 0 and not sys.float_info.min <= w * w < math.inf:
+        raise DomainValidationError(f"{name} must have a square in the normal float range, "
+                                    f"got {value!r}")
+    return w
 
 
 def gaussian_bump(
@@ -395,12 +439,16 @@ def gaussian_bump(
 ) -> SpaceTimeField:
     """Separable Gaussian bump; ``t_width=None`` makes it time-independent."""
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    width = _checked_width(width, "width")
+    if t_width is not None:
+        t_width = _checked_width(t_width, "t_width")
 
     def f(X, t):
         val = _gauss(sq_dist(X, c), width)
         if t_width is not None:
-            val *= _time_gauss(t, t_center, t_width)
-        val *= amplitude
+            _time_gauss(val, t, t_center, t_width)
+        if amplitude != 1.0:  # x * 1.0 is x
+            val *= amplitude
         return val
 
     half = 6.0 * width
@@ -498,9 +546,7 @@ def random_spacetime_bump(rng: np.random.Generator, n: int) -> SpaceTimeField:
     tw = float(rng.uniform(0.6, 1.2))
 
     def f(X, t):
-        val = space.func(X)
-        val *= _time_gauss(t, tc, tw)
-        return val
+        return _time_gauss(space.func(X), t, tc, tw)
 
     lo, hi = space.space_support
     return SpaceTimeField(
@@ -550,7 +596,7 @@ _FIELD_BUILDERS = {
     "gaussian-bump": lambda n, s, params: gaussian_bump(
         n,
         center=params.get("center"),
-        width=float(params.get("width", 1.0)),
+        width=params.get("width", 1.0),
         t_center=float(params.get("t_center", 0.0)),
         t_width=params.get("t_width", 1.0),
     ),

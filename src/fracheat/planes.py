@@ -65,21 +65,31 @@ def reflect(x, cfg: PlaneConfig) -> np.ndarray:
     component e_i, x . e is x_i e_i: the matrix product adds only zeros to
     it, so for finite points and lam other than -0.0 the bits are the same.
     Otherwise the product reads the points row-major, so its rounding does
-    not depend on their layout.
+    not depend on their layout.  For an axis direction e = +-e_i no product
+    by +-1 is formed, since it is exact: step = 2 (lam -+ x_i) and the normal
+    column is x_i +- step.  Each free column stays x_k + step e_k, whose
+    product by (signed) zero carries the sign of step into a zero x_k.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     e = cfg.direction
     axis = np.flatnonzero(e)
-    dot = pts[:, axis[0]] * e[axis[0]] if axis.size == 1 else np.ascontiguousarray(pts) @ e
-    step = np.subtract(cfg.lam, dot, out=dot)
+    i = axis[0] if axis.size == 1 and abs(e[axis[0]]) == 1.0 else None
+    if i is not None:
+        step = (np.subtract if e[i] > 0 else np.add)(cfg.lam, pts[:, i])
+    else:
+        dot = pts[:, axis[0]] * e[axis[0]] if axis.size == 1 else np.ascontiguousarray(pts) @ e
+        step = np.subtract(cfg.lam, dot, out=dot)
     step *= 2.0
     # column by column, straight into the result
     out = np.empty_like(pts)
     for k, e_k in enumerate(e):
-        np.multiply(step, e_k, out=out[:, k])
-        out[:, k] += pts[:, k]
+        if k != i:
+            np.multiply(step, e_k, out=out[:, k])
+            out[:, k] += pts[:, k]
+    if i is not None:
+        (np.add if e[i] > 0 else np.subtract)(pts[:, i], step, out=out[:, i])
     return out[0] if single else out
 
 

@@ -37,7 +37,9 @@ passes (``_fold_passes``); ``planes`` supplies the plane and checks w.
 * coordinate-major blocks: every block of points handed to a field is
   built as the transpose of a row-major (n, m) array, so each coordinate
   column ``X[:, k]`` is contiguous and the fields' column passes run at
-  full speed; the values are those of the row-major (m, n) block,
+  full speed; the values are those of the row-major (m, n) block.  Its
+  times ``t - r`` come one per lag, in consecutive runs, so a field can
+  compute a time factor once per run, as the library fields do,
 * per-axis sums: the heat kernel is a product of one factor per axis, so
   each rule of the Gaussian average is one (nodes, weights) pair per axis
   (``_hermite_axis``: x_k + 2 sqrt(r) z; ``_panel_axis``: support panels

@@ -305,6 +305,12 @@ class TestMainExitCodes:
         ({"scenario": "solve-ball", "problem": {"h": 1e-320}}, "infinity"),
         ({"scenario": "solve-ball", "problem": {"h": 10**400}}, "too large"),
         ({"scenario": "solve-ball", "problem": {"h": 1e-310}}, "problem.h"),
+        # widths whose squares under- or overflow, and a bool or string taken for a width;
+        # these once ran (exit 0) or failed in the quadrature (exit 3)
+        *[({"scenario": "eval", "field": {"name": "gaussian-bump", "params": {key: value}}},
+           f"{key} must") for key, value in [("width", 1e-300), ("width", 1e200),
+                                              ("t_width", 1e200), ("width", True),
+                                              ("t_width", "1"), ("width", "1")]],
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.json"

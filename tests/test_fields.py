@@ -116,6 +116,17 @@ class TestMetadataRules:
         with pytest.raises(DomainValidationError, match="sup_bound"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda b: SpaceTimeField(lambda X, t: np.zeros(X.shape[0]), n=1, sup_bound=b),
+        lambda b: SpaceField(lambda X: np.zeros(X.shape[0]), n=1, sup_bound=b),
+        lambda b: TimeField(lambda t: np.zeros_like(t), sup_bound=b),
+    ], ids=["spacetime", "space", "time"])
+    def test_nan_sup_bound_is_rejected_and_inf_kept(self, build):
+        # NaN compares false against 0 and once passed the sign test
+        with pytest.raises(DomainValidationError, match="sup_bound"):
+            build(math.nan)
+        assert build(math.inf).sup_bound == math.inf
+
     @pytest.mark.parametrize("build, message", [
         # the first three once gave 564.19 for 1.3402, 3.654 for 2.374 and a broadcast error
         (lambda: gaussian_bump(1, t_width=-1.0), "t_support"),
@@ -307,3 +318,42 @@ class TestColumnwiseFormulas:
         for cc, w, a in zip(centers, widths, amps):
             old += a * np.exp(-self._sq(X, cc) / w**2)
         assert np.array_equal(g.eval(X), old)
+
+    @staticmethod
+    def _times(kind, m, rng):
+        """Time inputs of the shapes the quadratures and direct callers hand a field."""
+        if kind == "scalar":
+            return 0.3
+        if kind == "zero-stride":
+            return np.broadcast_to(np.array(-0.2), (m,))
+        if kind == "distinct":
+            return rng.uniform(-1.0, 1.0, size=m)
+        if kind == "signed-zero-nan":
+            values = np.array([0.0, -0.0, np.nan, np.nan, 0.0, 0.5, -0.0, np.nan])
+            return np.repeat(values, [7, 3, 1, 4, 9, 2, 5, 1])[np.arange(m) % 32]
+        counts = {"one-run": [m], "equal-runs": [m // 8] * 8,
+                  "unequal-runs": [1, 37, 2, 600, m - 640]}[kind]
+        return np.repeat(rng.uniform(-1.0, 1.0, size=len(counts)), counts)
+
+    @pytest.mark.parametrize("kind", ["one-run", "equal-runs", "unequal-runs", "distinct",
+                                      "zero-stride", "scalar", "signed-zero-nan"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_time_factor_per_run_keeps_the_pointwise_bits(self, n, kind):
+        rng = np.random.default_rng(40 + n)
+        X = rng.uniform(-1.5, 1.5, size=(2048, n))
+        t = self._times(kind, len(X), rng)
+        c = rng.uniform(-0.5, 0.5, size=n)
+        # the sign rides on the divisor, as in fields._gauss, so a NaN keeps its sign bit
+        time_gauss = np.exp((np.broadcast_to(t, len(X)) - 0.1) ** 2 / -(0.9**2))
+        for amp in (1.0, 1.3):
+            bump = gaussian_bump(n, center=c, width=0.7, t_center=0.1, t_width=0.9, amplitude=amp)
+            old = amp * (np.exp(-self._sq(X, c) / 0.7**2) * time_gauss)
+            assert bump.func(X, t).tobytes() == old.tobytes(), amp
+            assert bump.eval(X, t).tobytes() == old.tobytes(), amp
+
+        state = np.random.default_rng(9)
+        packet = random_spacetime_bump(np.random.default_rng(9), n)
+        space = random_space_bump(state, n)
+        tc, tw = float(state.uniform(-0.5, 0.5)), float(state.uniform(0.6, 1.2))
+        old = space.func(X) * np.exp((np.broadcast_to(t, len(X)) - tc) ** 2 / -(tw**2))
+        assert packet.eval(X, t).tobytes() == old.tobytes()

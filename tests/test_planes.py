@@ -180,18 +180,33 @@ class TestReflect:
     def test_axis_planes_keep_the_general_formula_bits(self, layout):
         rng = np.random.default_rng(11)
         values = np.array([0.0, -0.0, 0.3, -0.3, 1.7, -2.2])
-        pts = np.concatenate([np.array(list(itertools.product(values, repeat=2))),
-                              rng.uniform(-2.0, 2.0, size=(500, 2))])
-        pts = np.asarray(pts, order=layout)
-        for e in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
-            for lam in (0.0, 0.3, -0.3):
+        for n in (1, 2, 3):
+            pts = np.concatenate([np.array(list(itertools.product(values, repeat=n))),
+                                  rng.uniform(-2.0, 2.0, size=(500, n))])
+            pts = np.asarray(pts, order=layout)
+            # -e_i with free entries -0.0 and +0.0
+            directions = [*np.eye(n), *-np.eye(n), *(0.0 - np.eye(n))]
+            for e, lam in itertools.product(directions, (0.0, 0.3, -0.3)):
                 cfg = PlaneConfig(e, lam)
                 rows = np.ascontiguousarray(pts)
                 old = rows + 2.0 * (cfg.lam - rows @ cfg.direction)[:, None] * cfg.direction
                 got = reflect(pts, cfg)
-                assert got.flags.f_contiguous == (layout == "F")
+                assert got.flags.f_contiguous == pts.flags.f_contiguous
+                assert got.flags.c_contiguous == pts.flags.c_contiguous
                 assert got.tobytes() == old.tobytes(), (e, lam)
                 assert reflect(pts[3], cfg).tobytes() == old[3].tobytes()
+
+    def test_antisymmetrized_bump_across_axis_planes(self):
+        rng = np.random.default_rng(12)
+        X = np.asfortranarray(rng.uniform(-2.0, 2.0, size=(3000, 2)))
+        t = np.repeat(rng.uniform(-1.0, 1.0, size=6), 500)
+        bump = gaussian_bump(2, center=[0.4, -0.3], width=0.6, t_center=0.2, t_width=0.8)
+        for e in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
+            cfg = PlaneConfig(e, -0.1)
+            w = antisymmetrize(bump, lambda pts: reflect(pts, cfg))
+            rows = np.ascontiguousarray(X)
+            mirror = rows + 2.0 * (cfg.lam - rows @ cfg.direction)[:, None] * cfg.direction
+            assert np.array_equal(w.eval(X, t), bump.eval(X, t) - bump.eval(mirror, t)), e
 
 
 class TestWLambda:
