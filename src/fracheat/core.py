@@ -45,6 +45,18 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def as_real(value, name: str) -> float:
+    """``value`` as a float when it is a finite real number; a bool or a string is not one."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            real = float(value)
+        except OverflowError:  # an int beyond float range
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise DomainValidationError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Space dimension n >= 1 and fractional order s in (0, 1)."""
@@ -61,7 +73,7 @@ class FracParams:
 
 @dataclass(frozen=True)
 class SpaceTimePoint:
-    """A point (x, t); x is a length-n vector."""
+    """A point (x, t); x is a length-n vector.  Every coordinate must be finite."""
 
     x: np.ndarray
     t: float
@@ -69,6 +81,9 @@ class SpaceTimePoint:
     def __init__(self, x, t: float):
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(x, dtype=float)))
         object.__setattr__(self, "t", float(t))
+        if not (np.isfinite(self.x).all() and math.isfinite(self.t)):
+            raise DomainValidationError(
+                f"point coordinates must be finite, got x = {self.x.tolist()}, t = {self.t!r}")
 
     def validate(self, p: FracParams) -> None:
         if self.x.shape != (p.n,):

@@ -43,18 +43,28 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import sq_dist
+from .core import as_real, sq_dist
 from .errors import AdmissibilityError, DomainValidationError
 
 GLOBAL = "global"
 ZERO_BALL = "zero-ball"
+
+
+def _reals(values, name: str, n: Optional[int] = None) -> np.ndarray:
+    """A number or a sequence of numbers as a float array, every entry by ``as_real``.
+
+    With ``n`` given it must hold n entries.
+    """
+    entries = np.atleast_1d(np.asarray(values, dtype=object))
+    if n is not None and len(entries) != n:
+        raise DomainValidationError(f"{name} must have n = {n} entries, got {values!r}")
+    return np.array([as_real(v, f"every entry of {name}") for v in entries], dtype=float)
 
 
 def _as_points(x, n: int) -> np.ndarray:
@@ -363,7 +373,7 @@ def torsion_profile(n: int, s: float, shift: Optional[Sequence[float]] = None) -
     Dirichlet solver; the shifted variant is deliberately *not* a solution
     and is used to exercise asymmetry detection.
     """
-    off = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
+    off = np.zeros(n) if shift is None else _reals(shift, "shift", n)
 
     def g(X):
         sq = sq_dist(X, off)
@@ -415,14 +425,12 @@ def _time_gauss(val: np.ndarray, t, centre: float, width: float) -> np.ndarray:
 
 
 def _checked_width(value, name: str) -> float:
-    """``value`` as a float: a real number, not a bool, whose square is a normal float.
+    """``value`` by ``core.as_real``, with a square in the normal float range when positive.
 
-    A nonpositive or NaN width passes here and fails the field's own rules
+    A nonpositive width passes here and fails the field's own rules
     (``space_scale`` and ``t_support``).
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainValidationError(f"{name} must be a real number, got {value!r}")
-    w = float(value)
+    w = as_real(value, name)
     if w > 0 and not sys.float_info.min <= w * w < math.inf:
         raise DomainValidationError(f"{name} must have a square in the normal float range, "
                                     f"got {value!r}")
@@ -438,7 +446,8 @@ def gaussian_bump(
     amplitude: float = 1.0,
 ) -> SpaceTimeField:
     """Separable Gaussian bump; ``t_width=None`` makes it time-independent."""
-    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    c = np.zeros(n) if center is None else _reals(center, "center")
+    t_center = as_real(t_center, "t_center")
     width = _checked_width(width, "width")
     if t_width is not None:
         t_width = _checked_width(t_width, "t_width")
@@ -466,7 +475,8 @@ def gaussian_bump(
 
 def plane_wave(n: int, xi: Sequence[float], rho: float) -> SpaceTimeField:
     """cos(xi . x + rho t); globally defined and bounded by 1."""
-    xi_v = np.asarray(xi, dtype=float).reshape(n)
+    xi_v = _reals(xi, "xi", n)
+    rho = as_real(rho, "rho")
     xi_norm = float(np.linalg.norm(xi_v))
 
     def f(X, t):
@@ -483,7 +493,7 @@ def plane_wave(n: int, xi: Sequence[float], rho: float) -> SpaceTimeField:
 
 def polynomial_cutoff(n: int, coeffs: Sequence[float]) -> SpaceField:
     """(c0 + c1 |x|^2 + c2 |x|^4 + ...) times the unit-ball mollifier."""
-    cs = list(coeffs)
+    cs = _reals(coeffs, "coeffs").tolist()
 
     def g(X):
         sq = sq_dist(X, 0.0)
@@ -592,27 +602,35 @@ def antisymmetrize(field: SpaceTimeField, reflect_fn) -> SpaceTimeField:
 # named registry used by the CLI
 
 
+# each named field: its parameter names and its builder
 _FIELD_BUILDERS = {
-    "gaussian-bump": lambda n, s, params: gaussian_bump(
-        n,
-        center=params.get("center"),
-        width=params.get("width", 1.0),
-        t_center=float(params.get("t_center", 0.0)),
-        t_width=params.get("t_width", 1.0),
-    ),
-    "plane-wave": lambda n, s, params: plane_wave(
-        n, params.get("xi", [1.0] * n), float(params.get("rho", 1.0))),
-    "torsion-profile": lambda n, s, params: torsion_profile(n, s).as_spacetime(),
-    "shifted-torsion": lambda n, s, params: torsion_profile(
-        n, s, shift=params.get("shift", [0.2] + [0.0] * (n - 1))).as_spacetime(),
-    "custom-polynomial-cutoff": lambda n, s, params: polynomial_cutoff(
-        n, params.get("coeffs", [1.0, -0.5])).as_spacetime(),
+    "gaussian-bump": (("center", "width", "t_center", "t_width"),
+                      lambda n, s, params: gaussian_bump(n, **params)),
+    "plane-wave": (("xi", "rho"), lambda n, s, params: plane_wave(
+        n, params.get("xi", [1.0] * n), params.get("rho", 1.0))),
+    "torsion-profile": ((), lambda n, s, params: torsion_profile(n, s).as_spacetime()),
+    "shifted-torsion": (("shift",), lambda n, s, params: torsion_profile(
+        n, s, shift=params.get("shift", [0.2] + [0.0] * (n - 1))).as_spacetime()),
+    "custom-polynomial-cutoff": (("coeffs",), lambda n, s, params: polynomial_cutoff(
+        n, params.get("coeffs", [1.0, -0.5])).as_spacetime()),
 }
 FIELD_NAMES = tuple(_FIELD_BUILDERS)
 
 
 def build_field(name: str, n: int, s: float, params: dict | None = None):
-    """Construct a named field; raises DomainValidationError for unknown names."""
+    """Construct a named field from the parameters it declares.
+
+    Raises DomainValidationError for an unknown name, a ``params`` that is
+    not a dict and a parameter the field does not declare.
+    """
     if name not in _FIELD_BUILDERS:
         raise DomainValidationError(f"unknown field {name!r}; one of {FIELD_NAMES}")
-    return _FIELD_BUILDERS[name](n, s, dict(params or {}))
+    names, build = _FIELD_BUILDERS[name]
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise DomainValidationError(f"params of field {name!r} must be an object, got {params!r}")
+    unknown = [key for key in params if key not in names]
+    if unknown:
+        raise DomainValidationError(f"unknown parameter(s) {unknown} of field {name!r}; "
+                                    f"accepted: {list(names)}")
+    return build(n, s, params)

@@ -33,7 +33,9 @@ passes (``_fold_passes``); ``planes`` supplies the plane and checks w.
   sweep builds the cells of all directions at a point in one sort and
   gathers the points of all directions, and in ``residual_field`` of all
   nodes of a run, into one field call; a run's rows are one segment sum and
-  a point's directions one weighted sum, so the runs leave the bits alone,
+  a point's directions one weighted sum, so the runs leave the bits alone;
+  u(q) and the finite-difference stencils are evaluated once per operator
+  call and serve both passes (and the fold's folded pass),
 * coordinate-major blocks: every block of points handed to a field is
   built as the transpose of a row-major (n, m) array, so each coordinate
   column ``X[:, k]`` is contiguous and the fields' column passes run at
@@ -485,26 +487,14 @@ def _lag_integral(average, u_q: float, heat: float, s: float, sch: QuadratureSch
     return val, inner_rem, discard_tail
 
 
-def _master_single_pass(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
-                        sch: QuadratureScheme, average=None) -> tuple[float, float, float]:
-    """The lag integral of u at q over the Gaussian average, or over ``average`` when given.
+def _master_passes(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams, sch: QuadratureScheme):
+    """The input checks of master_operator_pointwise, then its pieces shared by every pass.
 
-    The fold passes its folded average and so shares every other piece:
-    the cells, the inner piece and the tail.
+    Returns ``(sup_bound, one_pass)``.  ``one_pass(scheme, average=None)`` is the lag
+    integral of u at q over the Gaussian average, or over ``average`` when given; the
+    fold passes its folded average.  u(q) and the heat slope are evaluated once here,
+    so every pass shares them with the horizon and the decay law.
     """
-    x, t = q.x, q.t
-    # the history leaves the time support at lag t - a
-    horizon = None if u.t_support is None else t - u.t_support[0]
-    average = average or (lambda r_mid: _gaussian_average(u, x, t, r_mid, sch))
-    # a compact time-independent field has an average decaying like r^{-n/2}
-    compact_static = u.time_independent and u.space_support is not None
-    return _lag_integral(average, u.at(x, t), _fd_heat(u, x, t), p.s, sch, horizon,
-                         u.time_independent, p.n / 2.0 if compact_static else None)
-
-
-def _checked_bound(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
-                   sch: QuadratureScheme) -> float:
-    """The sup bound of u, after the input checks of master_operator_pointwise."""
     q.validate(p)
     if q.x.shape != (u.n,):
         raise DomainValidationError("point dimension does not match the field")
@@ -515,13 +505,27 @@ def _checked_bound(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
             raise DomainValidationError(
                 f"the refined pass's panel rule has {points:,} points per lag, more than "
                 f"the {_EVAL_CHUNK:,} that one field call of the panel average may hold")
-    return sup
+    x, t = q.x, q.t
+    u_q, heat = u.at(x, t), _fd_heat(u, x, t)
+    # the history leaves the time support at lag t - a
+    horizon = None if u.t_support is None else t - u.t_support[0]
+    # a compact time-independent field has an average decaying like r^{-n/2}
+    compact_static = u.time_independent and u.space_support is not None
+    decay = p.n / 2.0 if compact_static else None
+
+    def one_pass(sc: QuadratureScheme, average=None) -> tuple[float, float, float]:
+        average = average or (lambda r_mid: _gaussian_average(u, x, t, r_mid, sc))
+        return _lag_integral(average, u_q, heat, p.s, sc, horizon, u.time_independent, decay)
+
+    return sup, one_pass
 
 
 def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams,
                               sch: QuadratureScheme) -> OperatorValue:
     """Evaluate (d_t - Laplacian)^s u at q by the semigroup quadrature.
 
+    u(q) and the finite-difference heat slope that the inner piece below
+    ``r_min`` takes are evaluated once per call and shared by both passes.
     Raises AdmissibilityError when the field carries no finite sup bound,
     DomainValidationError, before any field evaluation, when the refined
     pass's panel rule would hold more than 2,000,000 points per lag, the
@@ -530,8 +534,8 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
     or the error estimate is not finite or, after the built-in refinement
     pass, the estimate still exceeds ``sch.target_tol``.
     """
-    sup = _checked_bound(u, q, p, sch)
-    return _two_pass(lambda sc: _master_single_pass(u, q, p, sc), sch, sup, p.s)
+    sup, one_pass = _master_passes(u, q, p, sch)
+    return _two_pass(one_pass, sch, sup, p.s)
 
 
 # ---------------------------------------------------------------------------
@@ -639,15 +643,18 @@ def _fold_passes(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Space
     ``whole`` is ``master_operator_pointwise(w, q, p, sch)`` and whole_coarse
     its coarse pass; folded_coarse is the coarse pass over ``_folded_average``
     on sign * y[axis] < lam, with the same cells, inner piece, tail and panel rules.
+    All three passes come from one ``_master_passes``, so they share one u(q),
+    one heat slope, the horizon and the decay law.
     """
+    sup, one_pass = _master_passes(w, q, p, sch)
     whole_passes = []
 
     def whole_pass(sc):
-        whole_passes.append(_master_single_pass(w, q, p, sc))
+        whole_passes.append(one_pass(sc))
         return whole_passes[-1]
 
-    whole = _two_pass(whole_pass, sch, _checked_bound(w, q, p, sch), p.s)
-    folded_coarse = _master_single_pass(w, q, p, sch, average=lambda r_mid: (
+    whole = _two_pass(whole_pass, sch, sup, p.s)
+    folded_coarse = one_pass(sch, average=lambda r_mid: (
         _folded_average(w, axis, sign, lam, q, sch, r_mid), 0.0))[0]
     return whole, whole_passes[0][0], folded_coarse
 
@@ -793,6 +800,8 @@ def fractional_laplacian_pointwise(g: SpaceField, x, p: FracParams, sch: Quadrat
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (p.n,):
         raise DomainValidationError(f"evaluation point must have shape ({p.n},)")
+    if not np.isfinite(x).all():
+        raise DomainValidationError(f"evaluation point must be finite, got {x.tolist()}")
     g.require_bound()
     ov = _fractional_laplacian(g, x[None, :], p, sch, breakpoints,
                                None if curvature is None else [curvature])
@@ -803,6 +812,8 @@ def _marchaud(h: TimeField, t: float, s: float, sch: QuadratureScheme, side: int
     """side=+1: left derivative (past values); side=-1: right (future values)."""
     if not 0.0 < s < 1.0:
         raise DomainValidationError(f"order s must lie in (0, 1), got {s}")
+    if not math.isfinite(t):
+        raise DomainValidationError(f"time t must be finite, got {t!r}")
     h.require_bound()
     horizon = None
     if h.support is not None:

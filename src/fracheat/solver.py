@@ -53,7 +53,7 @@ import scipy.fft
 import scipy.linalg
 from numpy.polynomial import polynomial as poly
 
-from .core import FracParams, as_int, integrated_kernel_constant
+from .core import FracParams, as_int, as_real, integrated_kernel_constant
 from .errors import DomainValidationError, GridCoarseError, SingularMatrixError
 from .fields import SpaceField, ZERO_BALL
 from .quadrature import QuadratureScheme, _fractional_laplacian, _gauss_rule
@@ -101,7 +101,7 @@ class Nonlinearity:
 
 
 def _custom_polynomial(coeffs) -> Nonlinearity:
-    cs = [float(c) for c in (coeffs or [1.0])]
+    cs = [as_real(c, "every entry of coeffs") for c in (coeffs or [1.0])]
     der = poly.polyder(cs)
     return Nonlinearity(lambda u: poly.polyval(u, cs), lambda u: poly.polyval(u, der),
                         f"custom-polynomial{cs}")

@@ -311,6 +311,28 @@ class TestMainExitCodes:
            f"{key} must") for key, value in [("width", 1e-300), ("width", 1e200),
                                               ("t_width", 1e200), ("width", True),
                                               ("t_width", "1"), ("width", "1")]],
+        # field parameters the field does not declare, and numbers that are not finite
+        # reals; these once ran (exit 0) or failed with a broadcast error (exit 3)
+        ({"scenario": "eval", "field": {"name": "gaussian-bump", "params": {"widht": 0.5}}},
+         "accepted: ['center', 'width', 't_center', 't_width']"),
+        ({"scenario": "eval", "field": {"name": "gaussian-bump", "params": [1, 2]}},
+         "must be an object"),
+        *[({"scenario": "eval", "field": {"name": name, "params": {key: value}}}, message)
+          for name, key, value, message in [
+              ("gaussian-bump", "t_center", True, "t_center must"),
+              ("gaussian-bump", "t_center", "0.5", "t_center must"),
+              ("gaussian-bump", "center", ["0.1"], "every entry of center"),
+              ("gaussian-bump", "center", [True], "every entry of center"),
+              ("plane-wave", "rho", True, "rho must"),
+              ("plane-wave", "rho", "1", "rho must"),
+              ("plane-wave", "xi", ["1"], "every entry of xi"),
+              ("shifted-torsion", "shift", ["0.2"], "every entry of shift"),
+              ("shifted-torsion", "shift", [0.2, 0.0], "shift must have n = 1 entries"),
+              ("custom-polynomial-cutoff", "coeffs", [True, -0.5], "every entry of coeffs")]],
+        ({"scenario": "solve-ball", "problem": {"f": "custom-polynomial", "coeffs": ["1", -0.5]}},
+         "every entry of coeffs"),
+        ({"scenario": "solve-ball", "problem": {"f": "custom-polynomial", "coeffs": [True]}},
+         "every entry of coeffs"),
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.json"

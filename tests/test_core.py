@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from fracheat.core import (
     FracParams,
     SpaceTimePoint,
+    as_real,
     gamma_abs_neg,
     heat_kernel,
     integrated_kernel_constant,
@@ -71,6 +72,19 @@ class TestFracParams:
         with pytest.raises(DomainValidationError):
             q.validate(FracParams(1, 0.5))
         q.validate(FracParams(2, 0.5))
+
+
+class TestAsReal:
+    @pytest.mark.parametrize("value", [0, -3, 0.25, np.float64(1.5), np.int64(7), 1e308])
+    def test_finite_reals_pass(self, value):
+        got = as_real(value, "v")
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", "x", None, [1.0], math.inf, -math.inf,
+                                       math.nan, 10**400, np.bool_(True), 1j])
+    def test_others_rejected(self, value):
+        with pytest.raises(DomainValidationError, match="v must be a finite real number"):
+            as_real(value, "v")
 
 
 class TestNormalization:

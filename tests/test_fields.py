@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -210,6 +211,49 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(DomainValidationError):
             build_field("sombrero", 1, 0.5)
+
+    @pytest.mark.parametrize("name, defaults", [
+        ("gaussian-bump", {"center": [0.0], "width": 1.0, "t_center": 0.0, "t_width": 1.0}),
+        ("plane-wave", {"xi": [1.0], "rho": 1.0}),
+        ("shifted-torsion", {"shift": [0.2]}),
+        ("custom-polynomial-cutoff", {"coeffs": [1.0, -0.5]}),
+        ("torsion-profile", {}),
+    ])
+    def test_only_declared_parameters_accepted(self, name, defaults):
+        # every declared parameter, given at its default, builds the default field
+        x, t = np.array([[0.3], [-0.4]]), np.array([0.1, 0.2])
+        got, want = build_field(name, 1, 0.5, defaults), build_field(name, 1, 0.5)
+        assert got.eval(x, t).tobytes() == want.eval(x, t).tobytes()
+        # a misspelt width once built the default bump
+        with pytest.raises(DomainValidationError, match=re.escape(f"accepted: {list(defaults)}")):
+            build_field(name, 1, 0.5, {**defaults, "widht": 0.5})
+
+    @pytest.mark.parametrize("params", [[1, 2], "width", 0.5, []])
+    def test_params_must_be_an_object(self, params):
+        with pytest.raises(DomainValidationError, match="must be an object"):
+            build_field("gaussian-bump", 1, 0.5, params)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: gaussian_bump(1, t_center=True), "t_center must"),
+        (lambda: gaussian_bump(1, t_center="0.5"), "t_center must"),
+        (lambda: gaussian_bump(1, t_center=math.nan), "t_center must"),
+        (lambda: gaussian_bump(1, center=["0.1"]), "every entry of center"),
+        (lambda: gaussian_bump(2, center=[0.1, True]), "every entry of center"),
+        (lambda: gaussian_bump(1, width=math.nan), "width must"),
+        (lambda: plane_wave(1, [1.0], True), "rho must"),
+        (lambda: plane_wave(1, [1.0], "1"), "rho must"),
+        (lambda: plane_wave(1, ["1"], 1.0), "every entry of xi"),
+        (lambda: plane_wave(2, [1.0, math.inf], 1.0), "every entry of xi"),
+        (lambda: plane_wave(1, [1.0, 2.0], 1.0), "xi must have n = 1 entries"),
+        (lambda: torsion_profile(1, 0.5, shift=["0.2"]), "every entry of shift"),
+        (lambda: torsion_profile(1, 0.5, shift=[0.2, 0.0]), "shift must have n = 1 entries"),
+        (lambda: polynomial_cutoff(1, [True, -0.5]), "every entry of coeffs"),
+        (lambda: nonlinearity_by_name("custom-polynomial", ["1", -0.5]), "every entry of coeffs"),
+        (lambda: nonlinearity_by_name("custom-polynomial", [True]), "every entry of coeffs"),
+    ])
+    def test_parameter_numbers_are_finite_reals(self, build, message):
+        with pytest.raises(DomainValidationError, match=message):
+            build()
 
     def test_shifted_torsion_asymmetric(self):
         field = build_field("shifted-torsion", 1, 0.5)

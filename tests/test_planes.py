@@ -43,7 +43,7 @@ from fracheat.planes import (
 )
 from fracheat.quadrature import (
     QuadratureScheme,
-    _master_single_pass,
+    _master_passes,
     _panel_axes,
     master_operator_pointwise,
 )
@@ -554,9 +554,10 @@ def _per_lag_folded_average(w, cfg, q, sch, r_mid):
 
 def _reference_folded(w, cfg, q, p, sch, whole_space):
     """The folded coarse pass over the per-lag average, on the footing of whole_space."""
-    folded_coarse = _master_single_pass(
-        w, q, p, sch, average=lambda r_mid: (_per_lag_folded_average(w, cfg, q, sch, r_mid), 0.0))[0]
-    return folded_coarse + (whole_space - _master_single_pass(w, q, p, sch)[0])
+    one_pass = _master_passes(w, q, p, sch)[1]
+    folded_coarse = one_pass(
+        sch, average=lambda r_mid: (_per_lag_folded_average(w, cfg, q, sch, r_mid), 0.0))[0]
+    return folded_coarse + (whole_space - one_pass(sch)[0])
 
 
 def _fold_field(direction, centre, tw, lam=0.0, width=0.55, t_centre=0.0):

@@ -124,6 +124,14 @@ class TestMasterOperator:
         ov = master_operator_pointwise(u, SpaceTimePoint([0.0], 0.0), P1, SCH)
         assert ov.value == pytest.approx(1.0986841134678098, abs=1e-3)
 
+    @pytest.mark.parametrize("x, t", [([0.1], math.inf), ([0.1], -math.inf), ([0.1], math.nan),
+                                      ([math.inf], 0.0), ([0.1, math.nan], 0.0)])
+    def test_non_finite_point_rejected(self, x, t):
+        # such a point once gave OperatorValue(0.0, 0.0505) for t = +-inf and x = inf
+        with pytest.raises(DomainValidationError, match="finite"):
+            master_operator_pointwise(gaussian_bump(len(x)), SpaceTimePoint(x, t),
+                                      FracParams(len(x), 0.5), SCH)
+
     def test_est_error_floor(self):
         u = plane_wave(1, [1.0], 1.0)
         ov = master_operator_pointwise(u, SpaceTimePoint([0.0], 0.0), P1, SCH)
@@ -238,6 +246,16 @@ class TestMarchaud:
         with pytest.raises(DomainValidationError):
             marchaud_left(h, 0.0, 1.0, SCH)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("side", [marchaud_left, marchaud_right], ids=["left", "right"])
+    def test_non_finite_time_rejected(self, side, t):
+        # marchaud_left at t = inf once returned (0.0, 0.0408); no field call is made
+        calls = []
+        h = TimeField(lambda tau: calls.append(tau) or np.cos(tau), sup_bound=1.0)
+        with pytest.raises(DomainValidationError, match="finite"):
+            side(h, t, 0.5, SCH)
+        assert calls == []
+
     def test_tolerance_error(self):
         h = TimeField(lambda t: np.cos(t), sup_bound=1.0)
         with pytest.raises(ToleranceError):
@@ -248,6 +266,15 @@ class TestFractionalLaplacian:
     def test_constant(self):
         g = SpaceField(lambda X: np.full(X.shape[0], 2.0), n=1, sup_bound=2.0)
         assert fractional_laplacian_pointwise(g, [0.3], P1, SCH).value == 0.0
+
+    @pytest.mark.parametrize("x", [[math.inf], [-math.inf], [math.nan], [0.3, math.inf]])
+    def test_non_finite_point_rejected(self, x):
+        # inf once raised OverflowError in _capped_edges and NaN IndexError in reduceat
+        sizes = []
+        g = _counting(torsion_profile(len(x), 0.5), sizes)
+        with pytest.raises(DomainValidationError, match="finite"):
+            fractional_laplacian_pointwise(g, x, FracParams(len(x), 0.5), SCH)
+        assert sizes == []
 
     def test_cosine_symbol(self):
         # |xi|^{2s} cos(0) at xi = 1; the residual error is the oscillatory
@@ -390,7 +417,7 @@ def _per_lag_average(u, t, r_mid, rule):
 
 
 def _panel_points(u, sch):
-    """Points per lag of the panel rule of u, counted as ``_checked_bound`` counts them."""
+    """Points per lag of the panel rule of u, counted as ``_master_passes`` counts them."""
     return math.prod(len(y) for y in _panel_axes(u, sch)[0])
 
 
@@ -459,6 +486,30 @@ class TestOneEvaluationPerPoint:
         g = _counting(torsion_profile(2, 0.5), sizes)
         fractional_laplacian_pointwise(g, np.array([0.3, 0.2]), FracParams(2, 0.5), SCH)
         assert sizes.count(5) == 1 and len(sizes) == 3
+
+    @staticmethod
+    def _inner_piece_calls(sizes, n):
+        # u(q), the 2n + 1 Laplacian stencil points and the 2 slope points; every
+        # average call holds whole lags of at least 8 points
+        return [sizes.count(m) for m in (1, 2 * n + 1, 2)]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_master_inner_piece_once_per_call(self, n):
+        sizes = []
+        u = _counting(gaussian_bump(n, width=0.7), sizes)
+        master_operator_pointwise(u, SpaceTimePoint([0.3, 0.1][:n], 0.2), FracParams(n, 0.5), SCH)
+        assert self._inner_piece_calls(sizes, n) == [1, 1, 1]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fold_inner_piece_once_per_call(self, n):
+        # the two whole-space passes and the folded pass share one set-up
+        cfg = PlaneConfig([1.0] + [0.0] * (n - 1), 0.0)
+        base = gaussian_bump(n, center=[-0.65, 0.2][:n], width=0.55, t_width=0.8)
+        sizes = []
+        w = _counting(antisymmetrize(base, lambda X: reflect(X, cfg)), sizes)
+        antisymmetric_fold_residual(w, cfg, SpaceTimePoint([-0.55, 0.0][:n], 0.2),
+                                    FracParams(n, 0.5), QuadratureScheme(nodes_per_decade=8))
+        assert self._inner_piece_calls(sizes, n) == [1, 1, 1]
 
     def test_laplacian_one_field_call_per_pass(self):
         sizes = []
@@ -571,9 +622,9 @@ class TestFieldBlocks:
         assert sizes == [npts] * len(r_mid)
 
     @pytest.mark.parametrize("field, x, parent_points", [
-        (lambda: gaussian_bump(1), [0.0], 100_040),
-        (lambda: gaussian_bump(2), [0.0, 0.0], 16_489_664),
-        (lambda: _torsion_in_time(1), [0.3], 1_605_150),
+        (lambda: gaussian_bump(1), [0.0], 100_034),
+        (lambda: gaussian_bump(2), [0.0, 0.0], 16_489_656),
+        (lambda: _torsion_in_time(1), [0.3], 1_605_144),
     ], ids=["gauss-n1", "gauss-n2", "torsion-t-n1"])
     def test_master_calls_stay_within_a_block(self, field, x, parent_points):
         u = field()
@@ -582,7 +633,8 @@ class TestFieldBlocks:
                                   FracParams(u.n, 0.5), SCH)
         one_lag = _panel_points(u, SCH.refine())
         assert max(sizes) <= max(quadrature._FIELD_BLOCK, one_lag)
-        # the same points as with one field call per 2,000,000-point chunk
+        # the same points as with one field call per 2,000,000-point chunk, less the
+        # 2n + 4 of the refined pass's u(q), stencil and slope, which the passes share
         assert sum(sizes) == parent_points
 
     @pytest.mark.parametrize("block", [1, 10**9], ids=["one-point", "unbounded"])
@@ -699,8 +751,8 @@ class TestPanelRulesBuiltPerPass:
     def test_master_operator(self):
         u, q, p = gaussian_bump(2, width=0.7), SpaceTimePoint([0.3, 0.1], 0.2), FracParams(2, 0.5)
         got = master_operator_pointwise(u, q, p, SCH)
-        want = _two_pass(lambda sc: quadrature._master_single_pass(
-            u, q, p, sc, average=_direct_average(u, q, sc)), SCH, 1.0, 0.5)
+        one_pass = quadrature._master_passes(u, q, p, SCH)[1]
+        want = _two_pass(lambda sc: one_pass(sc, average=_direct_average(u, q, sc)), SCH, 1.0, 0.5)
         assert (got.value, got.est_error) == (want.value, want.est_error)
 
     def test_fold(self):
@@ -708,15 +760,15 @@ class TestPanelRulesBuiltPerPass:
         base = gaussian_bump(2, center=[-0.65, 0.2], width=0.55, t_width=0.8)
         w = antisymmetrize(base, lambda X: reflect(X, cfg))
         got = antisymmetric_fold_residual(w, cfg, q, p, SCH)
+        one_pass = quadrature._master_passes(w, q, p, SCH)[1]
         passes = []
 
         def whole_pass(sc):
-            passes.append(quadrature._master_single_pass(
-                w, q, p, sc, average=_direct_average(w, q, sc)))
+            passes.append(one_pass(sc, average=_direct_average(w, q, sc)))
             return passes[-1]
 
         whole = _two_pass(whole_pass, SCH, 2.0, 0.5)
-        folded_coarse = quadrature._master_single_pass(w, q, p, SCH, average=lambda r_mid: (
+        folded_coarse = one_pass(SCH, average=lambda r_mid: (
             _folded_average(w, 0, 1.0, 0.0, q, SCH, r_mid), 0.0))[0]
         folded = folded_coarse + (whole.value - passes[0][0])
         assert (got.whole_space, got.folded, got.combined_tol) == (
