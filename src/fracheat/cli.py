@@ -386,7 +386,7 @@ def _scenario_reduce_check(cfg: ScenarioConfig, rng):
 def _scenario_lemma_scaling(cfg: ScenarioConfig, rng):
     p = cfg.frac_params()
     sch = cfg.quadrature_scheme()
-    fit = verify_lemma_scaling(cfg.kind, cfg.r_list or _DEFAULT_RADII, cfg.s, p, sch)
+    fit = verify_lemma_scaling(cfg.kind, cfg.r_list or _DEFAULT_RADII, p, sch)
     target = -2.0 * cfg.s
     dev = abs(fit.slope - target)
     records = [CheckRecord(f"{cfg.kind}-slope", fit.slope, 0.15, dev <= 0.15)]

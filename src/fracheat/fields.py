@@ -32,11 +32,12 @@ column by column, in place where they can: ``core.sq_dist(X, c)`` accumulates
 (X[:, k] - c[k])^2 over the n columns.  Broadcasting X against a length-n
 row (``d = X - c; np.sum(d * d, axis=-1)``) gives the same bits but is the
 slow pattern: NumPy then loops over a length-n inner axis for every point.
-A matrix product ``X @ v`` rounds differently with the layout and the
-number of rows, so ``plane_wave`` and ``planes.reflect`` hand BLAS the
-row-major points.  A block holds one time per lag, in consecutive runs
-(one run for a lag that fills a block alone), so the library fields
-compute their time factor once per run of equal times (``_time_gauss``).
+Every row of a block has the bits it has alone: no library field forms a
+matrix product, whose rounding follows the row count and the BLAS threads
+(``plane_wave`` sums x . xi by columns too).  A block holds one time per
+lag, in consecutive runs (one run for a lag that fills a block alone), so
+the library fields compute their time factor once per run of equal times
+(``_time_gauss``).
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def constant_field(n: int, value: float = 1.0) -> SpaceTimeField:
 def linear_combination(fields: Sequence[SpaceTimeField], coeffs: Sequence[float]) -> SpaceTimeField:
     """a1 u1 + a2 u2 + ...; metadata combined conservatively."""
     fs = list(fields)
-    cs = [float(c) for c in coeffs]
+    cs = _reals(coeffs, "coeffs").tolist()
     if len(fs) != len(cs) or not fs:
         raise DomainValidationError("need matching nonempty fields and coefficients")
     n = fs[0].n
@@ -446,7 +447,7 @@ def gaussian_bump(
     amplitude: float = 1.0,
 ) -> SpaceTimeField:
     """Separable Gaussian bump; ``t_width=None`` makes it time-independent."""
-    c = np.zeros(n) if center is None else _reals(center, "center")
+    c = np.zeros(n) if center is None else _reals(center, "center", n)
     t_center = as_real(t_center, "t_center")
     width = _checked_width(width, "width")
     if t_width is not None:
@@ -480,7 +481,10 @@ def plane_wave(n: int, xi: Sequence[float], rho: float) -> SpaceTimeField:
     xi_norm = float(np.linalg.norm(xi_v))
 
     def f(X, t):
-        return np.cos(np.ascontiguousarray(X) @ xi_v + rho * t)
+        arg = X[:, 0] * xi_v[0]
+        for k in range(1, n):
+            arg += X[:, k] * xi_v[k]
+        return np.cos(arg + rho * t)
 
     return SpaceTimeField(
         func=f,

@@ -61,14 +61,12 @@ class PlaneConfig:
 def reflect(x, cfg: PlaneConfig) -> np.ndarray:
     """Mirror image across the plane: x + 2 (lam - x . e) e; an involution.
 
-    The result has the memory layout of ``x``.  When e has one nonzero
-    component e_i, x . e is x_i e_i: the matrix product adds only zeros to
-    it, so for finite points and lam other than -0.0 the bits are the same.
-    Otherwise the product reads the points row-major, so its rounding does
-    not depend on their layout.  For an axis direction e = +-e_i no product
-    by +-1 is formed, since it is exact: step = 2 (lam -+ x_i) and the normal
-    column is x_i +- step.  Each free column stays x_k + step e_k, whose
-    product by (signed) zero carries the sign of step into a zero x_k.
+    The result has the memory layout of ``x``, and every row has the bits it
+    has alone: x . e sums x_k e_k one nonzero component at a time, with no
+    matrix product.  For an axis direction e = +-e_i no product by +-1 is
+    formed, since it is exact: step = 2 (lam -+ x_i) and the normal column
+    is x_i +- step.  Each free column stays x_k + step e_k, whose product by
+    (signed) zero carries the sign of step into a zero x_k.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
@@ -79,8 +77,10 @@ def reflect(x, cfg: PlaneConfig) -> np.ndarray:
     if i is not None:
         step = (np.subtract if e[i] > 0 else np.add)(cfg.lam, pts[:, i])
     else:
-        dot = pts[:, axis[0]] * e[axis[0]] if axis.size == 1 else np.ascontiguousarray(pts) @ e
-        step = np.subtract(cfg.lam, dot, out=dot)
+        step = pts[:, axis[0]] * e[axis[0]]
+        for k in axis[1:]:
+            step += pts[:, k] * e[k]
+        np.subtract(cfg.lam, step, out=step)
     step *= 2.0
     # column by column, straight into the result
     out = np.empty_like(pts)
@@ -377,7 +377,7 @@ def scaling_radii(kind: str, r_list: Sequence[float]) -> list:
     return rs
 
 
-def verify_lemma_scaling(kind: str, r_list: Sequence[float], s: float, p: FracParams,
+def verify_lemma_scaling(kind: str, r_list: Sequence[float], p: FracParams,
                          sch: Optional[QuadratureScheme] = None) -> ScalingFit:
     """Fit log sup|op(cutoff_r)| against log r; the dilation law gives slope -2s.
 
@@ -394,10 +394,9 @@ def verify_lemma_scaling(kind: str, r_list: Sequence[float], s: float, p: FracPa
         t_hat = np.linspace(-0.9, 0.9, 13)
         for r in rs:
             eta = build_cutoff_eta(0.0, r)
-            vals = [abs(marchaud_left(eta, float(r * r * th), s, sch).value) for th in t_hat]
+            vals = [abs(marchaud_left(eta, float(r * r * th), p.s, sch).value) for th in t_hat]
             sups.append(max(vals))
     else:
-        params = FracParams(p.n, s)
         x_hat = [0.0, 0.35, 0.7]
         t_hat = [0.0, 0.6]
         for r in rs:
@@ -408,7 +407,7 @@ def verify_lemma_scaling(kind: str, r_list: Sequence[float], s: float, p: FracPa
                     x = np.zeros(p.n)
                     x[0] = xh * r
                     q = SpaceTimePoint(x, th * r * r)
-                    vals.append(abs(master_operator_pointwise(bump, q, params, sch).value))
+                    vals.append(abs(master_operator_pointwise(bump, q, p, sch).value))
             sups.append(max(vals))
     if min(sups) <= 0.0:
         raise DomainValidationError("sample suprema vanished; below quadrature noise floor")

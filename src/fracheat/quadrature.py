@@ -34,8 +34,8 @@ passes (``_fold_passes``); ``planes`` supplies the plane and checks w.
   gathers the points of all directions, and in ``residual_field`` of all
   nodes of a run, into one field call; a run's rows are one segment sum and
   a point's directions one weighted sum, so the runs leave the bits alone;
-  u(q) and the finite-difference stencils are evaluated once per operator
-  call and serve both passes (and the fold's folded pass),
+  u(q) and the finite-difference stencils come from one field call per
+  operator call and serve both passes (and the fold's folded pass),
 * coordinate-major blocks: every block of points handed to a field is
   built as the transpose of a row-major (n, m) array, so each coordinate
   column ``X[:, k]`` is contiguous and the fields' column passes run at
@@ -306,17 +306,20 @@ def _fd_laplacian(evaluate, x: np.ndarray, delta: float) -> float:
     return float(lap)
 
 
-def _fd_slope(evaluate, t: float, delta: float) -> float:
-    """Central first difference at t of ``evaluate(times)``, from one call at [t + delta, t - delta]."""
-    vals = evaluate(np.array([t + delta, t - delta]))
-    return float(vals[0] - vals[1]) / (2.0 * delta)
+def _fd_heat(u: SpaceTimeField, x: np.ndarray, t: float, delta: float = 1e-3):
+    """u(x, t) and the finite-difference (d_t - Laplacian) u there, from one field call.
 
+    Its 2n + 3 points: the central Laplacian stencil at t, centred at x, then x at t +- delta.
+    """
+    vals = []
 
-def _fd_heat(u: SpaceTimeField, x: np.ndarray, t: float, delta: float = 1e-3) -> float:
-    """Finite-difference (d_t - Laplacian) u at (x, t), central stencils."""
-    lap = _fd_laplacian(lambda pts: u.eval(pts, np.full(len(pts), t)), x, delta)
-    dudt = _fd_slope(lambda ts: u.eval(np.asfortranarray([x, x]), ts), t, delta)
-    return float(dudt - lap)
+    def evaluate(stencil):
+        ts = np.r_[np.full(len(stencil), t), t + delta, t - delta]
+        vals.extend(u.eval(np.asfortranarray(np.concatenate([stencil, [x, x]])), ts))
+        return vals
+
+    lap = _fd_laplacian(evaluate, x, delta)
+    return float(vals[0]), float((vals[-2] - vals[-1]) / (2.0 * delta) - lap)
 
 
 def _hermite_reach(u: SpaceTimeField) -> float:
@@ -492,8 +495,8 @@ def _master_passes(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams, sch: Qua
 
     Returns ``(sup_bound, one_pass)``.  ``one_pass(scheme, average=None)`` is the lag
     integral of u at q over the Gaussian average, or over ``average`` when given; the
-    fold passes its folded average.  u(q) and the heat slope are evaluated once here,
-    so every pass shares them with the horizon and the decay law.
+    fold passes its folded average.  u(q) and the heat slope come from one field call
+    here (``_fd_heat``), so every pass shares them with the horizon and the decay law.
     """
     q.validate(p)
     if q.x.shape != (u.n,):
@@ -506,7 +509,7 @@ def _master_passes(u: SpaceTimeField, q: SpaceTimePoint, p: FracParams, sch: Qua
                 f"the refined pass's panel rule has {points:,} points per lag, more than "
                 f"the {_EVAL_CHUNK:,} that one field call of the panel average may hold")
     x, t = q.x, q.t
-    u_q, heat = u.at(x, t), _fd_heat(u, x, t)
+    u_q, heat = _fd_heat(u, x, t)
     # the history leaves the time support at lag t - a
     horizon = None if u.t_support is None else t - u.t_support[0]
     # a compact time-independent field has an average decaying like r^{-n/2}
@@ -524,8 +527,6 @@ def master_operator_pointwise(u: SpaceTimeField, q: SpaceTimePoint, p: FracParam
                               sch: QuadratureScheme) -> OperatorValue:
     """Evaluate (d_t - Laplacian)^s u at q by the semigroup quadrature.
 
-    u(q) and the finite-difference heat slope that the inner piece below
-    ``r_min`` takes are evaluated once per call and shared by both passes.
     Raises AdmissibilityError when the field carries no finite sup bound,
     DomainValidationError, before any field evaluation, when the refined
     pass's panel rule would hold more than 2,000,000 points per lag, the
@@ -818,8 +819,9 @@ def _marchaud(h: TimeField, t: float, s: float, sch: QuadratureScheme, side: int
     horizon = None
     if h.support is not None:
         horizon = (t - h.support[0]) if side > 0 else (h.support[1] - t)
-    h_t = float(h.eval(np.array([t]))[0])
-    heat = side * _fd_slope(h.eval, t, 1e-4)
+    delta = 1e-4
+    h_t, ahead, behind = map(float, h.eval(np.array([t, t + delta, t - delta])))
+    heat = side * (ahead - behind) / (2.0 * delta)
 
     def average(r_mid):
         return h.eval(t - side * r_mid), 0.0

@@ -290,8 +290,10 @@ class TestMainExitCodes:
          "t_support"),
         ({"scenario": "eval", "field": {"name": "gaussian-bump", "params": {"width": -0.5}}},
          "space_scale"),
-        ({"scenario": "eval", "field": {"name": "gaussian-bump", "params": {"center": [1, 2]}}},
-         "space_support"),
+        # the case keeps the id it took from its former message
+        pytest.param({"scenario": "eval", "field": {"name": "gaussian-bump",
+                                                    "params": {"center": [1, 2]}}},
+                     "center must have n = 1 entries", id="config45-space_support"),
         # a list or object of the wrong kind, a mis-sized point, and lemma-scaling's own checks
         ({"scenario": "moving-planes", "lambdas": 5}, "lambdas must be a list"),
         ({"scenario": "eval", "field": "gaussian-bump", "point": "x"}, "'point' must be an object"),

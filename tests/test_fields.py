@@ -19,6 +19,7 @@ from fracheat.fields import (
     antisymmetrize,
     build_field,
     gaussian_bump,
+    linear_combination,
     mollifier,
     plane_wave,
     plateau_bump,
@@ -132,7 +133,7 @@ class TestMetadataRules:
         # the first three once gave 564.19 for 1.3402, 3.654 for 2.374 and a broadcast error
         (lambda: gaussian_bump(1, t_width=-1.0), "t_support"),
         (lambda: gaussian_bump(1, width=-0.5), "space_scale"),
-        (lambda: gaussian_bump(1, center=[1.0, 2.0]), "space_support"),
+        (lambda: gaussian_bump(1, center=[1.0, 2.0]), "center must have n = 1 entries"),
         (lambda: SpaceTimeField(lambda X, t: np.zeros(len(X)), n=1, t_support=(0.0, math.nan)),
          "t_support"),
         (lambda: SpaceTimeField(lambda X, t: np.zeros(len(X)), n=1, space_scale=0.0),
@@ -255,6 +256,13 @@ class TestRegistry:
         with pytest.raises(DomainValidationError, match=message):
             build()
 
+    # "2" once built a field of amplitude 2, True one of amplitude 1, and NaN failed
+    # with the sup_bound message
+    @pytest.mark.parametrize("coeff", ["2", True, math.nan], ids=["string", "bool", "nan"])
+    def test_linear_combination_coefficients_are_finite_reals(self, coeff):
+        with pytest.raises(DomainValidationError, match="every entry of coeffs"):
+            linear_combination([gaussian_bump(1)], [coeff])
+
     def test_shifted_torsion_asymmetric(self):
         field = build_field("shifted-torsion", 1, 0.5)
         left = field.eval(np.array([[-0.5]]), np.array([0.0]))[0]
@@ -298,6 +306,18 @@ class TestMemoryLayout:
             # a prefix of a coordinate-major tile, as the panel average passes
             tiled = np.tile(X.T, (1, 2)).T[:1500]
             assert u.eval(tiled, t[:1500]).tobytes() == want[:1500].tobytes(), name
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_plane_wave_rows_do_not_depend_on_the_block(self, n):
+        # x . xi is summed one column at a time, so each row has the bits it has alone
+        rng = np.random.default_rng(70 + n)
+        X = rng.uniform(-2.0, 2.0, size=(2000, n))
+        t = rng.uniform(-1.0, 1.0, size=2000)
+        for _ in range(3):
+            u = plane_wave(n, rng.normal(size=n), rng.uniform(-1.0, 1.0))
+            alone = np.concatenate([u.eval(X[i:i + 1], t[i:i + 1]) for i in range(len(X))])
+            for block in (X, np.asfortranarray(X)):
+                assert u.eval(block, t).tobytes() == alone.tobytes()
 
     def test_callables_keep_their_inputs(self):
         X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(50, 2))

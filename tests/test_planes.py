@@ -169,12 +169,24 @@ class TestReflect:
             directions += [np.ones(n) / math.sqrt(n), _unit(rng.normal(size=n))]
         for e in directions:
             cfg = PlaneConfig(e, -0.3)
-            old = pts + 2.0 * (cfg.lam - pts @ cfg.direction)[:, None] * cfg.direction[None, :]
+            # x . e summed one column at a time, so a single point has the bits of its row
+            dot = pts[:, 0] * cfg.direction[0]
+            for k in range(1, n):
+                dot = dot + pts[:, k] * cfg.direction[k]
+            old = pts + 2.0 * (cfg.lam - dot)[:, None] * cfg.direction[None, :]
             assert np.array_equal(reflect(pts, cfg), old)
-            # a single point is one row, whose matrix product may round differently
-            one = pts[:1] + 2.0 * (cfg.lam - pts[:1] @ cfg.direction)[:, None] * cfg.direction
-            assert np.array_equal(reflect(pts[0], cfg), one[0])
+            assert np.array_equal(reflect(pts[0], cfg), old[0])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_oblique_rows_do_not_depend_on_the_block(self, n):
+        rng = np.random.default_rng(60 + n)
+        pts = rng.uniform(-3.0, 3.0, size=(2000, n))
+        for layout in ("C", "F"):
+            block = np.asarray(pts, order=layout)
+            for _ in range(3):
+                cfg = PlaneConfig(_unit(rng.normal(size=n)), rng.uniform(-1.0, 1.0))
+                alone = np.array([reflect(x, cfg) for x in pts])
+                assert reflect(block, cfg).tobytes(order="C") == alone.tobytes()
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_axis_planes_keep_the_general_formula_bits(self, layout):
@@ -793,25 +805,26 @@ class TestCutoffs:
 
 class TestLemmaScaling:
     def test_time_cutoff_slope(self):
-        fit = verify_lemma_scaling("time-cutoff", [0.5, 1.0, 2.0, 5.0], 0.5, P1, SCH)
+        fit = verify_lemma_scaling("time-cutoff", [0.5, 1.0, 2.0, 5.0], P1, SCH)
         assert abs(fit.slope + 1.0) <= 0.15
 
     def test_doubling_ratio(self):
-        fit = verify_lemma_scaling("time-cutoff", [0.5, 1.0, 2.0, 4.0], 0.5, P1, SCH)
+        fit = verify_lemma_scaling("time-cutoff", [0.5, 1.0, 2.0, 4.0], P1, SCH)
         for lo, hi in zip(fit.sup_values[:-1], fit.sup_values[1:]):
             assert hi / lo == pytest.approx(0.5, rel=0.1)
 
     def test_spacetime_cutoff_slope(self):
-        fit = verify_lemma_scaling("spacetime-cutoff", [0.5, 1.0, 2.0, 5.0], 0.25, P1, SCH)
+        fit = verify_lemma_scaling("spacetime-cutoff", [0.5, 1.0, 2.0, 5.0],
+                                   FracParams(1, 0.25), SCH)
         assert abs(fit.slope + 0.5) <= 0.15
 
     def test_validation(self):
         with pytest.raises(DomainValidationError):
-            verify_lemma_scaling("time-cutoff", [1.0, 2.0, 3.0], 0.5, P1, SCH)
+            verify_lemma_scaling("time-cutoff", [1.0, 2.0, 3.0], P1, SCH)
         with pytest.raises(DomainValidationError):
-            verify_lemma_scaling("time-cutoff", [1.0, 2.0, 3.0, 4.0], 0.5, P1, SCH)
+            verify_lemma_scaling("time-cutoff", [1.0, 2.0, 3.0, 4.0], P1, SCH)
         with pytest.raises(DomainValidationError):
-            verify_lemma_scaling("sideways-cutoff", [0.5, 1.0, 2.0, 5.0], 0.5, P1, SCH)
+            verify_lemma_scaling("sideways-cutoff", [0.5, 1.0, 2.0, 5.0], P1, SCH)
 
 
 class TestMpProbe:

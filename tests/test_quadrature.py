@@ -175,7 +175,7 @@ class TestMasterOperator:
 
         u = gaussian_bump(1, width=0.8, t_width=0.9)
         q = SpaceTimePoint([0.3], 0.2)
-        fd = _fd_heat(u, q.x, q.t)
+        fd = _fd_heat(u, q.x, q.t)[1]
         errors = []
         for s in (0.9, 0.95, 0.99):
             ov = master_operator_pointwise(u, q, FracParams(1, s), SCH)
@@ -489,16 +489,24 @@ class TestOneEvaluationPerPoint:
 
     @staticmethod
     def _inner_piece_calls(sizes, n):
-        # u(q), the 2n + 1 Laplacian stencil points and the 2 slope points; every
+        # one call of the 2n + 1 Laplacian stencil points, whose centre is u(q), and the
+        # 2 slope points, and none of u(q), the stencil or the slope alone; every
         # average call holds whole lags of at least 8 points
-        return [sizes.count(m) for m in (1, 2 * n + 1, 2)]
+        return [sizes.count(m) for m in (2 * n + 3, 1, 2 * n + 1, 2)]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_master_inner_piece_once_per_call(self, n):
         sizes = []
         u = _counting(gaussian_bump(n, width=0.7), sizes)
         master_operator_pointwise(u, SpaceTimePoint([0.3, 0.1][:n], 0.2), FracParams(n, 0.5), SCH)
-        assert self._inner_piece_calls(sizes, n) == [1, 1, 1]
+        assert self._inner_piece_calls(sizes, n) == [1, 0, 0, 0]
+
+    @pytest.mark.parametrize("side", [marchaud_left, marchaud_right])
+    def test_marchaud_inner_piece_once_per_call(self, side):
+        # h(t) and its two slope values in one call of 3 times; the lag cells hold more
+        sizes = []
+        side(_counting(random_time_field(np.random.default_rng(7)), sizes), 0.2, 0.5, SCH)
+        assert [sizes.count(m) for m in (3, 1, 2)] == [1, 0, 0]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_fold_inner_piece_once_per_call(self, n):
@@ -509,7 +517,7 @@ class TestOneEvaluationPerPoint:
         w = _counting(antisymmetrize(base, lambda X: reflect(X, cfg)), sizes)
         antisymmetric_fold_residual(w, cfg, SpaceTimePoint([-0.55, 0.0][:n], 0.2),
                                     FracParams(n, 0.5), QuadratureScheme(nodes_per_decade=8))
-        assert self._inner_piece_calls(sizes, n) == [1, 1, 1]
+        assert self._inner_piece_calls(sizes, n) == [1, 0, 0, 0]
 
     def test_laplacian_one_field_call_per_pass(self):
         sizes = []
@@ -622,9 +630,9 @@ class TestFieldBlocks:
         assert sizes == [npts] * len(r_mid)
 
     @pytest.mark.parametrize("field, x, parent_points", [
-        (lambda: gaussian_bump(1), [0.0], 100_034),
-        (lambda: gaussian_bump(2), [0.0, 0.0], 16_489_656),
-        (lambda: _torsion_in_time(1), [0.3], 1_605_144),
+        (lambda: gaussian_bump(1), [0.0], 100_033),
+        (lambda: gaussian_bump(2), [0.0, 0.0], 16_489_655),
+        (lambda: _torsion_in_time(1), [0.3], 1_605_143),
     ], ids=["gauss-n1", "gauss-n2", "torsion-t-n1"])
     def test_master_calls_stay_within_a_block(self, field, x, parent_points):
         u = field()
@@ -634,7 +642,8 @@ class TestFieldBlocks:
         one_lag = _panel_points(u, SCH.refine())
         assert max(sizes) <= max(quadrature._FIELD_BLOCK, one_lag)
         # the same points as with one field call per 2,000,000-point chunk, less the
-        # 2n + 4 of the refined pass's u(q), stencil and slope, which the passes share
+        # 2n + 4 of the refined pass's u(q), stencil and slope, which the passes share,
+        # and the u(q) point of the coarse pass, which is the stencil's centre
         assert sum(sizes) == parent_points
 
     @pytest.mark.parametrize("block", [1, 10**9], ids=["one-point", "unbounded"])
@@ -667,6 +676,7 @@ class TestFieldBlocks:
             tracemalloc.stop()
         # 113 MB with one field call per chunk of 2,000,000 points; about 19 MB in blocks
         assert peak < 40e6
+
 
 
 def _recording(fld, blocks):

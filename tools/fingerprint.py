@@ -4,8 +4,9 @@
 
 Prints one line per output: the hex of value and est_error of pointwise
 operator values (master, fractional Laplacian and Marchaud at n = 1 and
-n = 2; the master also on a time-dependent zero-ball field and on a bump
-antisymmetrised about a plane at 30 degrees), fold
+n = 2; the master also on a time-dependent zero-ball field, on a bump
+antisymmetrised about a plane at 30 degrees and on a plane wave of random
+wave vector, and Marchaud also on a time field without support), fold
 residuals of time-dependent and time-independent fields, `solve_steady`
 results (SHA-256 prefix of the values, hex of the residual, iteration
 count) from the offset table, also at the n = 2 K = 65 size that
@@ -47,6 +48,7 @@ from fracheat.fields import (  # noqa: E402
     ZERO_BALL,
     SpaceField,
     SpaceTimeField,
+    TimeField,
     antisymmetrize,
     gaussian_bump,
     mollifier,
@@ -149,10 +151,16 @@ def pointwise() -> None:
                        lambda X: reflect(X, oblique))
     _value("master n=2 s=0.5 antisymmetrized-30deg",
            lambda: master_operator_pointwise(w, SpaceTimePoint([0.8, 0.8], 0.0), p2, SCH))
+    # a random xi, whose products x_k xi_k round: the bits follow how x . xi is summed
+    wave = plane_wave(2, np.random.default_rng(9).normal(size=2), 0.7)
+    _value("master n=2 s=0.5 plane-wave random-xi",
+           lambda: master_operator_pointwise(wave, SpaceTimePoint([0.3, -0.2], 0.2), p2, SCH))
     h = random_time_field(np.random.default_rng(7))
     for s in (0.3, 0.5, 0.8):
         _value(f"marchaud-left s={s}", lambda: marchaud_left(h, 0.2, s, SCH))
         _value(f"marchaud-right s={s}", lambda: marchaud_right(h, 0.2, s, SCH))
+    # no support: the lag cells run to r_max, more than 10,000 of them
+    _value("marchaud-left s=0.5 cos", lambda: marchaud_left(TimeField(np.cos), 0.3, 0.5, SCH))
 
 
 def folds() -> None:
