@@ -379,7 +379,7 @@ def scaling_radii(kind: str, r_list: Sequence[float]) -> list:
 
 def verify_lemma_scaling(kind: str, r_list: Sequence[float], p: FracParams,
                          sch: Optional[QuadratureScheme] = None) -> ScalingFit:
-    """Fit log sup|op(cutoff_r)| against log r; the dilation law gives slope -2s.
+    """Fit log sup|op(cutoff_r)| against log r; the dilation law gives slope -2s, s = ``p.s``.
 
     kind "time-cutoff" drives the Marchaud derivative on the plateau bump
     of width r^2; "spacetime-cutoff" drives the full operator on the

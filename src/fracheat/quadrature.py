@@ -293,20 +293,14 @@ def _gauss_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _fd_laplacian(evaluate, x: np.ndarray, delta: float) -> float:
     """Central second-difference Laplacian at x of ``evaluate(points)``."""
-    n = len(x)
-    pts = [x]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = delta
-        pts.extend([x + e, x - e])
+    pts = [x] + [x + sign * e for e in delta * np.eye(len(x)) for sign in (1.0, -1.0)]
     vals = evaluate(np.asfortranarray(pts))
-    lap = 0.0
-    for i in range(n):
-        lap += (vals[1 + 2 * i] + vals[2 + 2 * i] - 2.0 * vals[0]) / delta**2
-    return float(lap)
+    return float(sum((vals[1 + 2 * i] + vals[2 + 2 * i] - 2.0 * vals[0]) / delta**2
+                     for i in range(len(x))))
 
 
-def _fd_heat(u: SpaceTimeField, x: np.ndarray, t: float, delta: float = 1e-3):
+def _fd_heat(u: SpaceTimeField, x: np.ndarray, t: float,
+             delta: float = 1e-3) -> tuple[float, float]:
     """u(x, t) and the finite-difference (d_t - Laplacian) u there, from one field call.
 
     Its 2n + 3 points: the central Laplacian stencil at t, centred at x, then x at t +- delta.
@@ -463,9 +457,7 @@ def _lag_integral(average, u_q: float, heat: float, s: float, sch: QuadratureSch
         # integrand, so pure geometric cells suffice; time variation needs
         # the width cap
         edges = _capped_edges(sch.r_min, r_cut, sch.nodes_per_decade, cap_width=not static)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        width = np.diff(edges)
-
+        mid, width = _cells(edges, [edges.size])
         avg, discard = average(mid)
         diff = u_q - avg
         invariant = float(np.max(np.abs(diff))) <= 1e-14 * max(1.0, abs(u_q))
@@ -474,7 +466,8 @@ def _lag_integral(average, u_q: float, heat: float, s: float, sch: QuadratureSch
             # is identically zero and the roundoff of the weights is dropped
             diff = np.zeros_like(diff)
         integrand = diff * mid ** (-1.0 - s)
-        val = float(np.dot(width, integrand)) / gam
+        # numpy's own pairwise sum: a BLAS dot of more than 10,000 cells splits over threads
+        val = float(np.sum(width * integrand)) / gam
 
     # analytic inner piece: integrand ~ r^{-s} heat below r_min
     val += heat * sch.r_min ** (1.0 - s) / ((1.0 - s) * gam)
@@ -632,7 +625,8 @@ def _folded_average(w: SpaceTimeField, axis: int, sign: float, lam: float, q: Sp
             if free_wts is not None:
                 # the free axis first, as _axis_average sums one axis at a time
                 vals = np.einsum("mj,j->m", vals.reshape(len(wts), -1), free_wts)
-            # a padded row or np.add.reduceat would round the sum differently
+            # at most 160 panels of 8 nodes plus the grading: too few for BLAS to thread
+            # the dot; a padded row or np.add.reduceat would round the sum differently
             out[i] = float(np.dot(wts, vals))
     return out
 

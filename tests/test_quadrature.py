@@ -3,6 +3,9 @@
 import ast
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -677,6 +680,34 @@ class TestFieldBlocks:
         # 113 MB with one field call per chunk of 2,000,000 points; about 19 MB in blocks
         assert peak < 40e6
 
+
+# operator values whose lag sums exceed 10,000 cells, through plane-wave rows
+_THREAD_SCRIPT = """
+import numpy as np
+from fracheat.core import FracParams, SpaceTimePoint
+from fracheat.fields import TimeField, plane_wave
+from fracheat.quadrature import QuadratureScheme, marchaud_left, master_operator_pointwise
+sch = QuadratureScheme()
+for ov in (master_operator_pointwise(plane_wave(2, [0.6, -0.8], 0.7),
+                                     SpaceTimePoint([0.3, -0.2], 0.2), FracParams(2, 0.5), sch),
+           master_operator_pointwise(plane_wave(1, [1.0], 1.0), SpaceTimePoint([0.3], 0.2),
+                                     FracParams(1, 0.5), sch),
+           marchaud_left(TimeField(np.cos), 0.3, 0.5, sch)):
+    print(ov.value.hex(), ov.est_error.hex())
+"""
+
+
+def test_values_do_not_depend_on_the_blas_threads():
+    # no field row and no lag sum goes through BLAS, whose sums split over its threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
 
 
 def _recording(fld, blocks):
