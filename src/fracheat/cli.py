@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import math
-import numbers
 import sys
 import time
 import warnings
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FracParams, SpaceTimePoint, as_int
+from .core import FracParams, SpaceTimePoint, as_int, as_real
 from .errors import ConfigError, FracHeatError
 from .fields import (
     FIELD_NAMES,
@@ -82,12 +81,6 @@ def _check_keys(mapping: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
 
 
-def _check_number(value, where: str, positive: bool = False) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
-            or positive and value <= 0):
-        raise ConfigError(f"{where} must be a finite{' positive' * positive} number, got {value!r}")
-
-
 def _check_integer(value, where: str, least: int) -> int:
     if as_int(value, where) < least:
         raise ConfigError(f"{where} must be an integer >= {least}, got {value!r}")
@@ -126,8 +119,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; one of {SCENARIOS}")
         try:
             self.n, self.seed = _check_integer(self.n, "n", 1), _check_integer(self.seed, "seed", 0)
-            _check_number(self.s, "s")
-            if not 0.0 < self.s < 1.0:
+            if not 0.0 < as_real(self.s, "s") < 1.0:
                 raise ConfigError(f"s must lie in (0,1), got {self.s}")
             for name, (integers, reals, others) in _SECTIONS.items():
                 if not isinstance(getattr(self, name), dict):
@@ -137,7 +129,8 @@ class ScenarioConfig:
                 for key in section.keys() & integers.keys():
                     section[key] = _check_integer(section[key], f"{name}.{key}", integers[key])
                 for key in section.keys() & reals:
-                    _check_number(section[key], f"{name}.{key}", positive=True)
+                    if as_real(section[key], f"{name}.{key}") <= 0:
+                        raise ConfigError(f"{name}.{key} must be positive, got {section[key]!r}")
                 setattr(self, name, section)
             if self.problem.get("theta", 1) > 1:
                 raise ConfigError(f"problem.theta must lie in (0, 1], got {self.problem['theta']!r}")
@@ -145,10 +138,10 @@ class ScenarioConfig:
                 if not isinstance(getattr(self, name), (list, tuple)):
                     raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
                 for value in getattr(self, name):
-                    _check_number(value, f"every entry of {name}")
+                    as_real(value, f"every entry of {name}")
             x = self.point.get("x", [])
             for value in [*(x if isinstance(x, (list, tuple)) else [x]), self.point.get("t", 0.0)]:
-                _check_number(value, "every entry of point")
+                as_real(value, "every entry of point")
             if self.scenario == "eval" and not self.field.get("name"):
                 raise ConfigError(f"scenario 'eval' needs field.name (one of {FIELD_NAMES})")
             self.quadrature_scheme()

@@ -57,6 +57,17 @@ def as_real(value, name: str) -> float:
     raise DomainValidationError(f"{name} must be a finite real number, got {value!r}")
 
 
+def as_reals(values, name: str, n: int | None = None) -> np.ndarray:
+    """A number or a sequence of numbers as a float array, every entry by ``as_real``.
+
+    With ``n`` given it must hold n entries.
+    """
+    entries = np.atleast_1d(np.asarray(values, dtype=object))
+    if n is not None and len(entries) != n:
+        raise DomainValidationError(f"{name} must have n = {n} entries, got {values!r}")
+    return np.array([as_real(v, f"every entry of {name}") for v in entries], dtype=float)
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Space dimension n >= 1 and fractional order s in (0, 1)."""
@@ -65,7 +76,9 @@ class FracParams:
     s: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        object.__setattr__(self, "n", as_int(self.n, "dimension n"))
+        object.__setattr__(self, "s", as_real(self.s, "order s"))
+        if self.n < 1:
             raise DomainValidationError(f"dimension n must be a positive integer, got {self.n}")
         if not 0.0 < self.s < 1.0:
             raise DomainValidationError(f"order s must lie strictly in (0, 1), got {self.s}")
@@ -73,17 +86,14 @@ class FracParams:
 
 @dataclass(frozen=True)
 class SpaceTimePoint:
-    """A point (x, t); x is a length-n vector.  Every coordinate must be finite."""
+    """A point (x, t); x is a length-n vector.  Every coordinate is a finite real number."""
 
     x: np.ndarray
     t: float
 
     def __init__(self, x, t: float):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(x, dtype=float)))
-        object.__setattr__(self, "t", float(t))
-        if not (np.isfinite(self.x).all() and math.isfinite(self.t)):
-            raise DomainValidationError(
-                f"point coordinates must be finite, got x = {self.x.tolist()}, t = {self.t!r}")
+        object.__setattr__(self, "x", as_reals(x, "x"))
+        object.__setattr__(self, "t", as_real(t, "t"))
 
     def validate(self, p: FracParams) -> None:
         if self.x.shape != (p.n,):
@@ -110,7 +120,7 @@ def sq_dist(X, c) -> np.ndarray:
     """|x - c|^2 for every row x of X (shape (..., n)), with c scalar or length n.
 
     Accumulates (X[..., k] - c[k])^2 one coordinate column at a time, in
-    one result buffer and one scratch buffer, so every step is one pass
+    one result buffer and, for n > 1, one scratch buffer, so every step is one pass
     over m values instead of NumPy work over a length-n inner axis; the
     passes run at full speed when each column is contiguous.  For n < 8
     the bits equal those of ``d = X - c; np.sum(d * d, axis=-1)``, which
@@ -120,7 +130,7 @@ def sq_dist(X, c) -> np.ndarray:
     c = np.broadcast_to(np.asarray(c, dtype=float), X.shape[-1:])
     out = np.subtract(X[..., 0], c[0], out=np.empty(X.shape[:-1]))
     np.square(out, out=out)
-    scratch = np.empty_like(out)
+    scratch = np.empty_like(out) if X.shape[-1] > 1 else None
     for k in range(1, X.shape[-1]):
         np.subtract(X[..., k], c[k], out=scratch)
         out += np.square(scratch, out=scratch)
@@ -138,7 +148,7 @@ def heat_kernel(dx, r, p: FracParams):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise DomainValidationError("time lag r must be positive")
-    sq = float(np.dot(dx, dx)) if dx.ndim == 1 else sq_dist(dx, 0.0)
+    sq = sq_dist(dx, 0.0)
     log_c = math.log(normalization_constant(p))
     power = p.n / 2.0 + 1.0 + p.s
     log_k = log_c - power * np.log(r_arr) - sq / (4.0 * r_arr)

@@ -50,22 +50,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import as_real, sq_dist
+from .core import as_int, as_real, as_reals, sq_dist
 from .errors import AdmissibilityError, DomainValidationError
 
 GLOBAL = "global"
 ZERO_BALL = "zero-ball"
-
-
-def _reals(values, name: str, n: Optional[int] = None) -> np.ndarray:
-    """A number or a sequence of numbers as a float array, every entry by ``as_real``.
-
-    With ``n`` given it must hold n entries.
-    """
-    entries = np.atleast_1d(np.asarray(values, dtype=object))
-    if n is not None and len(entries) != n:
-        raise DomainValidationError(f"{name} must have n = {n} entries, got {values!r}")
-    return np.array([as_real(v, f"every entry of {name}") for v in entries], dtype=float)
 
 
 def _as_points(x, n: int) -> np.ndarray:
@@ -98,6 +87,9 @@ class _OnSpace(_Bounded):
     """The exterior, support-box and feature-scale rules of the two field kinds on R^n."""
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "n"))
+        if self.n < 1:
+            raise DomainValidationError(f"n must be at least 1, got {self.n}")
         if self.exterior not in (GLOBAL, ZERO_BALL):
             raise DomainValidationError(f"unknown exterior rule {self.exterior!r}")
         r = self.ball_radius
@@ -123,10 +115,10 @@ class _OnSpace(_Bounded):
         super().__post_init__()
 
     def _inside_ball(self, pts: np.ndarray) -> np.ndarray:
-        # einsum sums three or more squares in an order that follows the
-        # memory layout; row-major points keep the mask independent of it
-        rows = pts if self.n < 3 else np.ascontiguousarray(pts)
-        return np.einsum("ij,ij->i", rows, rows) < self.ball_radius**2
+        # einsum sums the squares in an order that follows the memory layout;
+        # over coordinate-major points it is core.sq_dist's, column by column
+        cols = np.asfortranarray(pts)
+        return np.einsum("ij,ij->i", cols, cols) < self.ball_radius**2
 
     def _eval_with_exterior(self, pts: np.ndarray, *args: np.ndarray) -> np.ndarray:
         """``func(pts, *args)``, exactly zero outside the ball of a zero-ball field."""
@@ -280,7 +272,7 @@ def constant_field(n: int, value: float = 1.0) -> SpaceTimeField:
 def linear_combination(fields: Sequence[SpaceTimeField], coeffs: Sequence[float]) -> SpaceTimeField:
     """a1 u1 + a2 u2 + ...; metadata combined conservatively."""
     fs = list(fields)
-    cs = _reals(coeffs, "coeffs").tolist()
+    cs = as_reals(coeffs, "coeffs").tolist()
     if len(fs) != len(cs) or not fs:
         raise DomainValidationError("need matching nonempty fields and coefficients")
     n = fs[0].n
@@ -374,7 +366,7 @@ def torsion_profile(n: int, s: float, shift: Optional[Sequence[float]] = None) -
     Dirichlet solver; the shifted variant is deliberately *not* a solution
     and is used to exercise asymmetry detection.
     """
-    off = np.zeros(n) if shift is None else _reals(shift, "shift", n)
+    off = np.zeros(n) if shift is None else as_reals(shift, "shift", n)
 
     def g(X):
         sq = sq_dist(X, off)
@@ -447,7 +439,7 @@ def gaussian_bump(
     amplitude: float = 1.0,
 ) -> SpaceTimeField:
     """Separable Gaussian bump; ``t_width=None`` makes it time-independent."""
-    c = np.zeros(n) if center is None else _reals(center, "center", n)
+    c = np.zeros(n) if center is None else as_reals(center, "center", n)
     t_center = as_real(t_center, "t_center")
     width = _checked_width(width, "width")
     if t_width is not None:
@@ -476,7 +468,7 @@ def gaussian_bump(
 
 def plane_wave(n: int, xi: Sequence[float], rho: float) -> SpaceTimeField:
     """cos(xi . x + rho t); globally defined and bounded by 1."""
-    xi_v = _reals(xi, "xi", n)
+    xi_v = as_reals(xi, "xi", n)
     rho = as_real(rho, "rho")
     xi_norm = float(np.linalg.norm(xi_v))
 
@@ -497,7 +489,7 @@ def plane_wave(n: int, xi: Sequence[float], rho: float) -> SpaceTimeField:
 
 def polynomial_cutoff(n: int, coeffs: Sequence[float]) -> SpaceField:
     """(c0 + c1 |x|^2 + c2 |x|^4 + ...) times the unit-ball mollifier."""
-    cs = _reals(coeffs, "coeffs").tolist()
+    cs = as_reals(coeffs, "coeffs").tolist()
 
     def g(X):
         sq = sq_dist(X, 0.0)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FracParams, SpaceTimePoint
+from .core import FracParams, SpaceTimePoint, as_real, as_reals
 from .errors import (
     AlignmentError,
     AntisymmetryError,
@@ -43,11 +43,11 @@ class PlaneConfig:
     lam: float
 
     def __init__(self, direction, lam: float):
-        d = np.atleast_1d(np.asarray(direction, dtype=float))
+        d = as_reals(direction, "direction")
         if abs(np.linalg.norm(d) - 1.0) > 1e-12:
             raise DomainValidationError("plane direction must be a unit vector")
         object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "lam", float(lam))
+        object.__setattr__(self, "lam", as_real(lam, "lam"))
 
     def axis(self) -> tuple[int, float]:
         """(axis index, sign) when the direction is a coordinate axis."""
@@ -303,6 +303,7 @@ def antisymmetric_fold_residual(w: SpaceTimeField, cfg: PlaneConfig, q: SpaceTim
 
 def build_cutoff_eta(t_k: float, r: float) -> TimeField:
     """Smooth time bump: 1 on the inner half-window, supported in (t_k - r^2, t_k + r^2)."""
+    r = as_real(r, "r")
     if r <= 0:
         raise DomainValidationError("cutoff radius must be positive")
     r_sq = r * r
@@ -319,7 +320,7 @@ def build_antisym_bump(x_k, r_k: float, cfg: PlaneConfig) -> SpaceField:
     The two lobes sit in disjoint balls of radius r_k/2 around x_k and its
     mirror image; the construction needs dist(x_k, plane) >= r_k.
     """
-    x_k = np.atleast_1d(np.asarray(x_k, dtype=float))
+    x_k, r_k = np.atleast_1d(np.asarray(x_k, dtype=float)), as_real(r_k, "r_k")
     if r_k <= 0:
         raise DomainValidationError("bump radius must be positive")
     dist = abs(float(x_k @ cfg.direction) - cfg.lam)
@@ -341,6 +342,7 @@ def build_antisym_bump(x_k, r_k: float, cfg: PlaneConfig) -> SpaceField:
 
 def spacetime_cutoff(r: float, n: int) -> SpaceTimeField:
     """Product bump supported in B_r x (-r^2, r^2): the dilation family of the scaling law."""
+    r = as_real(r, "r")
     if r <= 0:
         raise DomainValidationError("cutoff radius must be positive")
 
@@ -367,7 +369,7 @@ def scaling_radii(kind: str, r_list: Sequence[float]) -> list:
     """The radii of ``verify_lemma_scaling``, sorted, once its kind and radii pass its checks."""
     if kind not in ("time-cutoff", "spacetime-cutoff"):
         raise DomainValidationError("kind must be 'time-cutoff' or 'spacetime-cutoff'")
-    rs = sorted(float(r) for r in r_list)
+    rs = sorted(as_reals(r_list, "r_list").tolist())
     if len(rs) < 4 or len(np.unique(rs)) < 4:
         raise DomainValidationError("need at least four distinct radii")
     # one decade nominally; 8x admits the canonical 0.5-1-2-4 doubling list

@@ -79,7 +79,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .core import FracParams, SpaceTimePoint, as_int, gamma_abs_neg, integrated_kernel_constant
+from .core import (FracParams, SpaceTimePoint, as_int, as_real, as_reals, gamma_abs_neg,
+                   integrated_kernel_constant, sq_dist)
 from .errors import DomainValidationError, ToleranceError
 from .fields import SpaceField, SpaceTimeField, TimeField, ZERO_BALL
 
@@ -118,10 +119,9 @@ class QuadratureScheme:
     target_tol: float = 10.0
 
     def __post_init__(self):
-        for name in ("nodes_per_decade", "hermite_order"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
-            raise DomainValidationError("r_min and r_max must be finite")
+        for name, rule in (("nodes_per_decade", as_int), ("hermite_order", as_int),
+                           ("r_min", as_real), ("r_max", as_real), ("target_tol", as_real)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if not self.r_min < self.r_max:
             raise DomainValidationError("r_min must be smaller than r_max")
         if self.r_min <= 0:
@@ -677,7 +677,7 @@ def _support_cusps(g: SpaceField, X: np.ndarray, thetas: np.ndarray) -> np.ndarr
     product, so each point's cusps are the ones it has alone.
     """
     b = sum(X[:, k, None] * thetas[:, k] for k in range(X.shape[1]))
-    disc = g.ball_radius**2 - (np.sum(X * X, axis=1)[:, None] - b * b)
+    disc = g.ball_radius**2 - (sq_dist(X, 0.0)[:, None] - b * b)
     root = np.sqrt(np.where(disc > 0, disc, np.nan))
     return np.abs(np.stack([-b + root, -b - root, b + root, b - root], axis=-1))
 
@@ -703,7 +703,7 @@ def _laplacian_single_pass(g: SpaceField, X: np.ndarray, centres: np.ndarray, p:
     shifts = np.concatenate([[0.0], -steps, steps])  # c + (-step) rounds as c - step
 
     exact_tail = g.exterior == ZERO_BALL
-    z_star = (g.ball_radius + np.linalg.norm(X, axis=1) if exact_tail
+    z_star = (g.ball_radius + np.sqrt(sq_dist(X, 0.0)) if exact_tail
               else np.full(len(X), 2.0 * math.sqrt(sch.r_max)))
     inside = (centres > z_min) & (centres < z_star[:, None, None])
     rows_n = len(thetas)
@@ -792,11 +792,7 @@ def fractional_laplacian_pointwise(g: SpaceField, x, p: FracParams, sch: Quadrat
     the radial grid (used by the solver's residual path), ``curvature``
     overrides the finite-difference Laplacian in the inner Taylor cell.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (p.n,):
-        raise DomainValidationError(f"evaluation point must have shape ({p.n},)")
-    if not np.isfinite(x).all():
-        raise DomainValidationError(f"evaluation point must be finite, got {x.tolist()}")
+    x = as_reals(x, "x", p.n)
     g.require_bound()
     ov = _fractional_laplacian(g, x[None, :], p, sch, breakpoints,
                                None if curvature is None else [curvature])
@@ -805,10 +801,9 @@ def fractional_laplacian_pointwise(g: SpaceField, x, p: FracParams, sch: Quadrat
 
 def _marchaud(h: TimeField, t: float, s: float, sch: QuadratureScheme, side: int) -> OperatorValue:
     """side=+1: left derivative (past values); side=-1: right (future values)."""
+    t, s = as_real(t, "t"), as_real(s, "order s")
     if not 0.0 < s < 1.0:
         raise DomainValidationError(f"order s must lie in (0, 1), got {s}")
-    if not math.isfinite(t):
-        raise DomainValidationError(f"time t must be finite, got {t!r}")
     h.require_bound()
     horizon = None
     if h.support is not None:

@@ -53,7 +53,7 @@ import scipy.fft
 import scipy.linalg
 from numpy.polynomial import polynomial as poly
 
-from .core import FracParams, as_int, as_real, integrated_kernel_constant
+from .core import FracParams, as_int, as_real, as_reals, integrated_kernel_constant, sq_dist
 from .errors import DomainValidationError, GridCoarseError, SingularMatrixError
 from .fields import SpaceField, ZERO_BALL
 from .quadrature import QuadratureScheme, _fractional_laplacian, _gauss_rule
@@ -101,27 +101,33 @@ class Nonlinearity:
 
 
 def _custom_polynomial(coeffs) -> Nonlinearity:
-    cs = [as_real(c, "every entry of coeffs") for c in (coeffs or [1.0])]
+    cs = as_reals([1.0] if coeffs is None else coeffs, "coeffs").tolist()
+    if not cs:
+        raise DomainValidationError("custom-polynomial needs at least one coefficient")
     der = poly.polyder(cs)
     return Nonlinearity(lambda u: poly.polyval(u, cs), lambda u: poly.polyval(u, der),
                         f"custom-polynomial{cs}")
 
 
-# the named right-hand sides, each built from the optional coefficients
-_NONLINEARITIES = {
-    "zero": lambda coeffs: Nonlinearity(np.zeros_like, np.zeros_like, "zero"),
-    "one": lambda coeffs: Nonlinearity(np.ones_like, np.zeros_like, "one"),
-    "one-minus-half-u": lambda coeffs: Nonlinearity(
+# the named right-hand sides without coefficients
+_FIXED_NONLINEARITIES = {
+    "zero": Nonlinearity(np.zeros_like, np.zeros_like, "zero"),
+    "one": Nonlinearity(np.ones_like, np.zeros_like, "one"),
+    "one-minus-half-u": Nonlinearity(
         lambda u: 1.0 - 0.5 * u, lambda u: np.full_like(u, -0.5), "one-minus-half-u"),
-    "custom-polynomial": _custom_polynomial,
 }
 
 
 def nonlinearity_by_name(name: str, coeffs=None) -> Nonlinearity:
-    if name not in _NONLINEARITIES:
-        raise DomainValidationError(
-            f"unknown nonlinearity {name!r}; one of {', '.join(_NONLINEARITIES)}")
-    return _NONLINEARITIES[name](coeffs)
+    """The named right-hand side; only ``custom-polynomial`` takes ``coeffs`` (default [1.0])."""
+    if name == "custom-polynomial":
+        return _custom_polynomial(coeffs)
+    if name not in _FIXED_NONLINEARITIES:
+        names = ", ".join([*_FIXED_NONLINEARITIES, "custom-polynomial"])
+        raise DomainValidationError(f"unknown nonlinearity {name!r}; one of {names}")
+    if coeffs is not None:
+        raise DomainValidationError(f"nonlinearity {name!r} takes no coeffs, got {coeffs!r}")
+    return _FIXED_NONLINEARITIES[name]
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,7 @@ class BallProblem:
     @staticmethod
     def inside(pts: np.ndarray) -> np.ndarray:
         """The ball rule: which rows of ``pts`` lie strictly inside the unit sphere."""
-        return np.einsum("ij,ij->i", pts, pts) < 1.0 - 1e-12
+        return sq_dist(pts, 0.0) < 1.0 - 1e-12
 
     def interior_mask(self) -> np.ndarray:
         return self.inside(self.nodes())
@@ -435,8 +441,14 @@ def solve_steady(problem: BallProblem, sch: Optional[QuadratureScheme] = None,
     including a residual that overflows, returns the iterate of least class
     residual with converged=False; positivity_ok refers to that iterate.
     """
+    theta, tol = as_real(theta, "theta"), as_real(tol, "tol")
+    max_iter = as_int(max_iter, "max_iter")
     if not 0.0 < theta <= 1.0:
         raise DomainValidationError("damping theta must lie in (0, 1]")
+    if not tol > 0.0:
+        raise DomainValidationError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise DomainValidationError(f"max_iter must be at least 1, got {max_iter}")
     n_int = int(np.count_nonzero(problem.interior_mask()))
     if matrix is not None and np.shape(matrix) != (n_int, n_int):
         raise DomainValidationError(

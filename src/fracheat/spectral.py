@@ -15,12 +15,11 @@ here in their discrete analogue and reported as such.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FracParams, as_int
+from .core import FracParams, as_int, as_real, sq_dist
 from .errors import DomainValidationError, ShapeMismatchError
 
 
@@ -35,15 +34,16 @@ class TorusGrid:
     L_t: float
 
     def __post_init__(self):
+        for name, rule in (("n", as_int), ("N_x", as_int), ("L_x", as_real), ("N_t", as_int),
+                           ("L_t", as_real)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if self.n < 1:
             raise DomainValidationError("n must be at least 1")
-        for name in ("N_x", "N_t"):
-            N = as_int(getattr(self, name), name)
-            object.__setattr__(self, name, N)
+        for name, N in (("N_x", self.N_x), ("N_t", self.N_t)):
             if N < 8 or N % 2 != 0:
                 raise DomainValidationError(f"{name} must be even and at least 8, got {N}")
-        if not (0 < self.L_x < math.inf and 0 < self.L_t < math.inf):
-            raise DomainValidationError("periods must be positive and finite")
+        if not (self.L_x > 0 and self.L_t > 0):
+            raise DomainValidationError("periods must be positive")
 
     @property
     def shape(self) -> tuple:
@@ -93,12 +93,7 @@ def marchaud_symbol(rho, s: float):
 
 def spacetime_symbol(xi, rho, s: float):
     """Principal-branch (i rho + |xi|^2)^s; vanishes only at xi = 0, rho = 0."""
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi_arr.ndim == 1:
-        xi_sq = float(np.dot(xi_arr, xi_arr))
-    else:
-        xi_sq = np.sum(xi_arr * xi_arr, axis=-1)
-    z = xi_sq + 1j * np.asarray(rho, dtype=float)
+    z = sq_dist(np.atleast_1d(xi), 0.0) + 1j * np.asarray(rho, dtype=float)
     out = np.power(z, s)
     out = np.where(z == 0.0, 0.0 + 0.0j, out)
     return complex(out) if out.ndim == 0 else out

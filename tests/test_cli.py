@@ -303,9 +303,11 @@ class TestMainExitCodes:
         ({"scenario": "lemma-scaling", "r_list": [1, 2]}, "four distinct radii"),
         ({"scenario": "lemma-scaling", "r_list": [0.5, 1, 2, 3]}, "decade"),
         ({"scenario": "lemma-scaling", "r_list": [0, 1, 2, 8]}, "positive"),
-        # numbers beyond float range: 2 / h overflows, and math.isfinite cannot take 10**400
+        # numbers beyond float range: 2 / h overflows, and 10**400 has no float; the
+        # case keeps the id it took from its former message
         ({"scenario": "solve-ball", "problem": {"h": 1e-320}}, "infinity"),
-        ({"scenario": "solve-ball", "problem": {"h": 10**400}}, "too large"),
+        pytest.param({"scenario": "solve-ball", "problem": {"h": 10**400}},
+                     "problem.h must be a finite real number", id="config54-too large"),
         ({"scenario": "solve-ball", "problem": {"h": 1e-310}}, "problem.h"),
         # widths whose squares under- or overflow, and a bool or string taken for a width;
         # these once ran (exit 0) or failed in the quadrature (exit 3)
@@ -335,6 +337,11 @@ class TestMainExitCodes:
          "every entry of coeffs"),
         ({"scenario": "solve-ball", "problem": {"f": "custom-polynomial", "coeffs": [True]}},
          "every entry of coeffs"),
+        # coefficients for a right-hand side without any, and none for a polynomial;
+        # these once ran (exit 0), ignoring them or solving f = 1
+        ({"scenario": "solve-ball", "problem": {"f": "one", "coeffs": [5, 7]}}, "takes no coeffs"),
+        ({"scenario": "solve-ball", "problem": {"f": "custom-polynomial", "coeffs": []}},
+         "at least one coefficient"),
     ])
     def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, config, message):
         cfg_file = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracheat.core import FracParams
+from fracheat.core import FracParams, sq_dist
 from fracheat.errors import DomainValidationError
 from fracheat.fields import (
     FIELD_NAMES,
@@ -318,6 +318,19 @@ class TestMemoryLayout:
             alone = np.concatenate([u.eval(X[i:i + 1], t[i:i + 1]) for i in range(len(X))])
             for block in (X, np.asfortranarray(X)):
                 assert u.eval(block, t).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_ball_mask_is_the_sq_dist_rule(self, n):
+        # rows within 3 ulps of the sphere; at n = 3 the mask once summed the squares
+        # of a row-major copy, and 2,149 of 200,000 such rows fell on the other side
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(20_000, n))
+        rows /= np.sqrt(sq_dist(rows, 0.0))[:, None]
+        rows *= 1.0 + rng.integers(-3, 4, size=(len(rows), 1)) * np.finfo(float).eps
+        inside = sq_dist(rows, 0.0) < 1.0
+        ones = SpaceField(lambda X: np.ones(len(X)), n=n, exterior=ZERO_BALL, ball_radius=1.0)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            np.testing.assert_array_equal(ones.eval(layout(rows)) == 1.0, inside)
 
     def test_callables_keep_their_inputs(self):
         X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(50, 2))

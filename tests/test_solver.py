@@ -82,6 +82,16 @@ class TestNonlinearity:
         with pytest.raises(DomainValidationError):
             nonlinearity_by_name("cubic-banana")
 
+    @pytest.mark.parametrize("name, coeffs, message", [
+        ("one", [5, 7], "takes no coeffs"), ("zero", [], "takes no coeffs"),
+        ("one-minus-half-u", [1.0], "takes no coeffs"),
+        ("custom-polynomial", [], "at least one coefficient")])
+    def test_coefficients_only_where_they_mean_something(self, name, coeffs, message):
+        # each of these once built a right-hand side, ignoring the coefficients or
+        # solving f = 1 for an empty list
+        with pytest.raises(DomainValidationError, match=message):
+            nonlinearity_by_name(name, coeffs)
+
     @pytest.mark.parametrize("coeffs", [None, [2.5], [1.0, -0.25, 0.1], [0.3, -1.0, 0.0, 0.7, -0.05]])
     def test_polynomial_bits_of_horner(self, coeffs):
         # the former hand-written Horner pair, against numpy.polynomial's

@@ -103,13 +103,13 @@ class TestTorusGrid:
     @pytest.mark.parametrize("L_x, L_t", [(math.nan, 10.0), (10.0, math.nan)])
     def test_nan_period_rejected(self, L_x, L_t):
         # a NaN period passed a "<= 0" test and gave NaN frequencies
-        with pytest.raises(DomainValidationError, match="periods"):
+        with pytest.raises(DomainValidationError, match="L_[xt] must be a finite real number"):
             TorusGrid(1, 16, L_x, 16, L_t)
 
     @pytest.mark.parametrize("L_x, L_t", [(math.inf, 10.0), (10.0, math.inf)])
     def test_infinite_period_rejected(self, L_x, L_t):
         # an infinite period gave all-zero frequencies
-        with pytest.raises(DomainValidationError, match="periods"):
+        with pytest.raises(DomainValidationError, match="L_[xt] must be a finite real number"):
             TorusGrid(1, 16, L_x, 16, L_t)
 
     def test_grid_sizes_are_stored_as_int(self):

@@ -21,8 +21,10 @@ largest entry and of its sum), of a few kernel, field and
 reflection arrays (also across the four axis planes of n = 2 on points
 with signed-zero coordinates), of the operator symbol on a 1-, 2- and 3-D
 torus and of `apply_operator_spectral` on random data there (with the hex
-of its imaginary residue), the metadata that `as_spacetime` carries over from
-each library `SpaceField` and a `TimeField` (exterior, sup bound hex,
+of its imaginary residue), the zero-ball mask on coordinate-major points
+within 3 ulps of the unit sphere at n = 3, the metadata that
+`as_spacetime` carries over from each library `SpaceField` and a
+`TimeField` (exterior, sup bound hex,
 ball radius, support digest, feature scale, time support and time
 independence), and of the CSV files of the six determinism configs plus
 n = 2 `eval`, `reduce-check` and `moving-planes` (solved and
@@ -43,7 +45,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fracheat.cli import ScenarioConfig, run_scenario  # noqa: E402
-from fracheat.core import FracParams, SpaceTimePoint, heat_kernel  # noqa: E402
+from fracheat.core import FracParams, SpaceTimePoint, heat_kernel, sq_dist  # noqa: E402
 from fracheat.fields import (  # noqa: E402
     ZERO_BALL,
     SpaceField,
@@ -276,6 +278,14 @@ def arrays() -> None:
         out, residue = apply_operator_spectral(data, p)
         print(f"apply_operator_spectral n={n} N={points} s=0.3 {_digest(out.values.tobytes())} "
               f"{residue.hex()}")
+    # coordinate-major rows within 3 ulps of the unit sphere: a zero-ball field equal to 1
+    # in the ball gives its mask, so the line follows the order the mask sums squares in
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(3, 20_000))
+    rows /= np.sqrt(sq_dist(rows.T, 0.0))
+    rows *= 1.0 + rng.integers(-3, 4, size=rows.shape[1]) * np.finfo(float).eps
+    ones = SpaceField(lambda X: np.ones(len(X)), n=3, exterior=ZERO_BALL, ball_radius=1.0)
+    _array("zero-ball mask n=3 near-sphere", ones.eval(rows.T))
 
 
 def lifts() -> None:
